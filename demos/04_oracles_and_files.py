@@ -20,6 +20,7 @@ from alglength import (
     bracketed_word_count,
     brute_force_algebra_length,
     compute_length,
+    dims_from_charseq,
     enumerate_words_spans,
     make_example,
     parse_algebra,
@@ -33,8 +34,7 @@ def main():
     kmax = 6
     words = sum(bracketed_word_count(len(gens), k) for k in range(1, kmax + 1))
     oracle = enumerate_words_spans(algebra, gens, kmax)
-    report = compute_length(algebra, gens)
-    engine = list(report.dims) + [algebra.n] * (kmax + 1 - len(report.dims))
+    engine = dims_from_charseq(compute_length(algebra, gens).charseq.terms, kmax)
     print(f"fib-lc(5), kmax = {kmax}: {words} bracketed words evaluated")
     print(f"  oracle dims {oracle}")
     print(f"  engine dims {engine}")
@@ -56,8 +56,7 @@ def main():
     random_algebra = Algebra(GF(3), table)
     gens = ((0, 1, 0, 0), (0, 0, 1, 2))
     oracle = enumerate_words_spans(random_algebra, gens, 7)
-    run = compute_length(random_algebra, gens, window_stop=False, cap=7)
-    engine = list(run.dims) + [run.dims[-1]] * (8 - len(run.dims))
+    engine = dims_from_charseq(compute_length(random_algebra, gens).charseq.terms, 7)
     print(f"  oracle {oracle}")
     print(f"  engine {engine}")
     print(f"  agree: {oracle == engine}")

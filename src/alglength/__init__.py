@@ -23,7 +23,7 @@ from .bounds import (
     is_wellformed_sequence,
     verify_sequence,
 )
-from .echelon import EchelonSubspace, echelon_insert, subspace_contains
+from .echelon import EchelonSubspace
 from .errors import (
     AlgLengthError,
     BadScalar,
@@ -50,18 +50,13 @@ from .fields import GF, QQ, Field, PrimeField, RationalField, field_from_descrip
 from .fileformat import parse_algebra, parse_gens, serialize_algebra
 from .length import (
     CharSeq,
-    LayerState,
     LengthReport,
-    STOP_CAP,
     STOP_FULL_DIM,
     STOP_LC_WINDOW,
     STOP_WINDOW,
-    characteristic_sequence,
-    charseq_from_dims,
     compute_length,
-    default_cap,
+    dims_from_charseq,
     is_generating,
-    layer_step,
 )
 from .oracle import (
     BruteForceResult,
@@ -95,7 +90,6 @@ __all__ = [
     "FieldMismatch",
     "GF",
     "KOutOfRange",
-    "LayerState",
     "LengthReport",
     "NoGeneratingSet",
     "NonUnital",
@@ -108,7 +102,6 @@ __all__ = [
     "QQ",
     "RangeError",
     "RationalField",
-    "STOP_CAP",
     "STOP_FULL_DIM",
     "STOP_LC_WINDOW",
     "STOP_WINDOW",
@@ -118,16 +111,13 @@ __all__ = [
     "bracketed_word_count",
     "brute_force_algebra_length",
     "catalan",
-    "characteristic_sequence",
-    "charseq_from_dims",
     "check_addition_chain",
     "check_fibonacci_bound",
     "check_lc_basis",
     "check_power_bound",
     "coerce_genset",
     "compute_length",
-    "default_cap",
-    "echelon_insert",
+    "dims_from_charseq",
     "enumerate_words_spans",
     "fibonacci",
     "field_from_descriptor",
@@ -135,12 +125,10 @@ __all__ = [
     "is_generating",
     "is_wellformed_sequence",
     "iter_word_values",
-    "layer_step",
     "make_example",
     "parse_algebra",
     "parse_gens",
     "serialize_algebra",
-    "subspace_contains",
     "subspace_count",
     "validate_unital",
     "verify_sequence",

@@ -43,7 +43,8 @@ class Algebra:
         field: coefficient field.
         table: ``table[i][j]`` is the product e_i * e_j as a coordinate tuple.
         basis_names: n labels; index 0 is always "1".
-        lc_flag: verified claim that the basis passes :func:`check_lc_basis`.
+        lc_flag: claim that the basis passes :func:`check_lc_basis`, checked
+            at construction even when ``validate`` is false.
     """
 
     __slots__ = ("n", "field", "table", "basis_names", "lc_flag", "_entries")
@@ -92,10 +93,10 @@ class Algebra:
         )
         if validate:
             self.ensure_unital()
-            if self.lc_flag and not check_lc_basis(self):
-                raise NotLocallyComplex(
-                    "lc flag is set but the basis fails the locally-complex check"
-                )
+        if self.lc_flag and not check_lc_basis(self):
+            raise NotLocallyComplex(
+                "lc flag is set but the basis fails the locally-complex check"
+            )
 
     @classmethod
     def from_products(

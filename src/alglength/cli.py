@@ -19,16 +19,24 @@ from pathlib import Path
 from . import __version__
 from .algebra import Algebra, check_lc_basis
 from .bounds import verify_sequence
-from .errors import AlgLengthError, KOutOfRange, NotGenerating, ParseError
+from .errors import (
+    AlgLengthError,
+    BudgetExceeded,
+    KOutOfRange,
+    NotGenerating,
+    ParseError,
+)
 from .fields import GF, QQ
 from .fileformat import parse_algebra, parse_gens, serialize_algebra
 from .families import FAMILY_NAMES, make_example
-from .length import LengthReport, compute_length
+from .length import LengthReport, compute_length, dims_from_charseq
 from .oracle import brute_force_algebra_length, enumerate_words_spans
 from . import reporting
 
 CHECK_TOKENS = ("chain", "chain-strict", "power", "fib", "fib-k", "lc")
 DEFAULT_CHECKS = "chain,power"
+# Largest --kmax accepted: the dims list has K+1 entries.
+MAX_KMAX = 1 << 20
 
 
 def _seq_str(values) -> str:
@@ -109,8 +117,8 @@ def _load_algebra(args) -> tuple[Algebra, str, bytes]:
     return parse_algebra(data.decode("utf-8")), str(path), data
 
 
-def _engine_report(algebra, gens, args, **kwargs) -> LengthReport:
-    report = compute_length(algebra, gens, lc_shortcut=args.lc_shortcut, **kwargs)
+def _engine_report(algebra, gens, args) -> LengthReport:
+    report = compute_length(algebra, gens, lc_shortcut=args.lc_shortcut)
     if args.require_generating and not report.is_generating:
         raise NotGenerating(
             f"set does not generate (stop: {report.stop_reason}, "
@@ -119,21 +127,13 @@ def _engine_report(algebra, gens, args, **kwargs) -> LengthReport:
     return report
 
 
-def _padded_dims(algebra, gens, args, kmax: int) -> list[int]:
-    """dims of L_0..L_kmax.
-
-    A window-free run only ends early at the full dimension or when S never
-    leaves the unit span; either way the dims are constant from there on.
-    """
-    if kmax == 0:
-        return [1]
-    report = compute_length(
-        algebra, gens, lc_shortcut=False, cap=kmax, window_stop=False
-    )
-    dims = list(report.dims)
-    while len(dims) < kmax + 1:
-        dims.append(dims[-1])
-    return dims
+def _check_kmax(kmax: int) -> None:
+    if kmax < 0:
+        raise ParseError("--kmax must be >= 0")
+    if kmax > MAX_KMAX:
+        raise BudgetExceeded(
+            f"--kmax {kmax} exceeds the limit {MAX_KMAX}", count=kmax + 1
+        )
 
 
 def _write_json(args, payload) -> None:
@@ -193,11 +193,12 @@ def _cmd_charseq(args) -> int:
 def _cmd_dims(args) -> int:
     algebra, path, data = _load_algebra(args)
     gens = parse_gens(args.gens, algebra)
-    if args.kmax < 0:
-        raise ParseError("--kmax must be >= 0")
+    _check_kmax(args.kmax)
     if args.require_generating:
-        _engine_report(algebra, gens, args)
-    dims = _padded_dims(algebra, gens, args, args.kmax)
+        report = _engine_report(algebra, gens, args)
+    else:
+        report = compute_length(algebra, gens)
+    dims = dims_from_charseq(report.charseq.terms, args.kmax)
     print(f"dims: {_seq_str(dims)}")
     payload = reporting.run_report(
         "dims", __version__, algebra, path, data,
@@ -301,10 +302,10 @@ def _cmd_gen_example(args) -> int:
 def _cmd_oracle_check(args) -> int:
     algebra, path, data = _load_algebra(args)
     gens = parse_gens(args.gens, algebra)
-    if args.kmax < 0:
-        raise ParseError("--kmax must be >= 0")
+    _check_kmax(args.kmax)
     oracle_dims = enumerate_words_spans(algebra, gens, args.kmax)
-    engine_dims = _padded_dims(algebra, gens, args, args.kmax)
+    terms = compute_length(algebra, gens).charseq.terms
+    engine_dims = dims_from_charseq(terms, args.kmax)
     agree = oracle_dims == engine_dims
     print(f"engine dims: {_seq_str(engine_dims)}")
     print(f"oracle dims: {_seq_str(oracle_dims)}")

@@ -128,14 +128,3 @@ class EchelonSubspace:
     def __repr__(self) -> str:
         return f"EchelonSubspace(dim={self.dim}, ambient={self.ambient})"
 
-
-def echelon_insert(
-    space: EchelonSubspace, v: Sequence[Scalar]
-) -> tuple[EchelonSubspace, bool]:
-    """Functional wrapper: returns (space spanning old+v, whether dim grew)."""
-    new_space, row = space.insert(v)
-    return new_space, row is not None
-
-
-def subspace_contains(space: EchelonSubspace, v: Sequence[Scalar]) -> bool:
-    return space.contains(v)

@@ -9,8 +9,8 @@ canonical form:
 
 A :class:`Field` object supplies the operations that depend on the field
 (inversion, parsing, canonical reduction); addition and multiplication of
-in-field values also work with the native ``+``/``*`` operators, which hot
-loops exploit, reducing with :meth:`Field.normalize` at the end.
+in-field values use the native ``+``/``*`` operators, reducing with
+:meth:`Field.normalize` at the end.
 """
 
 from __future__ import annotations
@@ -87,22 +87,6 @@ class Field:
 
     def format(self, x: Scalar) -> str:
         return str(x)
-
-    # Convenience arithmetic; hot loops use native operators + normalize().
-    def add(self, a: Scalar, b: Scalar) -> Scalar:
-        return self.normalize(a + b)
-
-    def sub(self, a: Scalar, b: Scalar) -> Scalar:
-        return self.normalize(a - b)
-
-    def mul(self, a: Scalar, b: Scalar) -> Scalar:
-        return self.normalize(a * b)
-
-    def neg(self, a: Scalar) -> Scalar:
-        return self.normalize(-a)
-
-    def eq(self, a: Scalar, b: Scalar) -> bool:
-        return self.normalize(a) == self.normalize(b)
 
     def descriptor(self) -> str:
         raise NotImplementedError

@@ -150,7 +150,7 @@ def parse_algebra(text: str) -> Algebra:
         vec: dict[int, Scalar] = {}
         for term in rhs.split("+"):
             k, coeff = _parse_term(term, names, field, lineno)
-            vec[k] = field.add(vec.get(k, field.zero), coeff)
+            vec[k] = field.normalize(vec.get(k, field.zero) + coeff)
         products[key] = vec
 
     ordered = ["1"] + sorted(names, key=names.get)

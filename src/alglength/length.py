@@ -8,36 +8,42 @@ length 0), and the *length* l(S) is the least k with L_k = A.  The
 the dimension jump dim L_k - dim L_{k-1}; it starts with a single 0 and,
 when S generates, has exactly dim A terms, the last one equal to l(S).
 
-The filtration is computed layer by layer.  New spanning candidates for
-L_{k+1} are products f*g of recorded fresh-basis vectors whose lengths sum
-to exactly k+1: every word of length k+1 splits into two shorter words, and
-expanding each factor over the fresh bases of the lower layers bilinearly
-leaves, modulo L_k, only products of fresh vectors with length-sum k+1.
-The word-enumeration oracle cross-checks this candidate restriction.
+New spanning candidates for L_k are products f*g of recorded fresh-basis
+vectors whose lengths sum to exactly k: every word of length k splits into
+two shorter words, and expanding each factor over the fresh bases of the
+lower layers bilinearly leaves, modulo L_{k-1}, only products of fresh
+vectors with length-sum k.  The word-enumeration oracle cross-checks this
+candidate restriction.
 
-Termination for non-generating sets uses stabilization windows:
+Termination.  By the candidate restriction, dim L_k can change only at
+k = a + b where a and b are lengths of nonempty fresh groups, so the engine
+keeps those sums in a min-heap and visits only them.  When the heap is empty
+no candidate is left and the filtration is stable for ever.  This is the
+general stabilization window (if the last growth happened at step g and
+nothing grew through step 2g, nothing ever grows), and it needs no rule of
+its own: every pending sum is at most 2g.
 
-* general window: if the last dimension growth happened at step g and no
-  growth occurred through step 2g, the filtration is stable forever;
-* locally-complex window (opt-in via ``lc_shortcut``): if additionally the
-  last growth increased the dimension by exactly 1, stability is already
-  certain at step 2g-1.  The gap families in :mod:`alglength.families`
-  witness that neither window can be shortened further.
+The locally-complex window (opt-in via ``lc_shortcut``) is the one rule
+left: if the last growth increased the dimension by exactly 1, stability is
+already certain at step 2g-1, so the run stops before visiting 2g.  The gap
+families in :mod:`alglength.families` witness that neither window can be
+shortened further.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from heapq import heappop, heappush
+from typing import Iterable, Optional, Sequence
 
-from .algebra import Algebra, GenSet, Vector, check_lc_basis, coerce_genset
+from .algebra import Algebra, Vector, check_lc_basis, coerce_genset
 from .echelon import EchelonSubspace
-from .errors import NotLocallyComplex, RangeError
+from .errors import NotLocallyComplex
 
 STOP_FULL_DIM = "reached_full_dim"
 STOP_WINDOW = "stabilized_window"
 STOP_LC_WINDOW = "stabilized_lc_window"
-STOP_CAP = "cap_exceeded"
 
 
 @dataclass(frozen=True)
@@ -57,26 +63,13 @@ class CharSeq:
         return self.terms[i]
 
 
-@dataclass
-class LayerState:
-    """One step of the filtration computation.
+def dims_from_charseq(terms: Sequence[int], kmax: int) -> list[int]:
+    """dim L_0, ..., dim L_kmax: dim L_k is the number of terms <= k.
 
-    ``acc`` spans L_k; ``fresh[length]`` holds the echelon-reduced basis
-    increments contributed at that word length (length 0 is the unit);
-    ``dims[i]`` is dim L_i for i <= k.
+    For the partial sequence of a finished non-generating run the dims stay
+    constant after the last term, so any ``kmax`` gives the true dims.
     """
-
-    acc: EchelonSubspace
-    fresh: dict[int, list[Vector]]
-    dims: list[int]
-    k: int
-
-    def fresh_groups(self) -> tuple[tuple[int, tuple[Vector, ...]], ...]:
-        return tuple(
-            (length, tuple(vs))
-            for length, vs in sorted(self.fresh.items())
-            if vs
-        )
+    return [bisect_right(terms, k) for k in range(kmax + 1)]
 
 
 @dataclass(frozen=True)
@@ -85,10 +78,11 @@ class LengthReport:
 
     ``length`` is None when S does not generate; ``stop_reason`` says why the
     run ended.  ``charseq`` is partial in the non-generating case.
+    ``fresh_basis`` lists the nonempty groups of basis increments by word
+    length (length 0 is the unit).
     """
 
     n: int
-    dims: tuple[int, ...]
     charseq: CharSeq
     length: Optional[int]
     stop_reason: str
@@ -98,44 +92,32 @@ class LengthReport:
     def is_generating(self) -> bool:
         return self.length is not None
 
+    @property
+    def dims(self) -> tuple[int, ...]:
+        """dim L_0, ..., dim L_k up to the step k where the run stopped.
 
-def charseq_from_dims(dims: Sequence[int], partial: bool = False) -> CharSeq:
-    terms = [0]
-    for k in range(1, len(dims)):
-        terms.extend([k] * (dims[k] - dims[k - 1]))
-    return CharSeq(tuple(terms), partial)
-
-
-def layer_step(algebra: Algebra, state: LayerState) -> LayerState:
-    """Advance the filtration from L_k to L_{k+1}.
-
-    Candidates are the products f*g over fresh groups of lengths a and b with
-    a + b = k+1 and a, b >= 1, taken in ascending a, then in group order.
-    Vectors that grow the span are recorded as the fresh group of length k+1.
-    """
-    target = state.k + 1
-    acc = state.acc
-    group: list[Vector] = []
-    lengths = sorted(a for a, vs in state.fresh.items() if a >= 1 and vs)
-    available = set(lengths)
-    for a in lengths:
-        b = target - a
-        if b < 1 or b not in available:
-            continue
-        right = state.fresh[b]
-        for f in state.fresh[a]:
-            for g in right:
-                acc, row = acc.insert(algebra.multiply(f, g))
-                if row is not None:
-                    group.append(row)
-    fresh = dict(state.fresh)
-    fresh[target] = group
-    return LayerState(acc=acc, fresh=fresh, dims=state.dims + [acc.dim], k=target)
+        That step is l(S) for a generating set.  Otherwise it is the end of
+        the window after the last growth g, the last term of the sequence:
+        2g, or 2g-1 for the locally-complex window (1 when S never leaves
+        the unit span).
+        """
+        kmax = self.length
+        if kmax is None:
+            g = self.charseq.terms[-1]
+            kmax = max(2 * g - (self.stop_reason == STOP_LC_WINDOW), 1)
+        return tuple(dims_from_charseq(self.charseq.terms, kmax))
 
 
-def default_cap(n: int) -> int:
-    """Hard safety bound on the step count, above every attainable length."""
-    return 1 << max(n - 1, 0)
+def _insert_all(
+    acc: EchelonSubspace, vectors: Iterable[Vector]
+) -> tuple[EchelonSubspace, tuple[Vector, ...]]:
+    """Insert ``vectors`` in order; returns the new span and the added rows."""
+    group = []
+    for v in vectors:
+        acc, row = acc.insert(v)
+        if row is not None:
+            group.append(row)
+    return acc, tuple(group)
 
 
 def compute_length(
@@ -143,99 +125,73 @@ def compute_length(
     gens: Sequence[Sequence],
     *,
     lc_shortcut: bool = False,
-    cap: int | None = None,
-    window_stop: bool = True,
 ) -> LengthReport:
-    """Compute dims of L_0, L_1, ..., the characteristic sequence, and l(S).
+    """Compute the characteristic sequence of S and l(S).
 
     L_1 is span(unit, S); the result therefore depends on S only through
-    that span.  With ``lc_shortcut`` the tighter locally-complex window is
-    used; it requires a passing locally-complex basis check.  Setting
-    ``window_stop=False`` disables both stabilization windows and runs to
-    ``cap`` (default 2**(n-1)), which exists for oracle comparisons; in
-    normal runs the cap is theoretically unreachable, so a ``cap_exceeded``
-    stop reason from a window-enabled run indicates a bug.
+    that span.  Each visited step k inserts the products f*g over fresh
+    groups of lengths a and b with a + b = k and a, b >= 1, taken in
+    ascending a, then in group order; the rows that grow the span form the
+    fresh group of length k.  With ``lc_shortcut`` the tighter
+    locally-complex window is used; it requires a basis that passes
+    :func:`check_lc_basis`, which an algebra with ``lc_flag`` set has passed.
     """
     algebra.ensure_unital()
     gens = coerce_genset(algebra, gens)
-    if lc_shortcut and not check_lc_basis(algebra):
+    if lc_shortcut and not (algebra.lc_flag or check_lc_basis(algebra)):
         raise NotLocallyComplex("lc_shortcut requires a locally-complex basis")
     n = algebra.n
-    if cap is None:
-        cap = default_cap(n)
-    if cap < 1:
-        raise RangeError(f"cap must be >= 1, got {cap}")
-
     acc, unit_row = EchelonSubspace.empty(algebra.field, n).insert(algebra.unit())
-    state = LayerState(acc=acc, fresh={0: [unit_row]}, dims=[1], k=0)
-    if n == 1:
-        return LengthReport(
-            n=1,
-            dims=(1,),
-            charseq=CharSeq((0,)),
-            length=0,
-            stop_reason=STOP_FULL_DIM,
-            fresh_basis=state.fresh_groups(),
-        )
-
-    group1: list[Vector] = []
-    acc = state.acc
-    for v in gens:
-        acc, row = acc.insert(v)
-        if row is not None:
-            group1.append(row)
-    state = LayerState(
-        acc=acc, fresh={0: state.fresh[0], 1: group1}, dims=[1, acc.dim], k=1
-    )
-
-    last_growth = 1 if state.dims[1] > 1 else 0
-    last_increment = state.dims[1] - 1
+    fresh: dict[int, tuple[Vector, ...]] = {0: (unit_row,)}
+    pending: list[int] = []  # heap of unvisited sums of nonempty fresh lengths
+    k, group = 0, ()
+    if n > 1:
+        k = 1
+        acc, group = _insert_all(acc, gens)
+    g, by_one = 0, False  # step and +1-ness of the last growth
     length: Optional[int] = None
-    stop = STOP_CAP
     while True:
-        if state.dims[-1] == n:
-            length = state.k
-            stop = STOP_FULL_DIM
+        if group:
+            fresh[k] = group
+            for b in fresh:
+                if b:
+                    heappush(pending, k + b)
+            g, by_one = k, len(group) == 1
+        if acc.dim == n:
+            length, stop = k, STOP_FULL_DIM
             break
-        if last_growth == 0:
-            # Words never leave the span of the unit: stable immediately.
+        if lc_shortcut and by_one and (not pending or pending[0] >= 2 * g):
+            stop = STOP_LC_WINDOW
+            break
+        if not pending:
             stop = STOP_WINDOW
             break
-        if window_stop:
-            if (
-                lc_shortcut
-                and last_increment == 1
-                and state.k >= 2 * last_growth - 1
-            ):
-                stop = STOP_LC_WINDOW
-                break
-            if state.k >= 2 * last_growth:
-                stop = STOP_WINDOW
-                break
-        if state.k + 1 > cap:
-            stop = STOP_CAP
-            break
-        state = layer_step(algebra, state)
-        if state.dims[-1] > state.dims[-2]:
-            last_growth = state.k
-            last_increment = state.dims[-1] - state.dims[-2]
+        k = heappop(pending)
+        while pending and pending[0] == k:
+            heappop(pending)
+        acc, group = _insert_all(
+            acc,
+            (
+                algebra.multiply(f, h)
+                for a, left in fresh.items()
+                if 0 < a < k and k - a in fresh
+                for f in left
+                for h in fresh[k - a]
+            ),
+        )
 
-    dims = tuple(state.dims)
     return LengthReport(
         n=n,
-        dims=dims,
-        charseq=charseq_from_dims(dims, partial=length is None),
+        charseq=CharSeq(
+            tuple(a for a, rows in fresh.items() for _ in rows),
+            partial=length is None,
+        ),
         length=length,
         stop_reason=stop,
-        fresh_basis=state.fresh_groups(),
+        fresh_basis=tuple(fresh.items()),
     )
 
 
 def is_generating(algebra: Algebra, gens: Sequence[Sequence]) -> bool:
     """True iff span closure of S under products reaches the whole algebra."""
     return compute_length(algebra, gens).is_generating
-
-
-def characteristic_sequence(report: LengthReport) -> CharSeq:
-    """The characteristic sequence of a finished run (flagged when partial)."""
-    return report.charseq

@@ -1,15 +1,23 @@
-"""Shared builders for randomized suites (seeded, deterministic)."""
+"""Shared builders for randomized suites (seeded, deterministic), and the
+dense reference stepper that the event-driven engine is checked against."""
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
+from typing import Optional
 
 from alglength import (
+    STOP_FULL_DIM,
+    STOP_LC_WINDOW,
+    STOP_WINDOW,
     Algebra,
+    CharSeq,
     EchelonSubspace,
     GF,
     compute_length,
 )
+from alglength.algebra import Vector
 
 
 def random_unital_algebra(rng: random.Random, n: int, p: int) -> Algebra:
@@ -121,16 +129,135 @@ def assert_filtration_identity(report) -> None:
         assert d == expected, (dims, m, k)
 
 
-def padded_engine_dims(algebra: Algebra, gens, kmax: int) -> list[int]:
-    """Engine dims of L_0..L_kmax.
+@dataclass
+class LayerState:
+    """One step of the dense reference stepper.
 
-    A window-free run only ends early when the full dimension is reached or
-    when S never leaves the unit span; in both cases dims stay constant.
+    ``acc`` spans L_k; ``fresh[length]`` holds the echelon-reduced basis
+    increments contributed at that word length (length 0 is the unit);
+    ``dims[i]`` is dim L_i for i <= k.
     """
-    if kmax == 0:
-        return [1]
-    report = compute_length(algebra, gens, cap=kmax, window_stop=False)
-    dims = list(report.dims)
-    while len(dims) < kmax + 1:
-        dims.append(dims[-1])
-    return dims
+
+    acc: EchelonSubspace
+    fresh: dict[int, list[Vector]]
+    dims: list[int]
+    k: int
+
+    def fresh_groups(self) -> tuple[tuple[int, tuple[Vector, ...]], ...]:
+        return tuple(
+            (length, tuple(vs))
+            for length, vs in sorted(self.fresh.items())
+            if vs
+        )
+
+
+def layer_step(algebra: Algebra, state: LayerState) -> LayerState:
+    """Advance the filtration from L_k to L_{k+1}.
+
+    Candidates are the products f*g over fresh groups of lengths a and b with
+    a + b = k+1 and a, b >= 1, taken in ascending a, then in group order.
+    Vectors that grow the span are recorded as the fresh group of length k+1.
+    """
+    target = state.k + 1
+    acc = state.acc
+    group: list[Vector] = []
+    lengths = sorted(a for a, vs in state.fresh.items() if a >= 1 and vs)
+    available = set(lengths)
+    for a in lengths:
+        b = target - a
+        if b < 1 or b not in available:
+            continue
+        right = state.fresh[b]
+        for f in state.fresh[a]:
+            for g in right:
+                acc, row = acc.insert(algebra.multiply(f, g))
+                if row is not None:
+                    group.append(row)
+    fresh = dict(state.fresh)
+    fresh[target] = group
+    return LayerState(acc=acc, fresh=fresh, dims=state.dims + [acc.dim], k=target)
+
+
+def initial_state(algebra: Algebra, gens) -> LayerState:
+    """The state at k = 1 (k = 0 for a dimension-one algebra)."""
+    acc, unit_row = EchelonSubspace.empty(algebra.field, algebra.n).insert(
+        algebra.unit()
+    )
+    if algebra.n == 1:
+        return LayerState(acc=acc, fresh={0: [unit_row]}, dims=[1], k=0)
+    group1 = []
+    for v in gens:
+        acc, row = acc.insert(tuple(algebra.field.coerce(x) for x in v))
+        if row is not None:
+            group1.append(row)
+    return LayerState(
+        acc=acc, fresh={0: [unit_row], 1: group1}, dims=[1, acc.dim], k=1
+    )
+
+
+def reference_charseq(dims, partial: bool = False) -> CharSeq:
+    terms = [0]
+    for k in range(1, len(dims)):
+        terms.extend([k] * (dims[k] - dims[k - 1]))
+    return CharSeq(tuple(terms), partial)
+
+
+@dataclass(frozen=True)
+class ReferenceRun:
+    dims: tuple[int, ...]
+    charseq: CharSeq
+    length: Optional[int]
+    stop_reason: str
+    fresh_basis: tuple[tuple[int, tuple[Vector, ...]], ...]
+
+
+def reference_run(
+    algebra: Algebra, gens, *, lc_shortcut: bool = False, kmax: int | None = None
+) -> ReferenceRun:
+    """Dense reference stepper: visits every k and applies coded windows.
+
+    With ``kmax`` None a non-generating run stops by the stabilization
+    windows, coded as rules: at step 2g after the last growth g, or with
+    ``lc_shortcut`` at 2g-1 when that growth was by exactly 1.  With
+    ``kmax`` set the windows are off and the run steps to ``kmax`` unless
+    the full dimension comes first; its stop reason is then ``"kmax"``.
+    """
+    n = algebra.n
+    state = initial_state(algebra, gens)
+    last_growth = 1 if state.k == 1 and state.dims[1] > 1 else 0
+    last_increment = state.dims[-1] - 1
+    length = None
+    while True:
+        if state.dims[-1] == n:
+            length, stop = state.k, STOP_FULL_DIM
+            break
+        if kmax is None:
+            if last_growth == 0:
+                stop = STOP_WINDOW
+                break
+            if lc_shortcut and last_increment == 1 and state.k >= 2 * last_growth - 1:
+                stop = STOP_LC_WINDOW
+                break
+            if state.k >= 2 * last_growth:
+                stop = STOP_WINDOW
+                break
+        elif state.k >= kmax:
+            stop = "kmax"
+            break
+        state = layer_step(algebra, state)
+        if state.dims[-1] > state.dims[-2]:
+            last_growth = state.k
+            last_increment = state.dims[-1] - state.dims[-2]
+    dims = tuple(state.dims)
+    return ReferenceRun(
+        dims=dims,
+        charseq=reference_charseq(dims, partial=length is None),
+        length=length,
+        stop_reason=stop,
+        fresh_basis=state.fresh_groups(),
+    )
+
+
+def run_fields(run) -> tuple:
+    """The fields on which the engine and the reference stepper must agree."""
+    return (run.dims, run.charseq, run.length, run.stop_reason, run.fresh_basis)

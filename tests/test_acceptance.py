@@ -16,6 +16,7 @@ from alglength import (
     check_lc_basis,
     check_power_bound,
     compute_length,
+    dims_from_charseq,
     enumerate_words_spans,
     fibonacci,
     is_wellformed_sequence,
@@ -28,10 +29,10 @@ from helpers import (
     find_non_generating_set,
     mixed_equal_span_set,
     nested_generating_pair,
-    padded_engine_dims,
     random_genset,
     random_unital_algebra,
     random_vector,
+    reference_run,
 )
 
 
@@ -127,7 +128,7 @@ def test_criterion_5_oracle_equivalence():
             )
             gens = random_genset(rng, algebra, max_size=2)
             oracle = enumerate_words_spans(algebra, gens, 7)
-            engine = padded_engine_dims(algebra, gens, 7)
+            engine = dims_from_charseq(compute_length(algebra, gens).charseq.terms, 7)
             assert oracle == engine, (algebra, gens)
 
 
@@ -198,7 +199,7 @@ def test_criterion_8_early_stop_soundness():
             if gens is None:
                 continue
             windowed = compute_length(algebra, gens)
-            full = compute_length(algebra, gens, window_stop=False)
+            full = reference_run(algebra, gens, kmax=1 << (algebra.n - 1))
             assert windowed.length is None and full.length is None
             assert windowed.dims[-1] == full.dims[-1], (gens, windowed, full)
             checked += 1
@@ -218,7 +219,7 @@ def test_criterion_8_early_stop_soundness():
             windowed = compute_length(algebra, gens, lc_shortcut=True)
             if windowed.length is not None:
                 continue
-            full = compute_length(algebra, gens, window_stop=False)
+            full = reference_run(algebra, gens, kmax=1 << (algebra.n - 1))
             assert full.length is None
             assert windowed.dims[-1] == full.dims[-1], (gens, windowed, full)
             lc_checked += 1

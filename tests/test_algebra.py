@@ -123,6 +123,13 @@ def test_lc_flag_is_verified_at_construction():
         Algebra.from_products(QQ, 3, {(1, 1): {2: 1}}, lc_flag=True)
 
 
+def test_lc_flag_is_verified_without_validation():
+    table = [[[1, 0], [0, 1]], [[0, 1], [0, 1]]]  # e1 * e1 = e1, not -1
+    Algebra(QQ, table, validate=False)
+    with pytest.raises(NotLocallyComplex):
+        Algebra(QQ, table, lc_flag=True, validate=False)
+
+
 def test_lc_quadraticity_on_pure_imaginaries():
     # Squares of vectors with zero unit coordinate stay in span{1, x}.
     rng = random.Random(13)

@@ -169,3 +169,15 @@ def test_lc_shortcut_flag(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "stabilized_lc_window" in out
+
+
+@pytest.mark.parametrize("command", ["dims", "oracle-check"])
+def test_kmax_budget_rejected_at_once(pow2_file, capsys, command):
+    code = main(
+        [command, "--algebra", str(pow2_file), "--gens", "e1", "--kmax", str(2**40)]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error[BudgetExceeded]:")
+    assert captured.err.count("\n") == 1

@@ -9,8 +9,6 @@ from alglength import (
     GF,
     QQ,
     ShapeError,
-    echelon_insert,
-    subspace_contains,
 )
 
 from helpers import random_vector
@@ -22,10 +20,10 @@ def F(x):
 
 def test_insert_into_empty_then_multiple():
     space = EchelonSubspace.empty(QQ, 3)
-    space, grew = echelon_insert(space, (F(1), F(0), F(0)))
-    assert grew and space.dim == 1
-    space, grew = echelon_insert(space, (F(2), F(0), F(0)))
-    assert not grew and space.dim == 1
+    space, row = space.insert((F(1), F(0), F(0)))
+    assert row is not None and space.dim == 1
+    space, row = space.insert((F(2), F(0), F(0)))
+    assert row is None and space.dim == 1
 
 
 def test_gf2_dependent_triple():
@@ -39,19 +37,19 @@ def test_gf2_dependent_triple():
     assert v3 in combos
 
     space = EchelonSubspace.empty(GF(2), 3)
-    space, grew = echelon_insert(space, v1)
-    assert grew
-    space, grew = echelon_insert(space, v2)
-    assert grew
-    space, grew = echelon_insert(space, v3)
-    assert not grew and space.dim == 2
+    space, row = space.insert(v1)
+    assert row is not None
+    space, row = space.insert(v2)
+    assert row is not None
+    space, row = space.insert(v3)
+    assert row is None and space.dim == 2
 
 
 def test_contains():
     space = EchelonSubspace.spanned_by(QQ, 3, [(F(1), F(1), F(0))])
-    assert subspace_contains(space, (F(3), F(3), F(0)))
-    assert not subspace_contains(space, (F(0), F(0), F(1)))
-    assert subspace_contains(space, (F(0), F(0), F(0)))
+    assert space.contains((F(3), F(3), F(0)))
+    assert not space.contains((F(0), F(0), F(1)))
+    assert space.contains((F(0), F(0), F(0)))
 
 
 def test_shape_error():
@@ -104,8 +102,8 @@ def test_dim_counts_successful_inserts():
     space = EchelonSubspace.empty(GF(2), 6)
     grew_count = 0
     for _ in range(40):
-        space, grew = echelon_insert(space, random_vector(rng, 6, 2))
-        grew_count += grew
+        space, row = space.insert(random_vector(rng, 6, 2))
+        grew_count += row is not None
         assert space.dim == grew_count
         assert space.dim <= 6
     assert space.dim == 6  # 40 random GF(2) vectors saturate w.h.p.
@@ -116,8 +114,8 @@ def test_contains_iff_insert_does_not_grow():
     space = EchelonSubspace.empty(GF(3), 4)
     for v in [random_vector(rng, 4, 3) for _ in range(8)]:
         contained = space.contains(v)
-        space2, grew = echelon_insert(space, v)
-        assert contained == (not grew)
+        space2, row = space.insert(v)
+        assert contained == (row is None)
         space = space2
 
 

@@ -15,12 +15,12 @@ from alglength import (
 
 
 def test_rational_addition_exact():
-    assert QQ.add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
+    assert QQ.normalize(Fraction(1, 2) + Fraction(1, 3)) == Fraction(5, 6)
 
 
 def test_prime_multiplication():
     f5 = GF(5)
-    assert f5.mul(3, 4) == 2
+    assert f5.normalize(3 * 4) == 2
 
 
 def test_inverse_of_zero_raises():
@@ -74,15 +74,15 @@ def test_field_axioms_random():
     ):
         for _ in range(200):
             a, b, c = sample(), sample(), sample()
-            assert field.add(a, b) == field.add(b, a)
-            assert field.mul(a, b) == field.mul(b, a)
-            assert field.mul(a, field.add(b, c)) == field.add(
-                field.mul(a, b), field.mul(a, c)
-            )
-            assert field.add(a, field.neg(a)) == field.zero
-            if field.eq(a, field.zero):
+            norm = field.normalize
+            assert norm(a + b) == norm(b + a)
+            assert norm(a * b) == norm(b * a)
+            assert norm(a * norm(b + c)) == norm(norm(a * b) + norm(a * c))
+            assert norm(a + norm(-a)) == field.zero
+            assert norm(a - b) == norm(a + norm(-b))
+            if norm(a) == field.zero:
                 continue
-            assert field.mul(a, field.inv(a)) == field.one
+            assert norm(a * field.inv(a)) == field.one
 
 
 def test_descriptor_round_trip():

@@ -11,6 +11,7 @@ from alglength import (
     brute_force_algebra_length,
     catalan,
     compute_length,
+    dims_from_charseq,
     enumerate_words_spans,
     gaussian_binomial,
     iter_word_values,
@@ -18,7 +19,7 @@ from alglength import (
     subspace_count,
 )
 
-from helpers import padded_engine_dims, random_genset, random_unital_algebra
+from helpers import random_genset, random_unital_algebra
 
 
 def test_catalan_values():
@@ -57,7 +58,8 @@ def test_words_spans_kmax_zero():
 def test_words_spans_fib_lc():
     algebra, gens = make_example("fib-lc", 5)
     assert enumerate_words_spans(algebra, gens, 3) == [1, 3, 4, 5]
-    assert padded_engine_dims(algebra, gens, 3) == [1, 3, 4, 5]
+    terms = compute_length(algebra, gens).charseq.terms
+    assert dims_from_charseq(terms, 3) == [1, 3, 4, 5]
 
 
 def test_words_budget_enforced():
@@ -85,8 +87,9 @@ def test_oracle_agrees_with_engine_on_families():
         algebra, gens = make_example(family, n)
         if len(gens) > 2 and kmax > 5:
             kmax = 5
-        assert enumerate_words_spans(algebra, gens, kmax) == padded_engine_dims(
-            algebra, gens, kmax
+        terms = compute_length(algebra, gens).charseq.terms
+        assert enumerate_words_spans(algebra, gens, kmax) == dims_from_charseq(
+            terms, kmax
         ), family
 
 
@@ -95,9 +98,8 @@ def test_oracle_agrees_with_engine_on_random_tables():
     for _ in range(20):
         algebra = random_unital_algebra(rng, rng.randint(2, 4), rng.choice((2, 3)))
         gens = random_genset(rng, algebra, max_size=2)
-        assert enumerate_words_spans(algebra, gens, 7) == padded_engine_dims(
-            algebra, gens, 7
-        )
+        terms = compute_length(algebra, gens).charseq.terms
+        assert enumerate_words_spans(algebra, gens, 7) == dims_from_charseq(terms, 7)
 
 
 def test_gaussian_binomials():

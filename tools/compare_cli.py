@@ -1,0 +1,132 @@
+"""Check that two source trees give byte-identical CLI results.
+
+Usage:
+    git archive <commit> | tar -x -C OLD     # any earlier tree
+    python3 tools/compare_cli.py OLD [NEW]   # NEW defaults to this checkout
+
+Both trees run the same argument lists: the README examples and the bench
+``CLI_FAMILIES`` family files (plus non-generating sets), each with and
+without ``--lc-shortcut``, through ``length``, ``charseq``, ``dims``,
+``verify`` and ``oracle-check``.  For every run the exit code, stdout,
+stderr and the ``--json`` bytes must be equal.  Each tree runs in its own
+interpreter, so the two packages never share a process.  Exit status 0
+means every run agreed.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (family, n, field option, gens), the bench's CLI_FAMILIES files.
+FAMILY_FILES = (
+    ("power2", 6, "rational", "e1"),
+    ("power2", 9, "prime:2", "e1"),
+    ("power2", 12, "rational", "e1"),
+    ("fib-lc", 7, "rational", "e1,e2"),
+    ("fib-lc", 10, "prime:3", "e1,e2"),
+    ("fib-lc", 13, "rational", "e1,e2"),
+    ("fib-lc", 16, "rational", "e1,e2"),
+    ("stall-chain", 8, "rational", "e1"),
+    ("stall-chain", 20, "prime:10007", "e1"),
+    ("stall-chain", 30, "rational", "e1"),
+    ("lc-gap-family", 6, "rational", "e1,e2"),
+    ("lc-gap-family", 12, "rational", "e1,e2"),
+    ("lc-gap-family", 24, "rational", "e1,e2"),
+    ("lc-gap7", None, "rational", "e1,e2,e3"),
+)
+# Sets that do not generate, so that the stabilization windows end the run.
+EXTRA_GENS = {"power2": ["e2"], "fib-lc": ["e1", "e3"], "stall-chain": ["e2"],
+              "lc-gap-family": ["e1"], "lc-gap7": ["e1,e2"]}
+
+
+def _cases(workdir: Path) -> list[list[str]]:
+    gen = []  # gen-example runs, made once by the new tree
+    runs = []
+    files = [("pow2_4.alg", "power2", 4, "rational", ["e1", "e2"])]
+    for family, n, field, gens in FAMILY_FILES:
+        name = f"{family}_{n}_{field.replace(':', '')}.alg"
+        files.append((name, family, n, field, [gens] + EXTRA_GENS[family]))
+    for name, family, n, field, gen_sets in files:
+        path = str(workdir / name)
+        argv = ["gen-example", "--family", family, "--out", path, "--field", field]
+        gen.append(argv + ([] if n is None else ["--n", str(n)]))
+        for gens in gen_sets:
+            for lc in ([], ["--lc-shortcut"]):
+                base = ["--algebra", path, "--gens", gens] + lc
+                runs += [
+                    ["length"] + base,
+                    ["length", "--require-generating"] + base,
+                    ["charseq"] + base,
+                    ["dims", "--kmax", "0"] + base,
+                    ["dims", "--kmax", "6"] + base,
+                    ["dims", "--kmax", "70"] + base,
+                    ["dims", "--kmax", "9", "--require-generating"] + base,
+                    ["verify"] + base,
+                    ["verify", "--checks", "chain,chain-strict,power,fib,fib-k"] + base,
+                    ["oracle-check", "--kmax", "5"] + base,
+                ]
+    p3 = str(workdir / "p3.alg")
+    gen.append(["gen-example", "--family", "power2", "--n", "3", "--out", p3,
+                "--field", "prime:2"])
+    runs.append(["brute-force", "--algebra", p3])
+    return gen, runs
+
+
+def _worker(src: str, workdir: str) -> None:
+    """Run each argument list read from stdin; print one JSON result each."""
+    sys.path.insert(0, src)
+    from alglength.cli import main
+
+    report = Path(workdir) / "report.json"
+    results = []
+    for argv in json.load(sys.stdin):
+        report.unlink(missing_ok=True)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + ["--json", str(report)])
+        body = report.read_text(encoding="utf-8") if report.exists() else None
+        results.append([code, out.getvalue(), err.getvalue(), body])
+    json.dump(results, sys.stdout)
+
+
+def _run_tree(tree: Path, workdir: Path, argvs) -> list:
+    proc = subprocess.run(
+        [sys.executable, __file__, "--worker", str(tree / "src"), str(workdir)],
+        input=json.dumps(argvs), capture_output=True, text=True, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def main(argv: list[str]) -> int:
+    if argv[:1] == ["--worker"]:
+        _worker(argv[1], argv[2])
+        return 0
+    old = Path(argv[0]).resolve()
+    new = Path(argv[1]).resolve() if len(argv) > 1 else ROOT
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        gen, runs = _cases(workdir)
+        _run_tree(new, workdir, gen)
+        old_results = _run_tree(old, workdir, runs)
+        new_results = _run_tree(new, workdir, runs)
+    fields = ("exit code", "stdout", "stderr", "json")
+    bad = 0
+    for argv_, a, b in zip(runs, old_results, new_results):
+        diff = [f for f, x, y in zip(fields, a, b) if x != y]
+        if diff:
+            bad += 1
+            print(f"DIFFER ({', '.join(diff)}): {' '.join(argv_)}")
+    print(f"{len(runs)} runs compared, {bad} differ")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
