@@ -3,7 +3,9 @@
 An algebra of dimension n is described by the products of its basis elements:
 ``e_i * e_j = sum_k c[i][j][k] e_k``.  Basis element 0 is always the unit, so
 a valid table satisfies ``e_0 * e_j = e_j`` and ``e_i * e_0 = e_i``.
-Multiplication of arbitrary vectors extends the table bilinearly.
+Multiplication of arbitrary vectors extends the table bilinearly.  Only the
+nonzero structure constants are stored, so an algebra with a few nonzero
+products in a large basis costs O(n) plus their number, not n^3.
 
 The "locally complex" basis predicate checks the multiplication-table face of
 that class of real algebras: every non-unit basis element squares to -1 and
@@ -31,23 +33,22 @@ Vector = tuple  # tuple[Scalar, ...]
 GenSet = tuple  # tuple[Vector, ...], nonempty
 
 
-def _default_names(n: int) -> tuple[str, ...]:
-    return ("1",) + tuple(f"e{i}" for i in range(1, n))
-
-
 class Algebra:
-    """Structure-constant table with bilinear multiplication.
+    """Sparse structure constants with bilinear multiplication.
 
     Attributes:
         n: dimension (number of basis elements, the unit included).
         field: coefficient field.
-        table: ``table[i][j]`` is the product e_i * e_j as a coordinate tuple.
         basis_names: n labels; index 0 is always "1".
         lc_flag: claim that the basis passes :func:`check_lc_basis`, checked
             at construction even when ``validate`` is false.
+
+    The products are stored only where nonzero: ``_rows[i]`` maps j to the
+    nonzero ``(k, coeff)`` pairs of e_i * e_j, k ascending, the unit products
+    included.
     """
 
-    __slots__ = ("n", "field", "table", "basis_names", "lc_flag", "_entries")
+    __slots__ = ("n", "field", "basis_names", "lc_flag", "_rows")
 
     def __init__(
         self,
@@ -60,37 +61,36 @@ class Algebra:
         n = len(table)
         if n < 1:
             raise ShapeError("an algebra needs at least the unit basis element")
-        coerced = []
+        rows = []
         for i, block in enumerate(table):
             if len(block) != n:
                 raise ShapeError(f"table row {i} has {len(block)} entries, expected {n}")
-            row = []
+            row = {}
             for j, vec in enumerate(block):
                 if len(vec) != n:
                     raise ShapeError(
                         f"product ({i},{j}) has {len(vec)} coordinates, expected {n}"
                     )
-                row.append(tuple(field.coerce(x) for x in vec))
-            coerced.append(tuple(row))
+                cell = tuple((k, c) for k, c in enumerate(map(field.coerce, vec)) if c)
+                if cell:
+                    row[j] = cell
+            rows.append(row)
+        self._setup(field, rows, basis_names, lc_flag, validate)
+
+    def _setup(self, field, rows, basis_names, lc_flag, validate) -> None:
+        """The init path shared by both constructors, given the sparse rows."""
+        n = len(rows)
         self.n = n
         self.field = field
-        self.table = tuple(coerced)
+        self._rows = tuple(rows)
         if basis_names is None:
-            basis_names = _default_names(n)
+            basis_names = ("1",) + tuple(f"e{i}" for i in range(1, n))
         else:
             basis_names = tuple(basis_names)
             if len(basis_names) != n:
                 raise ShapeError("basis_names length must equal the dimension")
         self.basis_names = basis_names
         self.lc_flag = bool(lc_flag)
-        # Sparse view for multiplication: nonzero (k, coeff) pairs per (i, j).
-        self._entries = tuple(
-            tuple(
-                tuple((k, c) for k, c in enumerate(vec) if c)
-                for vec in block
-            )
-            for block in self.table
-        )
         if validate:
             self.ensure_unital()
         if self.lc_flag and not check_lc_basis(self):
@@ -108,43 +108,41 @@ class Algebra:
         lc_flag: bool = False,
         validate: bool = True,
     ) -> "Algebra":
-        """Build a unital table from the non-unit products; the rest is zero.
+        """Build a unital algebra from the non-unit products; the rest is zero.
 
         ``products`` maps ``(i, j)`` with ``1 <= i, j < n`` to either a sparse
         ``{k: coeff}`` mapping or a full coordinate sequence.  Products
         involving the unit are implied by the unit law and must not appear.
+        Costs O(n) plus the size of ``products``.
         """
         if n < 1:
             raise RangeError(f"dimension must be >= 1, got {n}")
-        zero = field.zero
         one = field.one
-        table = [[[zero] * n for _ in range(n)] for _ in range(n)]
-        for j in range(n):
-            table[0][j][j] = one
-            table[j][0][j] = one
-        table[0][0][0] = one
+        rows = [{0: ((i, one),)} for i in range(n)]
+        rows[0] = {j: ((j, one),) for j in range(n)}
         for (i, j), value in products.items():
             if not (1 <= i < n and 1 <= j < n):
                 raise RangeError(
                     f"product indices ({i},{j}) must be non-unit basis indices"
                 )
             if isinstance(value, Mapping):
-                vec = [zero] * n
+                coords = {}
                 for k, c in value.items():
                     if not 0 <= k < n:
                         raise RangeError(f"coordinate index {k} out of range")
-                    vec[k] = field.coerce(c)
+                    coords[k] = field.coerce(c)
+                cell = tuple((k, coords[k]) for k in sorted(coords) if coords[k])
             else:
                 if len(value) != n:
                     raise ShapeError(f"product ({i},{j}) has wrong length")
-                vec = [field.coerce(c) for c in value]
-            table[i][j] = vec
-        return cls(field, table, basis_names, lc_flag, validate)
+                cell = tuple((k, c) for k, c in enumerate(map(field.coerce, value)) if c)
+            if cell:
+                rows[i][j] = cell
+        algebra = cls.__new__(cls)
+        algebra._setup(field, rows, basis_names, lc_flag, validate)
+        return algebra
 
     # ----- vectors -------------------------------------------------------
-
-    def zero_vector(self) -> Vector:
-        return (self.field.zero,) * self.n
 
     def basis_vector(self, i: int) -> Vector:
         if not 0 <= i < self.n:
@@ -169,26 +167,25 @@ class Algebra:
     # ----- multiplication ------------------------------------------------
 
     def multiply(self, u: Sequence[Scalar], v: Sequence[Scalar]) -> Vector:
-        """Bilinear product: (u*v)_k = sum_{i,j} u_i v_j c[i][j][k], exact."""
+        """Bilinear product: (u*v)_k = sum_{i,j} u_i v_j c[i][j][k], exact.
+
+        Visits only the stored products e_i * e_j with u_i nonzero.
+        """
         n = self.n
         if len(u) != n or len(v) != n:
             raise ShapeError("operand length does not match the algebra dimension")
         mod = self.field.modulus
         acc = [self.field.zero] * n
-        entries = self._entries
+        rows = self._rows
         for i, ui in enumerate(u):
             if not ui:
                 continue
-            row = entries[i]
-            for j, vj in enumerate(v):
-                if not vj:
-                    continue
-                cell = row[j]
-                if not cell:
-                    continue
-                coef = ui * vj
-                for k, c in cell:
-                    acc[k] += coef * c
+            for j, cell in rows[i].items():
+                vj = v[j]
+                if vj:
+                    coef = ui * vj
+                    for k, c in cell:
+                        acc[k] += coef * c
         if mod is not None:
             acc = [x % mod for x in acc]
         return tuple(acc)
@@ -203,28 +200,27 @@ class Algebra:
         return (
             isinstance(other, Algebra)
             and self.field == other.field
-            and self.table == other.table
+            and self._rows == other._rows
             and self.basis_names == other.basis_names
             and self.lc_flag == other.lc_flag
         )
 
     def __hash__(self):
-        return hash((self.field, self.table))
+        return hash((self.field, tuple(frozenset(row.items()) for row in self._rows)))
 
     def __repr__(self) -> str:
         return f"Algebra(dim={self.n}, field={self.field.descriptor()})"
 
 
 def validate_unital(algebra: Algebra) -> bool:
-    """True iff c[0][j][k] = delta_jk and c[i][0][k] = delta_ik entrywise."""
-    n = algebra.n
-    table = algebra.table
+    """True iff e_0 * e_j = e_j and e_j * e_0 = e_j for every j."""
     one = algebra.field.one
-    for j in range(n):
-        for k in range(n):
-            expect = one if k == j else algebra.field.zero
-            if table[0][j][k] != expect or table[j][0][k] != expect:
-                return False
+    rows = algebra._rows
+    unit_row = rows[0]
+    for j in range(algebra.n):
+        cell = ((j, one),)
+        if unit_row.get(j) != cell or rows[j].get(0) != cell:
+            return False
     return True
 
 
@@ -233,24 +229,23 @@ def check_lc_basis(algebra: Algebra) -> bool:
 
     Requires a rational coefficient field; raises PrimeFieldNotAllowed
     otherwise.  For every i >= 1 the square e_i*e_i must be -1 (that is,
-    -e_0), and for i != j >= 1 the products must anticommute.
+    -e_0), and for i != j >= 1 the products must anticommute: every nonzero
+    e_i*e_j needs e_j*e_i to be its negation, which also rejects a product
+    that is zero on one side only.
     """
     if algebra.field.modulus is not None:
         raise PrimeFieldNotAllowed(
             "locally-complex is a real-algebra notion; table is over "
             + algebra.field.descriptor()
         )
-    n = algebra.n
-    table = algebra.table
-    minus_one = -algebra.field.one
-    zero = algebra.field.zero
-    for i in range(1, n):
-        square = table[i][i]
-        if square[0] != minus_one or any(square[k] != zero for k in range(1, n)):
+    rows = algebra._rows
+    minus_one = ((0, -algebra.field.one),)
+    for i in range(1, algebra.n):
+        row = rows[i]
+        if row.get(i) != minus_one:
             return False
-    for i in range(1, n):
-        for j in range(i + 1, n):
-            if any(a != -b for a, b in zip(table[i][j], table[j][i])):
+        for j, cell in row.items():
+            if j and j != i and rows[j].get(i) != tuple((k, -c) for k, c in cell):
                 return False
     return True
 

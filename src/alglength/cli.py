@@ -122,7 +122,7 @@ def _engine_report(algebra, gens, args) -> LengthReport:
     if args.require_generating and not report.is_generating:
         raise NotGenerating(
             f"set does not generate (stop: {report.stop_reason}, "
-            f"dims {_seq_str(report.dims)})"
+            f"partial sequence {_seq_str(report.charseq)})"
         )
     return report
 
@@ -165,7 +165,6 @@ def _cmd_length(args) -> int:
     else:
         print(f"l(S) = not generating (stop: {report.stop_reason})")
         print(f"partial sequence: {_seq_str(report.charseq)}")
-    print(f"dims: {_seq_str(report.dims)}")
     payload = reporting.run_report(
         "length", __version__, algebra, path, data,
         _report_options(args, gens=args.gens),
@@ -221,7 +220,7 @@ def _cmd_verify(args) -> int:
     report = _engine_report(algebra, gens, args)
     k = None
     if "fib-k" in tokens:
-        k = report.dims[1] - 1  # generators independent modulo the unit
+        k = report.charseq.terms.count(1)  # generators independent modulo the unit
         if k < 1:
             raise KOutOfRange("fib-k needs at least one generator outside the unit span")
     bound = verify_sequence(

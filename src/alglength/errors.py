@@ -59,10 +59,11 @@ class BudgetExceeded(AlgLengthError):
     """An enumeration would exceed its combinatorial budget.
 
     Attributes:
-        count: the number of candidates the enumeration would have produced.
+        count: the number of candidates the enumeration would have produced,
+            or None where counting them would itself be too costly.
     """
 
-    def __init__(self, message: str, count: int):
+    def __init__(self, message: str, count: int | None):
         super().__init__(message)
         self.count = count
 

@@ -173,14 +173,10 @@ def serialize_algebra(algebra: Algebra) -> str:
     out.append("basis " + " ".join(algebra.basis_names))
     names = algebra.basis_names
     for i in range(1, algebra.n):
-        for j in range(1, algebra.n):
-            vec = algebra.table[i][j]
-            terms = [
-                _format_term(algebra.field, k, c, names)
-                for k, c in enumerate(vec)
-                if c
-            ]
-            if terms:
+        row = algebra._rows[i]
+        for j in sorted(row):
+            if j:
+                terms = [_format_term(algebra.field, k, c, names) for k, c in row[j]]
                 out.append(f"prod {names[i]} {names[j]} = " + " + ".join(terms))
     if algebra.lc_flag:
         out.append("lc true")

@@ -30,6 +30,9 @@ from .length import compute_length
 DEFAULT_KMAX_LIMIT = 10
 DEFAULT_GENS_LIMIT = 3
 DEFAULT_SUBSPACE_BUDGET = 4096
+# Largest kmax for which a BudgetExceeded error counts the candidate words;
+# the count is a sum of kmax big Catalan numbers, too costly for huge kmax.
+COUNT_KMAX_LIMIT = 64
 
 
 def catalan(m: int) -> int:
@@ -87,10 +90,12 @@ def enumerate_words_spans(
         raise RangeError(f"kmax must be >= 0, got {kmax}")
     gens = coerce_genset(algebra, gens)
     if kmax > kmax_limit or len(gens) > gens_limit:
-        total = sum(bracketed_word_count(len(gens), k) for k in range(1, kmax + 1))
+        what, total = f"kmax={kmax}, {len(gens)} generators", None
+        if kmax <= COUNT_KMAX_LIMIT:
+            total = sum(bracketed_word_count(len(gens), k) for k in range(1, kmax + 1))
+            what = f"{total} candidate words ({what})"
         raise BudgetExceeded(
-            f"{total} candidate words (kmax={kmax}, {len(gens)} generators) "
-            f"exceeds the kmax<={kmax_limit}, |S|<={gens_limit} budget",
+            f"{what} exceeds the kmax<={kmax_limit}, |S|<={gens_limit} budget",
             count=total,
         )
     space, _ = EchelonSubspace.empty(algebra.field, algebra.n).insert(algebra.unit())

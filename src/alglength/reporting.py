@@ -11,7 +11,7 @@ from .fields import Field
 from .length import LengthReport
 from .oracle import BruteForceResult
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def canonical_json(payload) -> str:
@@ -29,7 +29,6 @@ def vector_payload(field: Field, vector) -> list[str]:
 
 def length_report_payload(report: LengthReport, field: Field) -> dict:
     return {
-        "dims": list(report.dims),
         "charseq": list(report.charseq.terms),
         "charseq_partial": report.charseq.partial,
         "length": report.length,

@@ -1,10 +1,12 @@
-"""Shared builders for randomized suites (seeded, deterministic), and the
-dense reference stepper that the event-driven engine is checked against."""
+"""Shared builders for randomized suites (seeded, deterministic), the dense
+reference stepper that the event-driven engine is checked against, and the
+dense-table references for the sparse algebra checks."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 from alglength import (
@@ -22,16 +24,96 @@ from alglength.algebra import Vector
 
 def random_unital_algebra(rng: random.Random, n: int, p: int) -> Algebra:
     """Random GF(p) structure table with the unit law forced."""
-    field = GF(p)
-    one = 1 % p
-    table = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for j in range(n):
-        table[0][j][j] = one
-        table[j][0][j] = one
+    products = {
+        (i, j): [rng.randrange(p) for _ in range(n)]
+        for i in range(1, n)
+        for j in range(1, n)
+    }
+    return Algebra(GF(p), dense_table(n, products))
+
+
+def random_products(rng: random.Random, n: int, p: Optional[int], density: float = 0.4):
+    """Seeded non-unit products over GF(p), or over Q when ``p`` is None.
+
+    Each cell (i, j) is present with probability ``density``, as a full
+    coordinate list or as a ``{k: coeff}`` mapping in shuffled key order; both
+    forms may hold zero coefficients, and a present cell may be all zero.
+    """
+
+    def scalar():
+        if rng.random() < 0.5:
+            return 0
+        if p is None:
+            return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        return rng.randrange(p)
+
+    products = {}
     for i in range(1, n):
         for j in range(1, n):
-            table[i][j] = [rng.randrange(p) for _ in range(n)]
-    return Algebra(field, table)
+            if rng.random() < density:
+                vec = [scalar() for _ in range(n)]
+                if rng.random() < 0.5:
+                    items = [(k, c) for k, c in enumerate(vec) if c or rng.random() < 0.3]
+                    rng.shuffle(items)
+                    products[(i, j)] = dict(items)
+                else:
+                    products[(i, j)] = vec
+    return products
+
+
+def random_lc_products(rng: random.Random, n: int, density: float = 0.4):
+    """Seeded products over Q that pass the locally-complex check: squares
+    -1 and each present pair (i, j), i < j, with e_j e_i = -(e_i e_j)."""
+    products = {(i, i): {0: -1} for i in range(1, n)}
+    for i in range(1, n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                vec = [rng.choice((0, 0, 1, -2, Fraction(1, 3))) for _ in range(n)]
+                products[(i, j)] = vec
+                products[(j, i)] = [-c for c in vec]
+    return products
+
+
+def dense_table(n: int, products) -> list:
+    """The full n x n x n table of ``products`` with the unit law filled in."""
+    table = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for j in range(n):
+        table[0][j][j] = 1
+        table[j][0][j] = 1
+    for (i, j), value in products.items():
+        vec = [0] * n
+        if isinstance(value, dict):
+            for k, c in value.items():
+                vec[k] = c
+        else:
+            vec = list(value)
+        table[i][j] = vec
+    return table
+
+
+def dense_validate_unital(field, table) -> bool:
+    """Reference for ``validate_unital``: every entry of the unit row and column."""
+    n = len(table)
+    for j in range(n):
+        for k in range(n):
+            expect = field.one if k == j else field.zero
+            if field.coerce(table[0][j][k]) != expect or field.coerce(table[j][0][k]) != expect:
+                return False
+    return True
+
+
+def dense_check_lc_basis(field, table) -> bool:
+    """Reference for ``check_lc_basis`` over Q: squares -1, then every pair."""
+    n = len(table)
+    for i in range(1, n):
+        square = table[i][i]
+        if square[0] != -field.one or any(square[k] != 0 for k in range(1, n)):
+            return False
+    for i in range(1, n):
+        for j in range(i + 1, n):
+            if any(a != -b for a, b in zip(table[i][j], table[j][i])):
+                return False
+    return True
 
 
 def random_vector(rng: random.Random, n: int, p: int, nonzero: bool = False):

@@ -14,10 +14,20 @@ from alglength import (
     ShapeError,
     check_lc_basis,
     make_example,
+    parse_algebra,
+    serialize_algebra,
     validate_unital,
 )
 
-from helpers import random_unital_algebra, random_vector
+from helpers import (
+    dense_check_lc_basis,
+    dense_table,
+    dense_validate_unital,
+    random_lc_products,
+    random_products,
+    random_unital_algebra,
+    random_vector,
+)
 
 
 def test_power2_square_rule():
@@ -151,3 +161,78 @@ def test_table_coercion_and_equality():
     a1 = Algebra.from_products(QQ, 3, {(1, 1): {2: 1}})
     a2 = Algebra.from_products(QQ, 3, {(1, 1): {2: Fraction(1)}})
     assert a1 == a2
+
+
+def test_dense_and_sparse_constructors_agree():
+    rng = random.Random(401)
+    fields = (QQ, GF(2), GF(3), GF(101))
+    for trial in range(160):
+        field = fields[trial % 4]
+        n = rng.randint(1, 7)
+        if field is QQ and trial % 8 == 0:
+            products = random_lc_products(rng, n)
+        else:
+            products = random_products(rng, n, field.modulus)
+        table = dense_table(n, products)
+        dense = Algebra(field, table)
+        sparse = Algebra.from_products(field, n, products)
+        assert dense == sparse
+        assert hash(dense) == hash(sparse)
+        text = serialize_algebra(dense)
+        assert serialize_algebra(sparse) == text
+        assert parse_algebra(text) == dense
+        for i in range(n):
+            for j in range(n):
+                product = dense.multiply(dense.basis_vector(i), dense.basis_vector(j))
+                assert product == tuple(field.coerce(c) for c in table[i][j])
+
+
+def _corruptions(rng, field, table):
+    """(kind, table) copies: a broken unit row or column, a product that is
+    nonzero on one side only, and a pair with e_j e_i equal to e_i e_j."""
+    n = len(table)
+
+    def copy():
+        return [[list(vec) for vec in block] for block in table]
+
+    out = []
+    t, j = copy(), rng.randrange(n)
+    vec = t[0][j] if rng.random() < 0.5 else t[j][0]
+    vec[rng.randrange(n)] += 1
+    out.append(("unit", t))
+    if n >= 3:
+        i, j = rng.sample(range(1, n), 2)
+        nonzero = [0] * n
+        nonzero[rng.randrange(n)] = rng.choice((1, -2, Fraction(1, 3))) if field is QQ else 1
+        t = copy()
+        t[i][j], t[j][i] = list(nonzero), [0] * n
+        out.append(("one-sided", t))
+        t = copy()
+        t[i][j], t[j][i] = list(nonzero), list(nonzero)
+        out.append(("symmetric", t))
+    return out
+
+
+def test_sparse_checks_agree_with_dense_reference():
+    rng = random.Random(402)
+    for trial in range(200):
+        n = rng.randint(2, 7)
+        if trial % 2 == 0:
+            field, products = QQ, random_lc_products(rng, n)
+        elif trial % 4 == 1:
+            field, products = QQ, random_products(rng, n, None)
+        else:
+            field = GF(rng.choice((2, 3, 101)))
+            products = random_products(rng, n, field.modulus)
+        table = dense_table(n, products)
+        cases = [("clean", table)] + _corruptions(rng, field, table)
+        for kind, t in cases:
+            algebra = Algebra(field, t, validate=False)
+            unital = validate_unital(algebra)
+            assert unital == dense_validate_unital(field, t), (trial, kind)
+            assert unital == (kind != "unit"), (trial, kind)
+            if field.modulus is None:
+                lc = check_lc_basis(algebra)
+                assert lc == dense_check_lc_basis(field, t), (trial, kind)
+                if trial % 2 == 0:
+                    assert lc == (kind in ("clean", "unit")), (trial, kind)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -141,7 +142,8 @@ def test_json_report_deterministic(pow2_file, tmp_path, capsys):
     b1, b2 = out1.read_bytes(), out2.read_bytes()
     assert b1 == b2
     payload = json.loads(b1)
-    assert payload["schema"] == 1
+    assert payload["schema"] == 2
+    assert "dims" not in payload["result"]
     assert payload["result"]["length"] == 4
     assert payload["result"]["charseq"] == [0, 1, 2, 4]
     assert payload["input"]["dim"] == 4
@@ -180,4 +182,61 @@ def test_kmax_budget_rejected_at_once(pow2_file, capsys, command):
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("error[BudgetExceeded]:")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["length", "charseq", "verify"])
+@pytest.mark.parametrize("family,gens", [("power2", "e1"), ("fib-lc", "e1,e2")])
+def test_long_filtrations_finish_quickly(tmp_path, capsys, family, gens, command):
+    # l(S) is 2^38 for power2 and F_39 for fib-lc at n = 40: nothing may be
+    # built per step k.
+    alg = tmp_path / "a.alg"
+    assert main(["gen-example", "--family", family, "--n", "40", "--out", str(alg)]) == 0
+    report = tmp_path / "r.json"
+    start = time.perf_counter()
+    code = main([command, "--algebra", str(alg), "--gens", gens, "--json", str(report)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    payload = json.loads(report.read_text())
+    assert payload["result"]["charseq"][-1] == (2**38 if family == "power2" else 63245986)
+    assert "dims" not in payload["result"]
+    capsys.readouterr()
+
+
+def test_not_generating_error_on_long_partial_sequence(tmp_path, capsys):
+    alg = tmp_path / "p30.alg"
+    assert main(["gen-example", "--family", "power2", "--n", "30", "--out", str(alg)]) == 0
+    capsys.readouterr()
+    start = time.perf_counter()
+    code = main(["length", "--algebra", str(alg), "--gens", "e2", "--require-generating"])
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error[NotGenerating]:")
+    assert captured.err.count("\n") == 1
+    assert "(0,1,2,4," in captured.err
+
+
+def test_oracle_check_huge_kmax_is_one_error_line(pow2_file, capsys):
+    start = time.perf_counter()
+    code = main(
+        ["oracle-check", "--algebra", str(pow2_file), "--gens", "e1", "--kmax", "8000"]
+    )
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error[BudgetExceeded]:")
+    assert captured.err.count("\n") == 1
+
+
+def test_verify_fib_k_on_unit_only_algebra(tmp_path, capsys):
+    # k counts the terms equal to 1; the dim-1 algebra has none.
+    alg = tmp_path / "d1.alg"
+    alg.write_text("alglength-algebra v1\nfield rational\ndim 1\nbasis 1\n")
+    code = main(["verify", "--algebra", str(alg), "--gens", "1", "--checks", "fib-k"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error[KOutOfRange]:")
     assert captured.err.count("\n") == 1

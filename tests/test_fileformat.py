@@ -1,3 +1,6 @@
+import time
+import tracemalloc
+
 import pytest
 
 from alglength import (
@@ -42,7 +45,7 @@ lc true
 def test_parse_power2_file_matches_family():
     algebra = parse_algebra(POWER2_4)
     family, gens = make_example("power2", 4)
-    assert algebra.table == family.table
+    assert algebra == family
     assert compute_length(algebra, gens).length == 4
 
 
@@ -50,7 +53,7 @@ def test_parse_fib_lc_file_passes_lc_check():
     algebra = parse_algebra(FIB_LC_4)
     assert algebra.lc_flag and check_lc_basis(algebra)
     family, _ = make_example("fib-lc", 4)
-    assert algebra.table == family.table
+    assert algebra == family
 
 
 def test_unit_products_must_not_be_listed():
@@ -112,7 +115,8 @@ prod a a = 3*b + 2*1
 """
     algebra = parse_algebra(text)
     assert algebra.field == GF(5)
-    assert algebra.table[1][1] == (2, 0, 3)
+    a = algebra.basis_vector(1)
+    assert algebra.multiply(a, a) == (2, 0, 3)
     with pytest.raises(ParseError):
         parse_algebra(text.replace("prime 5", "prime 6"))
 
@@ -179,3 +183,33 @@ def test_parse_gens_errors():
         parse_gens("", algebra)
     with pytest.raises(BadScalar):
         parse_gens("[1, 0, 2/4, 0]", algebra)
+
+
+def test_large_sparse_file_parses_in_linear_time_and_memory():
+    n = 2000
+    lines = [
+        "alglength-algebra v1",
+        "field prime 10007",
+        f"dim {n}",
+        "basis 1 " + " ".join(f"e{i}" for i in range(1, n)),
+        "prod e1 e1 = e2",
+        "prod e1 e2 = 5*e700",
+        "prod e2 e1 = 10006*e700",
+        "prod e700 e700 = 3*1 + e1999",
+        "prod e1999 e5 = e1",
+    ]
+    text = "\n".join(lines) + "\n"
+    start = time.perf_counter()
+    algebra = parse_algebra(text)
+    assert time.perf_counter() - start < 1.0
+    tracemalloc.start()
+    try:
+        parse_algebra(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+    assert serialize_algebra(algebra) == text
+    e700 = algebra.basis_vector(700)
+    square = algebra.multiply(e700, e700)
+    assert (square[0], square[1999], sum(1 for c in square if c)) == (3, 1, 2)

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -70,6 +71,16 @@ def test_words_budget_enforced():
     big = tuple(algebra.basis_vector(1) for _ in range(4))
     with pytest.raises(BudgetExceeded):
         enumerate_words_spans(algebra, big, 3)
+
+
+def test_words_budget_for_huge_kmax_is_immediate():
+    algebra, gens = make_example("power2", 4)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded) as info:
+        enumerate_words_spans(algebra, gens, 8000)
+    assert time.perf_counter() - start < 0.5
+    assert info.value.count is None
+    assert "kmax=8000" in str(info.value)
 
 
 def test_oracle_agrees_with_engine_on_families():

@@ -4,10 +4,11 @@ Usage:
     git archive <commit> | tar -x -C OLD     # any earlier tree
     python3 tools/compare_cli.py OLD [NEW]   # NEW defaults to this checkout
 
-Both trees run the same argument lists: the README examples and the bench
-``CLI_FAMILIES`` family files (plus non-generating sets), each with and
-without ``--lc-shortcut``, through ``length``, ``charseq``, ``dims``,
-``verify`` and ``oracle-check``.  For every run the exit code, stdout,
+Both trees run the same argument lists: the README examples, the bench
+``CLI_FAMILIES`` family files and two sparse files shaped like the bench's
+``CLI_SPARSE`` ones (each with non-generating sets too), with and without
+``--lc-shortcut``, through ``length``, ``charseq``, ``dims``, ``verify`` and
+``oracle-check``.  For every run the exit code, stdout,
 stderr and the ``--json`` bytes must be equal.  Each tree runs in its own
 interpreter, so the two packages never share a process.  Exit status 0
 means every run agreed.
@@ -46,6 +47,33 @@ FAMILY_FILES = (
 EXTRA_GENS = {"power2": ["e2"], "fib-lc": ["e1", "e3"], "stall-chain": ["e2"],
               "lc-gap-family": ["e1"], "lc-gap7": ["e1,e2"]}
 
+# (dim, field line, coefficient): sparse files like the bench's CLI_SPARSE.
+SPARSE_FILES = ((100, "rational", "-2/5"), (150, "prime 10007", "5000"))
+SPARSE_CHAIN = 5
+
+
+def _sparse_text(dim: int, field: str, coeff: str) -> tuple[str, list[str]]:
+    """A stall chain on scattered basis elements plus one unreachable product.
+
+    x_0 x_0 = c x_1, x_0 x_i = x_(i+1), x_m x_m = x_(m+1) for the chain
+    length m, and x_(m+2) x_(m+3) = c x_0, which no word of x_0 reaches.
+    Returns the v1 text and --gens values: x_0 by name, x_0 plus a unit
+    component as a coordinate row, and the non-generating {x_(m+2)}.
+    """
+    m = SPARSE_CHAIN
+    xs = [1 + (37 * t) % (dim - 1) for t in range(m + 4)]
+    pairs = [((xs[0], xs[0]), f"{coeff}*e{xs[1]}")]
+    pairs += [((xs[0], xs[i]), f"e{xs[i + 1]}") for i in range(1, m)]
+    pairs.append(((xs[m], xs[m]), f"e{xs[m + 1]}"))
+    pairs.append(((xs[m + 2], xs[m + 3]), f"{coeff}*e{xs[0]}"))
+    lines = ["alglength-algebra v1", f"field {field}", f"dim {dim}",
+             "basis 1 " + " ".join(f"e{i}" for i in range(1, dim))]
+    lines += [f"prod e{i} e{j} = {rhs}" for (i, j), rhs in sorted(pairs)]
+    row = ["0"] * dim
+    row[0], row[xs[0]] = "3", "2"
+    return "\n".join(lines) + "\n", [f"e{xs[0]}", "[" + ", ".join(row) + "]",
+                                      f"e{xs[m + 2]}"]
+
 
 def _cases(workdir: Path) -> list[list[str]]:
     gen = []  # gen-example runs, made once by the new tree
@@ -54,10 +82,16 @@ def _cases(workdir: Path) -> list[list[str]]:
     for family, n, field, gens in FAMILY_FILES:
         name = f"{family}_{n}_{field.replace(':', '')}.alg"
         files.append((name, family, n, field, [gens] + EXTRA_GENS[family]))
+    for dim, field, coeff in SPARSE_FILES:
+        text, gen_sets = _sparse_text(dim, field, coeff)
+        name = f"sparse_{dim}.alg"
+        (workdir / name).write_text(text, encoding="utf-8")
+        files.append((name, None, None, None, gen_sets))
     for name, family, n, field, gen_sets in files:
         path = str(workdir / name)
-        argv = ["gen-example", "--family", family, "--out", path, "--field", field]
-        gen.append(argv + ([] if n is None else ["--n", str(n)]))
+        if family is not None:
+            argv = ["gen-example", "--family", family, "--out", path, "--field", field]
+            gen.append(argv + ([] if n is None else ["--n", str(n)]))
         for gens in gen_sets:
             for lc in ([], ["--lc-shortcut"]):
                 base = ["--algebra", path, "--gens", gens] + lc
