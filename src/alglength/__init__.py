@@ -13,6 +13,7 @@ All arithmetic is exact: rationals or GF(p).
 
 from .algebra import Algebra, check_lc_basis, coerce_genset, validate_unital
 from .bounds import (
+    CHECKS,
     BoundCheck,
     BoundReport,
     ChainCheck,
@@ -56,7 +57,6 @@ from .length import (
     STOP_WINDOW,
     compute_length,
     dims_from_charseq,
-    is_generating,
 )
 from .oracle import (
     BruteForceResult,
@@ -79,6 +79,7 @@ __all__ = [
     "BoundReport",
     "BruteForceResult",
     "BudgetExceeded",
+    "CHECKS",
     "ChainCheck",
     "CharSeq",
     "DivisionByZero",
@@ -122,7 +123,6 @@ __all__ = [
     "fibonacci",
     "field_from_descriptor",
     "gaussian_binomial",
-    "is_generating",
     "is_wellformed_sequence",
     "iter_word_values",
     "make_example",

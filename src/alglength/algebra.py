@@ -120,21 +120,27 @@ class Algebra:
         one = field.one
         rows = [{0: ((i, one),)} for i in range(n)]
         rows[0] = {j: ((j, one),) for j in range(n)}
-        for (i, j), value in products.items():
-            if not (1 <= i < n and 1 <= j < n):
+        indices = set(range(n))
+        for key, value in products.items():
+            if not (isinstance(key, tuple) and len(key) == 2):
+                raise ShapeError(f"product key {key!r} is not an index pair (i, j)")
+            i, j = key
+            if not (i in indices and j in indices and i and j):
                 raise RangeError(
-                    f"product indices ({i},{j}) must be non-unit basis indices"
+                    f"product indices ({i!r},{j!r}) must be non-unit basis indices"
                 )
             if isinstance(value, Mapping):
-                coords = {}
-                for k, c in value.items():
-                    if not 0 <= k < n:
-                        raise RangeError(f"coordinate index {k} out of range")
-                    coords[k] = field.coerce(c)
+                if not indices.issuperset(value):
+                    bad = next(k for k in value if k not in indices)
+                    raise RangeError(f"coordinate index {bad!r} out of range")
+                coords = {k: field.coerce(c) for k, c in value.items()}
                 cell = tuple((k, coords[k]) for k in sorted(coords) if coords[k])
             else:
-                if len(value) != n:
-                    raise ShapeError(f"product ({i},{j}) has wrong length")
+                if not (isinstance(value, Sequence) and len(value) == n):
+                    raise ShapeError(
+                        f"product ({i},{j}) must be a {{k: coeff}} mapping "
+                        f"or a sequence of {n} coordinates"
+                    )
                 cell = tuple((k, c) for k, c in enumerate(map(field.coerce, value)) if c)
             if cell:
                 rows[i][j] = cell

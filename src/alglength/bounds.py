@@ -5,12 +5,13 @@ term of value >= 2 is the sum of two earlier terms (possibly the same index
 twice), which forces the power bound m_h <= 2^(h-1).  For locally-complex
 algebras the two earlier terms can be chosen at distinct indices (an addition
 chain without doubling), which tightens the bound to the Fibonacci numbers.
+``CHECKS`` is the one list of these checks, by their ``verify --checks`` token.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Mapping
 
 from .errors import KOutOfRange, RangeError, WellformednessError
 
@@ -25,12 +26,8 @@ def fibonacci(i: int) -> int:
     return a
 
 
-def _terms(seq) -> tuple[int, ...]:
-    return tuple(seq)
-
-
 def is_wellformed_sequence(seq) -> bool:
-    m = _terms(seq)
+    m = tuple(seq)
     if not m or m[0] != 0:
         return False
     if any(not isinstance(x, int) for x in m):
@@ -41,7 +38,7 @@ def is_wellformed_sequence(seq) -> bool:
 
 
 def ensure_wellformed(seq) -> tuple[int, ...]:
-    m = _terms(seq)
+    m = tuple(seq)
     if not is_wellformed_sequence(m):
         raise WellformednessError(
             f"sequence {m} must start with 0 and be non-decreasing over positive terms"
@@ -154,52 +151,53 @@ def check_fibonacci_bound(seq, k: int = 1) -> BoundCheck:
     )
 
 
+def _fibonacci_bound_k(m) -> BoundCheck:
+    """The k-generator bound with k read off the sequence: the number of
+    terms equal to 1, i.e. the generators independent modulo the unit."""
+    k = m.count(1)
+    if k < 1:
+        raise KOutOfRange("fib-k needs at least one generator outside the unit span")
+    return check_fibonacci_bound(m, k)
+
+
+# The sequence checks: token -> (JSON report key, check of a well-formed
+# sequence).  Reports list the verdicts in this order.
+CHECKS = {
+    "chain": ("addition_chain", check_addition_chain),
+    "chain-strict": (
+        "strict_addition_chain", lambda m: check_addition_chain(m, strict=True)
+    ),
+    "power": ("power_bound", check_power_bound),
+    "fib": ("fibonacci_bound", check_fibonacci_bound),
+    "fib-k": ("k_bound", _fibonacci_bound_k),
+}
+
+
 @dataclass(frozen=True)
 class BoundReport:
-    """Aggregated verdicts; checks that were not requested stay None."""
+    """Verdicts of the requested checks, keyed by ``CHECKS`` token in table order."""
 
     wellformed: bool
-    addition_chain: Optional[ChainCheck] = None
-    strict_addition_chain: Optional[ChainCheck] = None
-    power_bound: Optional[BoundCheck] = None
-    fibonacci_bound: Optional[BoundCheck] = None
-    k_bound: Optional[BoundCheck] = None
+    checks: Mapping[str, ChainCheck | BoundCheck]
 
     def ok(self) -> bool:
-        if not self.wellformed:
-            return False
-        parts = (
-            self.addition_chain,
-            self.strict_addition_chain,
-            self.power_bound,
-            self.fibonacci_bound,
-            self.k_bound,
-        )
-        return all(p.ok for p in parts if p is not None)
+        return self.wellformed and all(c.ok for c in self.checks.values())
 
 
-def verify_sequence(
-    seq,
-    *,
-    chain: bool = False,
-    chain_strict: bool = False,
-    power: bool = False,
-    fib: bool = False,
-    k: int | None = None,
-) -> BoundReport:
-    """Run the selected checks on one sequence and aggregate the verdicts.
+def verify_sequence(seq, checks: Iterable[str]) -> BoundReport:
+    """Run the named ``CHECKS`` on one sequence, each once, reported in table order.
 
-    ``k`` (when given and >= 2) triggers the k-generator Fibonacci bound in
-    the ``k_bound`` slot; ``fib`` is the k = 1 theorem bound.
+    A sequence that is not well formed gets no verdicts.  An unknown token
+    raises RangeError.
     """
-    m = _terms(seq)
+    wanted = set(checks)
+    unknown = sorted(wanted - CHECKS.keys())
+    if unknown:
+        raise RangeError(f"unknown checks {unknown}; choose from {', '.join(CHECKS)}")
+    m = tuple(seq)
     if not is_wellformed_sequence(m):
-        return BoundReport(wellformed=False)
-    return BoundReport(
-        wellformed=True,
-        addition_chain=check_addition_chain(m, strict=False) if chain else None,
-        strict_addition_chain=check_addition_chain(m, strict=True) if chain_strict else None,
-        power_bound=check_power_bound(m) if power else None,
-        fibonacci_bound=check_fibonacci_bound(m, 1) if fib else None,
-        k_bound=check_fibonacci_bound(m, k) if k is not None else None,
-    )
+        return BoundReport(wellformed=False, checks={})
+    # Run in reverse table order: on the unit-only sequence (0,) both fib and
+    # fib-k raise KOutOfRange, and fib-k's message names the actual problem.
+    verdicts = {t: CHECKS[t][1](m) for t in reversed(CHECKS) if t in wanted}
+    return BoundReport(wellformed=True, checks=dict(reversed(verdicts.items())))

@@ -18,22 +18,21 @@ from pathlib import Path
 
 from . import __version__
 from .algebra import Algebra, check_lc_basis
-from .bounds import verify_sequence
+from .bounds import CHECKS, verify_sequence
 from .errors import (
     AlgLengthError,
     BudgetExceeded,
-    KOutOfRange,
     NotGenerating,
     ParseError,
 )
 from .fields import GF, QQ
-from .fileformat import parse_algebra, parse_gens, serialize_algebra
+from .fileformat import parse_algebra, parse_digits, parse_gens, serialize_algebra
 from .families import FAMILY_NAMES, make_example
 from .length import LengthReport, compute_length, dims_from_charseq
 from .oracle import brute_force_algebra_length, enumerate_words_spans
 from . import reporting
 
-CHECK_TOKENS = ("chain", "chain-strict", "power", "fib", "fib-k", "lc")
+CHECK_TOKENS = (*CHECKS, "lc")
 DEFAULT_CHECKS = "chain,power"
 # Largest --kmax accepted: the dims list has K+1 entries.
 MAX_KMAX = 1 << 20
@@ -218,30 +217,9 @@ def _cmd_verify(args) -> int:
                 f"unknown check {t!r}; choose from {', '.join(CHECK_TOKENS)}"
             )
     report = _engine_report(algebra, gens, args)
-    k = None
-    if "fib-k" in tokens:
-        k = report.charseq.terms.count(1)  # generators independent modulo the unit
-        if k < 1:
-            raise KOutOfRange("fib-k needs at least one generator outside the unit span")
-    bound = verify_sequence(
-        report.charseq,
-        chain="chain" in tokens,
-        chain_strict="chain-strict" in tokens,
-        power="power" in tokens,
-        fib="fib" in tokens,
-        k=k,
-    )
+    bound = verify_sequence(report.charseq, [t for t in tokens if t != "lc"])
     results = {"wellformed": bound.wellformed}
-    if bound.addition_chain is not None:
-        results["chain"] = bound.addition_chain.ok
-    if bound.strict_addition_chain is not None:
-        results["chain-strict"] = bound.strict_addition_chain.ok
-    if bound.power_bound is not None:
-        results["power"] = bound.power_bound.ok
-    if bound.fibonacci_bound is not None:
-        results["fib"] = bound.fibonacci_bound.ok
-    if bound.k_bound is not None:
-        results["fib-k"] = bound.k_bound.ok
+    results.update((t, check.ok) for t, check in bound.checks.items())
     if "lc" in tokens:
         results["lc"] = check_lc_basis(algebra)
     print(f"characteristic sequence: {_seq_str(report.charseq)}")
@@ -271,7 +249,7 @@ def _parse_field_option(text: str):
     if text == "rational":
         return QQ
     if text.startswith("prime:") and text[6:].isdigit():
-        return GF(int(text[6:]))
+        return GF(parse_digits(text[6:]))
     raise ParseError(f"bad --field value {text!r}; use 'rational' or 'prime:<p>'")
 
 

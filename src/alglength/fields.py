@@ -21,11 +21,13 @@ from functools import lru_cache
 from math import gcd, isqrt
 from typing import Union
 
-from .errors import BadScalar, DivisionByZero, FieldMismatch, RangeError
+from .errors import BadScalar, BudgetExceeded, DivisionByZero, FieldMismatch, RangeError
 
 Scalar = Union[Fraction, int]
 
 _SCALAR_RE = re.compile(r"^(-?[0-9]+)(?:/([0-9]+))?$")
+# Largest GF(p) modulus accepted: is_prime is trial division, O(sqrt(p)) steps.
+MAX_MODULUS = 1 << 31
 
 
 def is_prime(p: int) -> bool:
@@ -46,10 +48,10 @@ def _split_literal(token: str) -> tuple[int, int]:
     m = _SCALAR_RE.match(token.strip())
     if not m:
         raise BadScalar(f"malformed scalar {token!r}")
-    num = int(m.group(1))
-    if m.group(2) is None:
-        return num, 1
-    den = int(m.group(2))
+    try:
+        num, den = int(m.group(1)), int(m.group(2) or 1)
+    except ValueError:  # more digits than int() converts
+        raise BadScalar(f"scalar literal of {len(token)} characters is too long") from None
     if den == 0:
         raise BadScalar(f"zero denominator in {token!r}")
     if gcd(abs(num), den) != 1:
@@ -144,6 +146,10 @@ class PrimeField(Field):
     kind = "prime"
 
     def __init__(self, p: int):
+        if p > MAX_MODULUS:
+            raise BudgetExceeded(
+                f"a {p.bit_length()}-bit modulus exceeds the limit {MAX_MODULUS}", count=None
+            )
         if not is_prime(p):
             raise RangeError(f"modulus {p} is not prime")
         self.p = p

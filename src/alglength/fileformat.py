@@ -44,6 +44,14 @@ def _meaningful_lines(text: str):
             yield lineno, line
 
 
+def parse_digits(text: str, lineno: int | None = None) -> int:
+    """int() of a digit string; more digits than int() converts is a ParseError."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"number of {len(text)} digits is out of range", lineno) from None
+
+
 def _parse_term(term: str, names: dict[str, int], field: Field, lineno: int):
     term = term.strip()
     if not term:
@@ -89,7 +97,7 @@ def parse_algebra(text: str) -> Algebra:
         field: Field = QQ
     elif len(parts) == 3 and parts[:2] == ["field", "prime"] and parts[2].isdigit():
         try:
-            field = GF(int(parts[2]))
+            field = GF(parse_digits(parts[2], lineno))
         except RangeError as exc:
             raise ParseError(str(exc), lineno) from None
     else:
@@ -99,7 +107,7 @@ def parse_algebra(text: str) -> Algebra:
     parts = line.split()
     if len(parts) != 2 or parts[0] != "dim" or not parts[1].isdigit():
         raise ParseError("expected 'dim <n>'", lineno)
-    n = int(parts[1])
+    n = parse_digits(parts[1], lineno)
     if n < 1:
         raise ParseError("dimension must be >= 1", lineno)
 

@@ -191,7 +191,3 @@ def compute_length(
         fresh_basis=tuple(fresh.items()),
     )
 
-
-def is_generating(algebra: Algebra, gens: Sequence[Sequence]) -> bool:
-    """True iff span closure of S under products reaches the whole algebra."""
-    return compute_length(algebra, gens).is_generating

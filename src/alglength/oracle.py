@@ -81,21 +81,19 @@ def enumerate_words_spans(
     algebra: Algebra,
     gens,
     kmax: int,
-    *,
-    kmax_limit: int = DEFAULT_KMAX_LIMIT,
-    gens_limit: int = DEFAULT_GENS_LIMIT,
 ) -> list[int]:
     """Exact dims of L_0..L_kmax by exhaustive bracketed-word evaluation."""
     if kmax < 0:
         raise RangeError(f"kmax must be >= 0, got {kmax}")
     gens = coerce_genset(algebra, gens)
-    if kmax > kmax_limit or len(gens) > gens_limit:
+    if kmax > DEFAULT_KMAX_LIMIT or len(gens) > DEFAULT_GENS_LIMIT:
         what, total = f"kmax={kmax}, {len(gens)} generators", None
         if kmax <= COUNT_KMAX_LIMIT:
             total = sum(bracketed_word_count(len(gens), k) for k in range(1, kmax + 1))
             what = f"{total} candidate words ({what})"
         raise BudgetExceeded(
-            f"{what} exceeds the kmax<={kmax_limit}, |S|<={gens_limit} budget",
+            f"{what} exceeds the kmax<={DEFAULT_KMAX_LIMIT}, "
+            f"|S|<={DEFAULT_GENS_LIMIT} budget",
             count=total,
         )
     space, _ = EchelonSubspace.empty(algebra.field, algebra.n).insert(algebra.unit())

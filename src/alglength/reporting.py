@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import asdict
 
 from .algebra import Algebra
-from .bounds import BoundCheck, BoundReport, ChainCheck
+from .bounds import CHECKS, BoundReport
 from .fields import Field
 from .length import LengthReport
 from .oracle import BruteForceResult
@@ -44,35 +45,10 @@ def length_report_payload(report: LengthReport, field: Field) -> dict:
     }
 
 
-def _chain_payload(check: ChainCheck) -> dict:
-    return {
-        "ok": check.ok,
-        "strict": check.strict,
-        "witnesses": [list(w) for w in check.witnesses],
-        "failures": [list(f) for f in check.failures],
-    }
-
-
-def _bound_payload(check: BoundCheck) -> dict:
-    return {
-        "ok": check.ok,
-        "failures": [list(f) for f in check.failures],
-        "equalities": list(check.equalities),
-    }
-
-
 def bound_report_payload(report: BoundReport) -> dict:
     payload: dict = {"wellformed": report.wellformed, "ok": report.ok()}
-    if report.addition_chain is not None:
-        payload["addition_chain"] = _chain_payload(report.addition_chain)
-    if report.strict_addition_chain is not None:
-        payload["strict_addition_chain"] = _chain_payload(report.strict_addition_chain)
-    if report.power_bound is not None:
-        payload["power_bound"] = _bound_payload(report.power_bound)
-    if report.fibonacci_bound is not None:
-        payload["fibonacci_bound"] = _bound_payload(report.fibonacci_bound)
-    if report.k_bound is not None:
-        payload["k_bound"] = _bound_payload(report.k_bound)
+    for token, check in report.checks.items():
+        payload[CHECKS[token][0]] = asdict(check)
     return payload
 
 
@@ -88,25 +64,23 @@ def brute_force_payload(result: BruteForceResult, field: Field) -> dict:
 def run_report(
     command: str,
     version: str,
-    algebra: Algebra | None,
-    algebra_path: str | None,
-    algebra_bytes: bytes | None,
+    algebra: Algebra,
+    algebra_path: str,
+    algebra_bytes: bytes,
     options: dict,
     result: dict,
 ) -> dict:
-    report: dict = {
+    return {
         "schema": SCHEMA_VERSION,
         "tool": "alglength",
         "version": version,
         "command": command,
         "options": options,
         "result": result,
-    }
-    if algebra is not None:
-        report["input"] = {
+        "input": {
             "path": algebra_path,
-            "sha256": sha256_hex(algebra_bytes) if algebra_bytes is not None else None,
+            "sha256": sha256_hex(algebra_bytes),
             "dim": algebra.n,
             "field": algebra.field.descriptor(),
-        }
-    return report
+        },
+    }

@@ -11,6 +11,7 @@ from alglength import (
     NonUnital,
     NotLocallyComplex,
     PrimeFieldNotAllowed,
+    RangeError,
     ShapeError,
     check_lc_basis,
     make_example,
@@ -161,6 +162,21 @@ def test_table_coercion_and_equality():
     a1 = Algebra.from_products(QQ, 3, {(1, 1): {2: 1}})
     a2 = Algebra.from_products(QQ, 3, {(1, 1): {2: Fraction(1)}})
     assert a1 == a2
+
+
+@pytest.mark.parametrize(
+    "products,error",
+    [
+        ({(1, 1): {"a": 1}}, RangeError),
+        ({("x", 1): {2: 1}}, RangeError),
+        ({(1,): {2: 1}}, ShapeError),
+        ({(1, 1, 1): {2: 1}}, ShapeError),
+        ({(1, 1): 5}, ShapeError),
+    ],
+)
+def test_from_products_rejects_malformed_arguments(products, error):
+    with pytest.raises(error):
+        Algebra.from_products(QQ, 3, products)
 
 
 def test_dense_and_sparse_constructors_agree():

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from alglength import (
+    CHECKS,
     KOutOfRange,
     RangeError,
     WellformednessError,
@@ -113,7 +114,7 @@ def test_wellformedness_errors():
     for bad in ((), (1,), (0, 2, 1), (0, 0, 1), (0, -1)):
         with pytest.raises(WellformednessError):
             check_power_bound(bad)
-    report = verify_sequence((0, 2, 1), chain=True, power=True)
+    report = verify_sequence((0, 2, 1), ("chain", "power"))
     assert not report.wellformed and not report.ok()
 
 
@@ -134,7 +135,7 @@ def test_engine_sequences_satisfy_general_theorems():
                       ("lc-gap7", None), ("lc-gap-family", 4)):
         algebra, gens = make_example(family, n)
         seq = compute_length(algebra, gens).charseq
-        report = verify_sequence(seq, chain=True, power=True)
+        report = verify_sequence(seq, ("chain", "power"))
         assert report.ok(), (family, seq.terms)
 
 
@@ -161,10 +162,42 @@ def test_dimension_gap_on_recorded_dims():
 
 
 def test_verify_sequence_aggregation():
-    report = verify_sequence((0, 1, 2, 4), chain=True, chain_strict=True, power=True)
+    report = verify_sequence((0, 1, 2, 4), ("chain", "chain-strict", "power"))
     assert report.wellformed
-    assert report.addition_chain.ok
-    assert not report.strict_addition_chain.ok
-    assert report.power_bound.ok
+    assert report.checks["chain"].ok
+    assert not report.checks["chain-strict"].ok
+    assert report.checks["power"].ok
     assert not report.ok()
-    assert report.fibonacci_bound is None and report.k_bound is None
+    assert "fib" not in report.checks and "fib-k" not in report.checks
+
+
+def test_every_table_check_matches_its_direct_call():
+    direct = {
+        "chain": lambda m: check_addition_chain(m, strict=False),
+        "chain-strict": lambda m: check_addition_chain(m, strict=True),
+        "power": check_power_bound,
+        "fib": lambda m: check_fibonacci_bound(m, k=1),
+        "fib-k": lambda m: check_fibonacci_bound(m, k=m.count(1)),
+    }
+    assert list(CHECKS) == list(direct)
+    assert [key for key, _ in CHECKS.values()] == [
+        "addition_chain", "strict_addition_chain", "power_bound",
+        "fibonacci_bound", "k_bound",
+    ]
+    for m in ((0, 1, 2, 4), (0, 1, 1, 2, 3, 5), (0, 1, 1, 1, 2, 2, 4), (0, 1, 3)):
+        report = verify_sequence(m, [*reversed(CHECKS), "chain"])
+        assert list(report.checks) == list(CHECKS)
+        for token, check in report.checks.items():
+            assert check == direct[token](m), (token, m)
+        assert report.ok() == all(direct[t](m).ok for t in direct)
+
+
+def test_verify_sequence_token_errors():
+    with pytest.raises(RangeError):
+        verify_sequence((0, 1, 2), ("chain", "bogus"))
+    # fib-k reads k off the sequence; the unit-only sequence has no term 1.
+    with pytest.raises(KOutOfRange, match="at least one generator"):
+        verify_sequence((0,), ("fib-k",))
+    with pytest.raises(KOutOfRange, match="at least one generator"):
+        verify_sequence((0,), ("fib", "fib-k"))
+    assert verify_sequence((0,), ()).ok()

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from alglength.bounds import CHECKS
 from alglength.cli import main
 
 
@@ -239,4 +240,59 @@ def test_verify_fib_k_on_unit_only_algebra(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.startswith("error[KOutOfRange]:")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "checks", ["fib-k,power,chain,chain,lc,chain-strict,fib", "lc,fib,fib,fib-k,power,chain-strict,chain"]
+)
+def test_verify_prints_checks_in_table_order_once(tmp_path, capsys, checks):
+    path = tmp_path / "f5.alg"
+    assert main(["gen-example", "--family", "fib-lc", "--n", "5", "--out", str(path)]) == 0
+    capsys.readouterr()
+    code = main(["verify", "--algebra", str(path), "--gens", "e1,e2", "--checks", checks])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    names = [line.split()[1].rstrip(":") for line in lines if line.startswith("check ")]
+    assert names == ["wellformed", *CHECKS, "lc"]
+
+
+_BIG = "7" * 5000  # more digits than int() converts
+
+
+def _alg(field="rational", dim="2", prod=""):
+    return f"alglength-algebra v1\nfield {field}\ndim {dim}\nbasis 1 x\n{prod}"
+
+
+_GEN = ["gen-example", "--family", "power2", "--n", "4", "--field"]
+
+
+@pytest.mark.parametrize(
+    "text,argv,error",
+    [
+        (_alg(prod=f"prod x x = {_BIG}*x\n"), ["length", "--gens", "x"], "BadScalar"),
+        (_alg(), ["length", "--gens", f"[0, {_BIG}]"], "BadScalar"),
+        (_alg(dim=_BIG), ["length", "--gens", "x"], "ParseError"),
+        (_alg(field=f"prime {_BIG}"), ["length", "--gens", "x"], "ParseError"),
+        (_alg(field="prime 1000000000000000003"), ["length", "--gens", "x"], "BudgetExceeded"),
+        (None, _GEN + [f"prime:{_BIG}"], "ParseError"),
+        (None, _GEN + ["prime:1000000000000000003"], "BudgetExceeded"),
+    ],
+    ids=["prod-scalar", "gens-row", "dim", "field-prime-digits", "field-prime-size",
+         "gen-example-digits", "gen-example-size"],
+)
+def test_huge_numbers_are_one_error_line(tmp_path, capsys, text, argv, error):
+    path = tmp_path / "a.alg"
+    if text is None:
+        argv = argv + ["--out", str(path)]
+    else:
+        path.write_text(text)
+        argv = argv + ["--algebra", str(path)]
+    start = time.perf_counter()
+    code = main(argv)
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert code == (1 if error == "BudgetExceeded" else 2)
+    assert captured.out == ""
+    assert captured.err.startswith(f"error[{error}]:")
     assert captured.err.count("\n") == 1

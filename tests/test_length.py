@@ -17,7 +17,6 @@ from alglength import (
     compute_length,
     dims_from_charseq,
     enumerate_words_spans,
-    is_generating,
     make_example,
 )
 
@@ -111,12 +110,12 @@ def test_is_generating_cases():
     algebra, _ = make_example("power2", 4)
     e1 = algebra.basis_vector(1)
     e2 = algebra.basis_vector(2)
-    assert is_generating(algebra, (e1,))
+    assert compute_length(algebra, (e1,)).is_generating
     # Oracle: exhaustive word enumeration from {e2} saturates at dim 3.
     oracle_dims = enumerate_words_spans(algebra, (e2,), 8)
     assert max(oracle_dims) == 3
-    assert not is_generating(algebra, (e2,))
-    assert not is_generating(algebra, (algebra.unit(),))
+    assert not compute_length(algebra, (e2,)).is_generating
+    assert not compute_length(algebra, (algebra.unit(),)).is_generating
 
 
 def test_unit_only_degenerate_window():

@@ -5,10 +5,12 @@ Usage:
     python3 tools/compare_cli.py OLD [NEW]   # NEW defaults to this checkout
 
 Both trees run the same argument lists: the README examples, the bench
-``CLI_FAMILIES`` family files and two sparse files shaped like the bench's
-``CLI_SPARSE`` ones (each with non-generating sets too), with and without
-``--lc-shortcut``, through ``length``, ``charseq``, ``dims``, ``verify`` and
-``oracle-check``.  For every run the exit code, stdout,
+``CLI_FAMILIES`` family files, two sparse files shaped like the bench's
+``CLI_SPARSE`` ones (each with non-generating sets too) and the dim-1
+algebra, where ``fib-k`` has no k, with and without ``--lc-shortcut``,
+through ``length``, ``charseq``, ``dims``, ``verify`` and ``oracle-check``.
+``verify`` also runs with reordered and repeated check tokens, ``lc`` and an
+unknown token.  For every run the exit code, stdout,
 stderr and the ``--json`` bytes must be equal.  Each tree runs in its own
 interpreter, so the two packages never share a process.  Exit status 0
 means every run agreed.
@@ -50,6 +52,7 @@ EXTRA_GENS = {"power2": ["e2"], "fib-lc": ["e1", "e3"], "stall-chain": ["e2"],
 # (dim, field line, coefficient): sparse files like the bench's CLI_SPARSE.
 SPARSE_FILES = ((100, "rational", "-2/5"), (150, "prime 10007", "5000"))
 SPARSE_CHAIN = 5
+UNIT_ONLY = "alglength-algebra v1\nfield rational\ndim 1\nbasis 1\n"
 
 
 def _sparse_text(dim: int, field: str, coeff: str) -> tuple[str, list[str]]:
@@ -87,6 +90,8 @@ def _cases(workdir: Path) -> list[list[str]]:
         name = f"sparse_{dim}.alg"
         (workdir / name).write_text(text, encoding="utf-8")
         files.append((name, None, None, None, gen_sets))
+    (workdir / "unit_only.alg").write_text(UNIT_ONLY, encoding="utf-8")
+    files.append(("unit_only.alg", None, None, None, ["1"]))
     for name, family, n, field, gen_sets in files:
         path = str(workdir / name)
         if family is not None:
@@ -105,6 +110,10 @@ def _cases(workdir: Path) -> list[list[str]]:
                     ["dims", "--kmax", "9", "--require-generating"] + base,
                     ["verify"] + base,
                     ["verify", "--checks", "chain,chain-strict,power,fib,fib-k"] + base,
+                    ["verify", "--checks", "fib-k,power,chain,chain,lc,chain-strict,fib"]
+                    + base,
+                    ["verify", "--checks", "lc,power,power"] + base,
+                    ["verify", "--checks", "chain,bogus"] + base,
                     ["oracle-check", "--kmax", "5"] + base,
                 ]
     p3 = str(workdir / "p3.alg")
