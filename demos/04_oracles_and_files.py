@@ -16,6 +16,7 @@ Run:  python3 demos/04_oracles_and_files.py
 import random
 
 from alglength import (
+    Algebra,
     GF,
     bracketed_word_count,
     brute_force_algebra_length,
@@ -44,16 +45,12 @@ def main():
     rng = random.Random(99)
     print("same check on a random GF(3) table:")
     n = 4
-    table = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for j in range(n):
-        table[0][j][j] = 1
-        table[j][0][j] = 1
-    for i in range(1, n):
-        for j in range(1, n):
-            table[i][j] = [rng.randrange(3) for _ in range(n)]
-    from alglength import Algebra
-
-    random_algebra = Algebra(GF(3), table)
+    products = {
+        (i, j): [rng.randrange(3) for _ in range(n)]
+        for i in range(1, n)
+        for j in range(1, n)
+    }
+    random_algebra = Algebra.from_products(GF(3), n, products)
     gens = ((0, 1, 0, 0), (0, 0, 1, 2))
     oracle = enumerate_words_spans(random_algebra, gens, 7)
     engine = dims_from_charseq(compute_length(random_algebra, gens).charseq.terms, 7)

@@ -11,7 +11,7 @@ enumeration, and exhaustive l(A) over prime fields).
 All arithmetic is exact: rationals or GF(p).
 """
 
-from .algebra import Algebra, check_lc_basis, coerce_genset, validate_unital
+from .algebra import Algebra, check_lc_basis, coerce_genset
 from .bounds import (
     CHECKS,
     BoundCheck,
@@ -35,7 +35,6 @@ from .errors import (
     FieldMismatch,
     KOutOfRange,
     NoGeneratingSet,
-    NonUnital,
     NotGenerating,
     NotLocallyComplex,
     ParseError,
@@ -47,7 +46,7 @@ from .errors import (
     WellformednessError,
 )
 from .families import FAMILY_NAMES, make_example
-from .fields import GF, QQ, Field, PrimeField, RationalField, field_from_descriptor
+from .fields import GF, QQ, Field, PrimeField, RationalField
 from .fileformat import parse_algebra, parse_gens, serialize_algebra
 from .length import (
     CharSeq,
@@ -93,7 +92,6 @@ __all__ = [
     "KOutOfRange",
     "LengthReport",
     "NoGeneratingSet",
-    "NonUnital",
     "NotGenerating",
     "NotLocallyComplex",
     "ParseError",
@@ -121,7 +119,6 @@ __all__ = [
     "dims_from_charseq",
     "enumerate_words_spans",
     "fibonacci",
-    "field_from_descriptor",
     "gaussian_binomial",
     "is_wellformed_sequence",
     "iter_word_values",
@@ -130,6 +127,5 @@ __all__ = [
     "parse_gens",
     "serialize_algebra",
     "subspace_count",
-    "validate_unital",
     "verify_sequence",
 ]

@@ -1,8 +1,10 @@
 """Finite-dimensional algebras given by structure-constant tables.
 
 An algebra of dimension n is described by the products of its basis elements:
-``e_i * e_j = sum_k c[i][j][k] e_k``.  Basis element 0 is always the unit, so
-a valid table satisfies ``e_0 * e_j = e_j`` and ``e_i * e_0 = e_i``.
+``e_i * e_j = sum_k c[i][j][k] e_k``.  Basis element 0 is always the unit:
+:meth:`Algebra.from_products`, the one constructor, writes
+``e_0 * e_j = e_j`` and ``e_i * e_0 = e_i`` itself and takes only the
+non-unit products, so the unit law holds by construction.
 Multiplication of arbitrary vectors extends the table bilinearly.  Only the
 nonzero structure constants are stored, so an algebra with a few nonzero
 products in a large basis costs O(n) plus their number, not n^3.
@@ -21,7 +23,6 @@ from typing import Mapping, Sequence
 from .errors import (
     EmptyGeneratingSet,
     FieldMismatch,
-    NonUnital,
     NotLocallyComplex,
     PrimeFieldNotAllowed,
     RangeError,
@@ -41,7 +42,7 @@ class Algebra:
         field: coefficient field.
         basis_names: n labels; index 0 is always "1".
         lc_flag: claim that the basis passes :func:`check_lc_basis`, checked
-            at construction even when ``validate`` is false.
+            at construction.
 
     The products are stored only where nonzero: ``_rows[i]`` maps j to the
     nonzero ``(k, coeff)`` pairs of e_i * e_j, k ascending, the unit products
@@ -49,54 +50,6 @@ class Algebra:
     """
 
     __slots__ = ("n", "field", "basis_names", "lc_flag", "_rows")
-
-    def __init__(
-        self,
-        field: Field,
-        table: Sequence[Sequence[Sequence[Scalar]]],
-        basis_names: Sequence[str] | None = None,
-        lc_flag: bool = False,
-        validate: bool = True,
-    ):
-        n = len(table)
-        if n < 1:
-            raise ShapeError("an algebra needs at least the unit basis element")
-        rows = []
-        for i, block in enumerate(table):
-            if len(block) != n:
-                raise ShapeError(f"table row {i} has {len(block)} entries, expected {n}")
-            row = {}
-            for j, vec in enumerate(block):
-                if len(vec) != n:
-                    raise ShapeError(
-                        f"product ({i},{j}) has {len(vec)} coordinates, expected {n}"
-                    )
-                cell = tuple((k, c) for k, c in enumerate(map(field.coerce, vec)) if c)
-                if cell:
-                    row[j] = cell
-            rows.append(row)
-        self._setup(field, rows, basis_names, lc_flag, validate)
-
-    def _setup(self, field, rows, basis_names, lc_flag, validate) -> None:
-        """The init path shared by both constructors, given the sparse rows."""
-        n = len(rows)
-        self.n = n
-        self.field = field
-        self._rows = tuple(rows)
-        if basis_names is None:
-            basis_names = ("1",) + tuple(f"e{i}" for i in range(1, n))
-        else:
-            basis_names = tuple(basis_names)
-            if len(basis_names) != n:
-                raise ShapeError("basis_names length must equal the dimension")
-        self.basis_names = basis_names
-        self.lc_flag = bool(lc_flag)
-        if validate:
-            self.ensure_unital()
-        if self.lc_flag and not check_lc_basis(self):
-            raise NotLocallyComplex(
-                "lc flag is set but the basis fails the locally-complex check"
-            )
 
     @classmethod
     def from_products(
@@ -106,14 +59,13 @@ class Algebra:
         products: Mapping[tuple[int, int], Mapping[int, Scalar] | Sequence[Scalar]],
         basis_names: Sequence[str] | None = None,
         lc_flag: bool = False,
-        validate: bool = True,
     ) -> "Algebra":
         """Build a unital algebra from the non-unit products; the rest is zero.
 
         ``products`` maps ``(i, j)`` with ``1 <= i, j < n`` to either a sparse
         ``{k: coeff}`` mapping or a full coordinate sequence.  Products
-        involving the unit are implied by the unit law and must not appear.
-        Costs O(n) plus the size of ``products``.
+        involving the unit are written here from the unit law; a key with a
+        0 index raises RangeError.  Costs O(n) plus the size of ``products``.
         """
         if n < 1:
             raise RangeError(f"dimension must be >= 1, got {n}")
@@ -144,8 +96,22 @@ class Algebra:
                 cell = tuple((k, c) for k, c in enumerate(map(field.coerce, value)) if c)
             if cell:
                 rows[i][j] = cell
+        if basis_names is None:
+            basis_names = ("1",) + tuple(f"e{i}" for i in range(1, n))
+        else:
+            basis_names = tuple(basis_names)
+            if len(basis_names) != n:
+                raise ShapeError("basis_names length must equal the dimension")
         algebra = cls.__new__(cls)
-        algebra._setup(field, rows, basis_names, lc_flag, validate)
+        algebra.n = n
+        algebra.field = field
+        algebra.basis_names = basis_names
+        algebra.lc_flag = bool(lc_flag)
+        algebra._rows = tuple(rows)
+        if algebra.lc_flag and not check_lc_basis(algebra):
+            raise NotLocallyComplex(
+                "lc flag is set but the basis fails the locally-complex check"
+            )
         return algebra
 
     # ----- vectors -------------------------------------------------------
@@ -196,11 +162,7 @@ class Algebra:
             acc = [x % mod for x in acc]
         return tuple(acc)
 
-    # ----- validation ----------------------------------------------------
-
-    def ensure_unital(self) -> None:
-        if not validate_unital(self):
-            raise NonUnital("basis element 0 does not act as a two-sided unit")
+    # ----- comparison ----------------------------------------------------
 
     def __eq__(self, other) -> bool:
         return (
@@ -216,18 +178,6 @@ class Algebra:
 
     def __repr__(self) -> str:
         return f"Algebra(dim={self.n}, field={self.field.descriptor()})"
-
-
-def validate_unital(algebra: Algebra) -> bool:
-    """True iff e_0 * e_j = e_j and e_j * e_0 = e_j for every j."""
-    one = algebra.field.one
-    rows = algebra._rows
-    unit_row = rows[0]
-    for j in range(algebra.n):
-        cell = ((j, one),)
-        if unit_row.get(j) != cell or rows[j].get(0) != cell:
-            return False
-    return True
 
 
 def check_lc_basis(algebra: Algebra) -> bool:

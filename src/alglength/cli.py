@@ -111,9 +111,12 @@ def _load_algebra(args) -> tuple[Algebra, str, bytes]:
     path = Path(args.algebra)
     try:
         data = path.read_bytes()
+        text = data.decode("utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from None
-    return parse_algebra(data.decode("utf-8")), str(path), data
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: not UTF-8 at byte {exc.start}") from None
+    return parse_algebra(text), str(path), data
 
 
 def _engine_report(algebra, gens, args) -> LengthReport:
@@ -135,9 +138,16 @@ def _check_kmax(kmax: int) -> None:
         )
 
 
+def _write_file(path, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def _write_json(args, payload) -> None:
     if args.json:
-        Path(args.json).write_text(reporting.canonical_json(payload), encoding="utf-8")
+        _write_file(args.json, reporting.canonical_json(payload))
 
 
 def _report_options(args, **extra) -> dict:
@@ -258,7 +268,7 @@ def _cmd_gen_example(args) -> int:
     algebra, gens = make_example(args.family, args.n, field)
     text = serialize_algebra(algebra)
     out = Path(args.out)
-    out.write_text(text, encoding="utf-8")
+    _write_file(out, text)
     gen_names = []
     for v in gens:
         idx = max(i for i, x in enumerate(v) if x)

@@ -23,10 +23,6 @@ class ShapeError(AlgLengthError):
     """A vector or table has the wrong dimensions."""
 
 
-class NonUnital(AlgLengthError):
-    """The structure table violates the unit law (basis element 0 must act as 1)."""
-
-
 class PrimeFieldNotAllowed(AlgLengthError):
     """The locally-complex basis check only makes sense over the rationals."""
 

@@ -29,12 +29,14 @@ are still valid (signs reduce mod p) but carry ``lc_flag = False``.
 from __future__ import annotations
 
 from .algebra import Algebra, GenSet
-from .errors import RangeError
+from .errors import BudgetExceeded, RangeError
 from .fields import QQ, Field
 
 FAMILY_NAMES = ("power2", "stall-chain", "fib-lc", "lc-gap7", "lc-gap-family")
 
 _LC_FAMILIES = {"fib-lc", "lc-gap7", "lc-gap-family"}
+# Largest size parameter n accepted: time and memory of an instance grow with n.
+MAX_N = 4096
 
 
 def _power2(n: int, field: Field):
@@ -93,8 +95,11 @@ def make_example(family: str, n: int | None = None, field: Field = QQ) -> tuple[
 
     ``n`` is the family size parameter (dimension for power2 and fib-lc,
     dimension minus 2 for stall-chain, dimension minus 4 for lc-gap-family;
-    lc-gap7 takes none).  Raises RangeError on out-of-range parameters.
+    lc-gap7 takes none).  Raises RangeError on out-of-range parameters and
+    BudgetExceeded for n above :data:`MAX_N`.
     """
+    if n is not None and n > MAX_N:
+        raise BudgetExceeded(f"size parameter {n} exceeds the limit {MAX_N}", count=None)
     if family == "lc-gap7":
         dim, products, gen_names = _lc_gap7(n, field)
     else:

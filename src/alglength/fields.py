@@ -10,7 +10,7 @@ canonical form:
 A :class:`Field` object supplies the operations that depend on the field
 (inversion, parsing, canonical reduction); addition and multiplication of
 in-field values use the native ``+``/``*`` operators, reducing with
-:meth:`Field.normalize` at the end.
+:meth:`Field.coerce` at the end.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ def _split_literal(token: str) -> tuple[int, int]:
 class Field:
     """Common interface of the two concrete fields."""
 
-    kind: str
     modulus: int | None  # None for the rationals, p for GF(p)
 
     @property
@@ -75,9 +74,6 @@ class Field:
 
     def coerce(self, x) -> Scalar:
         """Bring a Python number into this field, or raise FieldMismatch."""
-        raise NotImplementedError
-
-    def normalize(self, x: Scalar) -> Scalar:
         raise NotImplementedError
 
     def inv(self, a: Scalar) -> Scalar:
@@ -100,7 +96,6 @@ class Field:
 class RationalField(Field):
     """The field of arbitrary-precision rationals."""
 
-    kind = "rational"
     modulus = None
 
     @property
@@ -117,9 +112,6 @@ class RationalField(Field):
         if isinstance(x, int):
             return Fraction(x)
         raise FieldMismatch(f"cannot interpret {x!r} as a rational scalar")
-
-    def normalize(self, x):
-        return x  # Fraction arithmetic is already canonical
 
     def inv(self, a):
         if a == 0:
@@ -142,8 +134,6 @@ class RationalField(Field):
 
 class PrimeField(Field):
     """GF(p) with residues stored as ints in [0, p)."""
-
-    kind = "prime"
 
     def __init__(self, p: int):
         if p > MAX_MODULUS:
@@ -173,9 +163,6 @@ class PrimeField(Field):
                 )
             return (x.numerator * self.inv(x.denominator % self.p)) % self.p
         raise FieldMismatch(f"cannot interpret {x!r} as a GF({self.p}) scalar")
-
-    def normalize(self, x: int) -> int:
-        return x % self.p
 
     def inv(self, a: int) -> int:
         a %= self.p
@@ -208,13 +195,3 @@ QQ = RationalField()
 @lru_cache(maxsize=None)
 def GF(p: int) -> PrimeField:
     return PrimeField(p)
-
-
-def field_from_descriptor(text: str) -> Field:
-    """Inverse of :meth:`Field.descriptor` (``"rational"`` or ``"prime <p>"``)."""
-    parts = text.split()
-    if parts == ["rational"]:
-        return QQ
-    if len(parts) == 2 and parts[0] == "prime" and parts[1].isdigit():
-        return GF(int(parts[1]))
-    raise FieldMismatch(f"unknown field descriptor {text!r}")

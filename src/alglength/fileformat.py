@@ -78,7 +78,7 @@ def _parse_term(term: str, names: dict[str, int], field: Field, lineno: int):
 
 
 def parse_algebra(text: str) -> Algebra:
-    """Parse the v1 format into a validated unital algebra."""
+    """Parse the v1 format into a unital algebra."""
     lines = _meaningful_lines(text)
 
     def next_line(what: str) -> tuple[int, str]:
@@ -158,7 +158,7 @@ def parse_algebra(text: str) -> Algebra:
         vec: dict[int, Scalar] = {}
         for term in rhs.split("+"):
             k, coeff = _parse_term(term, names, field, lineno)
-            vec[k] = field.normalize(vec.get(k, field.zero) + coeff)
+            vec[k] = field.coerce(vec.get(k, field.zero) + coeff)
         products[key] = vec
 
     ordered = ["1"] + sorted(names, key=names.get)

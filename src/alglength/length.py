@@ -136,7 +136,6 @@ def compute_length(
     locally-complex window is used; it requires a basis that passes
     :func:`check_lc_basis`, which an algebra with ``lc_flag`` set has passed.
     """
-    algebra.ensure_unital()
     gens = coerce_genset(algebra, gens)
     if lc_shortcut and not (algebra.lc_flag or check_lc_basis(algebra)):
         raise NotLocallyComplex("lc_shortcut requires a locally-complex basis")

@@ -29,7 +29,8 @@ from .length import compute_length
 
 DEFAULT_KMAX_LIMIT = 10
 DEFAULT_GENS_LIMIT = 3
-DEFAULT_SUBSPACE_BUDGET = 4096
+# Most subspaces brute_force_algebra_length enumerates.
+SUBSPACE_BUDGET = 4096
 # Largest kmax for which a BudgetExceeded error counts the candidate words;
 # the count is a sum of kmax big Catalan numbers, too costly for huge kmax.
 COUNT_KMAX_LIMIT = 64
@@ -155,9 +156,7 @@ class BruteForceResult:
     generating_count: int
 
 
-def brute_force_algebra_length(
-    algebra: Algebra, *, max_subspaces: int = DEFAULT_SUBSPACE_BUDGET
-) -> BruteForceResult:
+def brute_force_algebra_length(algebra: Algebra) -> BruteForceResult:
     """l(A) over a prime field, with a maximizing generating set as witness.
 
     Enumerates the subspaces containing the unit (as bases of the quotient
@@ -173,10 +172,10 @@ def brute_force_algebra_length(
         unit = algebra.unit()
         return BruteForceResult(0, (unit,), 1, 1)
     count = subspace_count(n - 1, p)
-    if count > max_subspaces:
+    if count > SUBSPACE_BUDGET:
         raise BudgetExceeded(
             f"{count} subspaces contain the unit in GF({p})^{n}, budget is "
-            f"{max_subspaces}",
+            f"{SUBSPACE_BUDGET}",
             count=count,
         )
     best: tuple[int, GenSet] | None = None

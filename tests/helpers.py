@@ -1,6 +1,6 @@
 """Shared builders for randomized suites (seeded, deterministic), the dense
 reference stepper that the event-driven engine is checked against, and the
-dense-table references for the sparse algebra checks."""
+dense-table reference for the sparse locally-complex check."""
 
 from __future__ import annotations
 
@@ -29,7 +29,15 @@ def random_unital_algebra(rng: random.Random, n: int, p: int) -> Algebra:
         for i in range(1, n)
         for j in range(1, n)
     }
-    return Algebra(GF(p), dense_table(n, products))
+    return Algebra.from_products(GF(p), n, products)
+
+
+def assert_unit_law(algebra: Algebra) -> None:
+    """e_0 * e_j = e_j = e_j * e_0 for every basis element e_j."""
+    unit = algebra.unit()
+    for j in range(algebra.n):
+        e_j = algebra.basis_vector(j)
+        assert algebra.multiply(unit, e_j) == e_j == algebra.multiply(e_j, unit), j
 
 
 def random_products(rng: random.Random, n: int, p: Optional[int], density: float = 0.4):
@@ -89,17 +97,6 @@ def dense_table(n: int, products) -> list:
             vec = list(value)
         table[i][j] = vec
     return table
-
-
-def dense_validate_unital(field, table) -> bool:
-    """Reference for ``validate_unital``: every entry of the unit row and column."""
-    n = len(table)
-    for j in range(n):
-        for k in range(n):
-            expect = field.one if k == j else field.zero
-            if field.coerce(table[0][j][k]) != expect or field.coerce(table[j][0][k]) != expect:
-                return False
-    return True
 
 
 def dense_check_lc_basis(field, table) -> bool:

@@ -8,7 +8,6 @@ from alglength import (
     GF,
     QQ,
     FieldMismatch,
-    NonUnital,
     NotLocallyComplex,
     PrimeFieldNotAllowed,
     RangeError,
@@ -17,13 +16,12 @@ from alglength import (
     make_example,
     parse_algebra,
     serialize_algebra,
-    validate_unital,
 )
 
 from helpers import (
+    assert_unit_law,
     dense_check_lc_basis,
     dense_table,
-    dense_validate_unital,
     random_lc_products,
     random_products,
     random_unital_algebra,
@@ -91,23 +89,22 @@ def test_bilinearity_random():
 def test_validate_unital_families_and_corrupt_table():
     for family, n in (("power2", 5), ("stall-chain", 3), ("fib-lc", 4)):
         algebra, _ = make_example(family, n)
-        assert validate_unital(algebra)
-    # unit annihilating e_1 must fail
-    n = 3
-    table = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for j in range(n):
-        table[0][j][j] = 1
-        table[j][0][j] = 1
-    table[0][1] = [0, 0, 0]
-    bad = Algebra(QQ, table, validate=False)
-    assert not validate_unital(bad)
-    with pytest.raises(NonUnital):
-        Algebra(QQ, table)
+        assert_unit_law(algebra)
+    # a unit annihilating e_1 cannot be built: products of the unit are refused
+    for key in ((0, 1), (1, 0)):
+        with pytest.raises(RangeError):
+            Algebra.from_products(QQ, 3, {key: [0, 0, 0]})
 
 
 def test_validate_unital_dim_one():
-    algebra = Algebra(QQ, [[[1]]])
-    assert validate_unital(algebra)
+    algebra = Algebra.from_products(QQ, 1, {})
+    assert algebra.multiply(algebra.unit(), algebra.unit()) == (1,)
+    assert_unit_law(algebra)
+
+
+def test_from_products_is_the_only_constructor():
+    with pytest.raises(TypeError):
+        Algebra(QQ, [[[1]]])
 
 
 def test_check_lc_basis():
@@ -132,13 +129,6 @@ def test_check_lc_basis_rejects_prime_fields():
 def test_lc_flag_is_verified_at_construction():
     with pytest.raises(NotLocallyComplex):
         Algebra.from_products(QQ, 3, {(1, 1): {2: 1}}, lc_flag=True)
-
-
-def test_lc_flag_is_verified_without_validation():
-    table = [[[1, 0], [0, 1]], [[0, 1], [0, 1]]]  # e1 * e1 = e1, not -1
-    Algebra(QQ, table, validate=False)
-    with pytest.raises(NotLocallyComplex):
-        Algebra(QQ, table, lc_flag=True, validate=False)
 
 
 def test_lc_quadraticity_on_pure_imaginaries():
@@ -172,6 +162,8 @@ def test_table_coercion_and_equality():
         ({(1,): {2: 1}}, ShapeError),
         ({(1, 1, 1): {2: 1}}, ShapeError),
         ({(1, 1): 5}, ShapeError),
+        ({(0, 1): {1: 1}}, RangeError),
+        ({(1, 0): {1: 1}}, RangeError),
     ],
 )
 def test_from_products_rejects_malformed_arguments(products, error):
@@ -180,6 +172,7 @@ def test_from_products_rejects_malformed_arguments(products, error):
 
 
 def test_dense_and_sparse_constructors_agree():
+    # every product as a full coordinate sequence vs as a {k: coeff} mapping
     rng = random.Random(401)
     fields = (QQ, GF(2), GF(3), GF(101))
     for trial in range(160):
@@ -190,8 +183,12 @@ def test_dense_and_sparse_constructors_agree():
         else:
             products = random_products(rng, n, field.modulus)
         table = dense_table(n, products)
-        dense = Algebra(field, table)
-        sparse = Algebra.from_products(field, n, products)
+        rows = {key: table[key[0]][key[1]] for key in products}
+        sparse_rows = {
+            key: {k: c for k, c in enumerate(vec) if c} for key, vec in rows.items()
+        }
+        dense = Algebra.from_products(field, n, rows)
+        sparse = Algebra.from_products(field, n, sparse_rows)
         assert dense == sparse
         assert hash(dense) == hash(sparse)
         text = serialize_algebra(dense)
@@ -203,30 +200,17 @@ def test_dense_and_sparse_constructors_agree():
                 assert product == tuple(field.coerce(c) for c in table[i][j])
 
 
-def _corruptions(rng, field, table):
-    """(kind, table) copies: a broken unit row or column, a product that is
-    nonzero on one side only, and a pair with e_j e_i equal to e_i e_j."""
-    n = len(table)
-
-    def copy():
-        return [[list(vec) for vec in block] for block in table]
-
-    out = []
-    t, j = copy(), rng.randrange(n)
-    vec = t[0][j] if rng.random() < 0.5 else t[j][0]
-    vec[rng.randrange(n)] += 1
-    out.append(("unit", t))
-    if n >= 3:
-        i, j = rng.sample(range(1, n), 2)
-        nonzero = [0] * n
-        nonzero[rng.randrange(n)] = rng.choice((1, -2, Fraction(1, 3))) if field is QQ else 1
-        t = copy()
-        t[i][j], t[j][i] = list(nonzero), [0] * n
-        out.append(("one-sided", t))
-        t = copy()
-        t[i][j], t[j][i] = list(nonzero), list(nonzero)
-        out.append(("symmetric", t))
-    return out
+def _corruptions(rng, field, products, n):
+    """(kind, products) copies with one pair (i, j) replaced: a product that
+    is nonzero on one side only, and e_j e_i equal to e_i e_j."""
+    if n < 3:
+        return []
+    i, j = rng.sample(range(1, n), 2)
+    nonzero = [0] * n
+    nonzero[rng.randrange(n)] = rng.choice((1, -2, Fraction(1, 3))) if field is QQ else 1
+    one_sided = {**products, (i, j): list(nonzero), (j, i): [0] * n}
+    symmetric = {**products, (i, j): list(nonzero), (j, i): list(nonzero)}
+    return [("one-sided", one_sided), ("symmetric", symmetric)]
 
 
 def test_sparse_checks_agree_with_dense_reference():
@@ -240,15 +224,12 @@ def test_sparse_checks_agree_with_dense_reference():
         else:
             field = GF(rng.choice((2, 3, 101)))
             products = random_products(rng, n, field.modulus)
-        table = dense_table(n, products)
-        cases = [("clean", table)] + _corruptions(rng, field, table)
-        for kind, t in cases:
-            algebra = Algebra(field, t, validate=False)
-            unital = validate_unital(algebra)
-            assert unital == dense_validate_unital(field, t), (trial, kind)
-            assert unital == (kind != "unit"), (trial, kind)
+        cases = [("clean", products)] + _corruptions(rng, field, products, n)
+        for kind, prods in cases:
+            algebra = Algebra.from_products(field, n, prods)
+            assert_unit_law(algebra)
             if field.modulus is None:
                 lc = check_lc_basis(algebra)
-                assert lc == dense_check_lc_basis(field, t), (trial, kind)
+                assert lc == dense_check_lc_basis(field, dense_table(n, prods)), (trial, kind)
                 if trial % 2 == 0:
-                    assert lc == (kind in ("clean", "unit")), (trial, kind)
+                    assert lc == (kind == "clean"), (trial, kind)

@@ -277,9 +277,10 @@ _GEN = ["gen-example", "--family", "power2", "--n", "4", "--field"]
         (_alg(field="prime 1000000000000000003"), ["length", "--gens", "x"], "BudgetExceeded"),
         (None, _GEN + [f"prime:{_BIG}"], "ParseError"),
         (None, _GEN + ["prime:1000000000000000003"], "BudgetExceeded"),
+        (None, ["gen-example", "--family", "power2", "--n", "1000000000"], "BudgetExceeded"),
     ],
     ids=["prod-scalar", "gens-row", "dim", "field-prime-digits", "field-prime-size",
-         "gen-example-digits", "gen-example-size"],
+         "gen-example-digits", "gen-example-size", "gen-example-n"],
 )
 def test_huge_numbers_are_one_error_line(tmp_path, capsys, text, argv, error):
     path = tmp_path / "a.alg"
@@ -296,3 +297,21 @@ def test_huge_numbers_are_one_error_line(tmp_path, capsys, text, argv, error):
     assert captured.out == ""
     assert captured.err.startswith(f"error[{error}]:")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("case", ["json-path", "out-path", "not-utf8"])
+def test_bad_paths_are_one_error_line(pow2_file, tmp_path, capsys, case):
+    unwritable = str(tmp_path / "no-such-dir" / "x")
+    if case == "json-path":
+        argv = ["length", "--algebra", str(pow2_file), "--gens", "e1", "--json", unwritable]
+    elif case == "out-path":
+        argv = ["gen-example", "--family", "power2", "--n", "4", "--out", unwritable]
+    else:
+        latin1 = tmp_path / "latin1.alg"
+        latin1.write_bytes(pow2_file.read_bytes() + "# caf\xe9\n".encode("latin-1"))
+        argv = ["length", "--algebra", str(latin1), "--gens", "e1"]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[ParseError]: cannot ")
+    assert err.count("\n") == 1

@@ -2,14 +2,17 @@ import pytest
 
 from alglength import (
     GF,
+    BudgetExceeded,
     RangeError,
     check_lc_basis,
     compute_length,
     enumerate_words_spans,
     fibonacci,
     make_example,
-    validate_unital,
 )
+from alglength.families import MAX_N
+
+from helpers import assert_unit_law
 
 
 @pytest.mark.parametrize(
@@ -29,7 +32,7 @@ from alglength import (
 def test_families_build_unital(family, n, dim):
     algebra, gens = make_example(family, n)
     assert algebra.n == dim
-    assert validate_unital(algebra)
+    assert_unit_law(algebra)
     assert gens and all(len(v) == dim for v in gens)
 
 
@@ -40,6 +43,13 @@ def test_families_build_unital(family, n, dim):
 def test_out_of_range_parameters(family, n):
     with pytest.raises(RangeError):
         make_example(family, n)
+
+
+def test_size_parameter_budget():
+    with pytest.raises(BudgetExceeded):
+        make_example("power2", MAX_N + 1)
+    algebra, _ = make_example("power2", MAX_N)
+    assert algebra.n == MAX_N
 
 
 def test_unknown_family():
@@ -108,7 +118,7 @@ def test_lc_families_pass_lc_check():
 def test_families_over_prime_fields():
     for family, n in (("power2", 4), ("stall-chain", 2), ("fib-lc", 4)):
         algebra, gens = make_example(family, n, GF(2))
-        assert validate_unital(algebra)
+        assert_unit_law(algebra)
         assert not algebra.lc_flag
         assert compute_length(algebra, gens).is_generating
 

@@ -217,7 +217,7 @@ def test_empty_genset_rejected():
 
 
 def test_dim_one_algebra_has_length_zero():
-    algebra = Algebra(QQ, [[[1]]])
+    algebra = Algebra.from_products(QQ, 1, {})
     report = compute_length(algebra, (algebra.unit(),))
     assert report.length == 0
     assert report.charseq.terms == (0,)

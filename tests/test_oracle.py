@@ -19,6 +19,7 @@ from alglength import (
     make_example,
     subspace_count,
 )
+from alglength.oracle import SUBSPACE_BUDGET
 
 from helpers import random_genset, random_unital_algebra
 
@@ -131,12 +132,7 @@ def test_brute_force_power2_gf2():
 
 def test_brute_force_zero_products_dim3():
     # every product of non-unit elements is zero: only L_1 = A generates
-    field = GF(2)
-    table = [[[0] * 3 for _ in range(3)] for _ in range(3)]
-    for j in range(3):
-        table[0][j][j] = 1
-        table[j][0][j] = 1
-    algebra = Algebra(field, table)
+    algebra = Algebra.from_products(GF(2), 3, {})
     result = brute_force_algebra_length(algebra)
     assert result.length == 1
 
@@ -155,10 +151,10 @@ def test_brute_force_requires_prime_field():
 
 
 def test_brute_force_budget():
-    algebra, _ = make_example("power2", 6, GF(2))
+    algebra, _ = make_example("power2", 8, GF(2))
     with pytest.raises(BudgetExceeded) as info:
-        brute_force_algebra_length(algebra, max_subspaces=100)
-    assert info.value.count == subspace_count(5, 2)
+        brute_force_algebra_length(algebra)
+    assert info.value.count == subspace_count(7, 2) > SUBSPACE_BUDGET
 
 
 def test_brute_force_dominates_engine_lengths():
