@@ -27,7 +27,7 @@ def main():
         report = compute_length(algebra, gens)
         seq = report.charseq
         assert report.length == 2 ** (n - 2)
-        shown = ",".join(map(str, seq.terms[:7]))
+        shown = ",".join(map(str, seq[:7]))
         if len(seq) > 7:
             shown += ",..."
         print(f"{n:>3} {report.length:>6} {2**(n-2):>8}  ({shown})")
@@ -36,7 +36,7 @@ def main():
     n = 6
     algebra, gens = make_example("power2", n)
     seq = compute_length(algebra, gens).charseq
-    print(f"n = {n}: sequence {tuple(seq.terms)}")
+    print(f"n = {n}: sequence {seq}")
 
     bound = check_power_bound(seq)
     print(f"power bound m_h <= 2^(h-1): ok = {bound.ok}, "

@@ -35,7 +35,7 @@ def main():
         assert check_lc_basis(algebra)
         report = compute_length(algebra, gens)
         assert report.length == fibonacci(n - 1)
-        terms = ",".join(map(str, report.charseq.terms[:9]))
+        terms = ",".join(map(str, report.charseq[:9]))
         if len(report.charseq) > 9:
             terms += ",..."
         print(f"{n:>3} {report.length:>6} {fibonacci(n-1):>8}  ({terms})")
@@ -44,7 +44,7 @@ def main():
     n = 8
     algebra, gens = make_example("fib-lc", n)
     seq = compute_length(algebra, gens).charseq
-    print(f"n = {n}: sequence {tuple(seq.terms)}")
+    print(f"n = {n}: sequence {seq}")
     strict = check_addition_chain(seq, strict=True)
     print("no-doubling decompositions (indices must differ):")
     for h, t1, t2 in strict.witnesses:

@@ -38,7 +38,7 @@ def show_run(title, algebra, gens, **opts):
     )
     print(f"{title}")
     print(f"  dims {report.dims}")
-    print(f"  charseq {tuple(report.charseq.terms)}  ->  {outcome}")
+    print(f"  charseq {report.charseq}  ->  {outcome}")
     return report
 
 
@@ -69,7 +69,7 @@ def main():
     print("fib-lc(6) with S = {e1}: one non-real element only spans a copy of C")
     report = show_run("  general window", algebra, single)
     show_run("  locally-complex window (lc_shortcut)", algebra, single, lc_shortcut=True)
-    tail = dims_from_charseq(report.charseq.terms, TAIL_K)
+    tail = dims_from_charseq(report.charseq, TAIL_K)
     print(f"  dims out to k = {TAIL_K}: {tuple(tail)}")
     print("  both windows stop on the final dimension; the tail stays there.")
 

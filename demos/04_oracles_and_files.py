@@ -35,7 +35,7 @@ def main():
     kmax = 6
     words = sum(bracketed_word_count(len(gens), k) for k in range(1, kmax + 1))
     oracle = enumerate_words_spans(algebra, gens, kmax)
-    engine = dims_from_charseq(compute_length(algebra, gens).charseq.terms, kmax)
+    engine = dims_from_charseq(compute_length(algebra, gens).charseq, kmax)
     print(f"fib-lc(5), kmax = {kmax}: {words} bracketed words evaluated")
     print(f"  oracle dims {oracle}")
     print(f"  engine dims {engine}")
@@ -53,7 +53,7 @@ def main():
     random_algebra = Algebra.from_products(GF(3), n, products)
     gens = ((0, 1, 0, 0), (0, 0, 1, 2))
     oracle = enumerate_words_spans(random_algebra, gens, 7)
-    engine = dims_from_charseq(compute_length(random_algebra, gens).charseq.terms, 7)
+    engine = dims_from_charseq(compute_length(random_algebra, gens).charseq, 7)
     print(f"  oracle {oracle}")
     print(f"  engine {engine}")
     print(f"  agree: {oracle == engine}")

@@ -49,7 +49,6 @@ from .families import FAMILY_NAMES, make_example
 from .fields import GF, QQ, Field, PrimeField, RationalField
 from .fileformat import parse_algebra, parse_gens, serialize_algebra
 from .length import (
-    CharSeq,
     LengthReport,
     STOP_FULL_DIM,
     STOP_LC_WINDOW,
@@ -80,7 +79,6 @@ __all__ = [
     "BudgetExceeded",
     "CHECKS",
     "ChainCheck",
-    "CharSeq",
     "DivisionByZero",
     "DuplicateProduct",
     "EchelonSubspace",

@@ -22,7 +22,6 @@ from typing import Mapping, Sequence
 
 from .errors import (
     EmptyGeneratingSet,
-    FieldMismatch,
     NotLocallyComplex,
     PrimeFieldNotAllowed,
     RangeError,
@@ -129,12 +128,6 @@ class Algebra:
         if len(v) != self.n:
             raise ShapeError(f"vector of length {len(v)}, algebra dimension {self.n}")
         return tuple(self.field.coerce(x) for x in v)
-
-    def basis_index(self, name: str) -> int:
-        try:
-            return self.basis_names.index(name)
-        except ValueError:
-            raise FieldMismatch(f"unknown basis name {name!r}") from None
 
     # ----- multiplication ------------------------------------------------
 

@@ -72,6 +72,14 @@ class NotGenerating(AlgLengthError):
     """Raised by the CLI when --require-generating is set and S does not generate."""
 
 
+class ChecksFailed(AlgLengthError):
+    """Raised by the CLI, after its report, when ``verify`` finds a failing check."""
+
+
+class OracleMismatch(AlgLengthError):
+    """Raised by the CLI, after its report, when the engine and word oracle disagree."""
+
+
 class ParseError(AlgLengthError):
     """Syntax or semantic error in an algebra file or generator spec.
 

@@ -43,7 +43,7 @@ def _power2(n: int, field: Field):
     if n < 3:
         raise RangeError(f"power2 needs n >= 3, got {n}")
     products = {(k, k): {k + 1: 1} for k in range(1, n - 1)}
-    return n, products, ("e1",)
+    return n, products, (1,)
 
 
 def _stall_chain(n: int, field: Field):
@@ -53,7 +53,7 @@ def _stall_chain(n: int, field: Field):
     products = {(1, 1): {2: 1}, (n, n): {n + 1: 1}}
     for i in range(2, n):
         products[(1, i)] = {i + 1: 1}
-    return dim, products, ("e1",)
+    return dim, products, (1,)
 
 
 def _fib_lc(n: int, field: Field):
@@ -63,7 +63,7 @@ def _fib_lc(n: int, field: Field):
     for k in range(1, n - 2):
         products[(k, k + 1)] = {k + 2: 1}
         products[(k + 1, k)] = {k + 2: -1}
-    return n, products, ("e1", "e2")
+    return n, products, (1, 2)
 
 
 def _lc_gap7(n: int | None, field: Field):
@@ -73,7 +73,7 @@ def _lc_gap7(n: int | None, field: Field):
     for (i, j), k in (((1, 2), 4), ((1, 3), 5), ((4, 5), 6)):
         products[(i, j)] = {k: 1}
         products[(j, i)] = {k: -1}
-    return 7, products, ("e1", "e2", "e3")
+    return 7, products, (1, 2, 3)
 
 
 def _lc_gap_family(n: int, field: Field):
@@ -87,7 +87,7 @@ def _lc_gap_family(n: int, field: Field):
     for (i, j), k in pairs:
         products[(i, j)] = {k: 1}
         products[(j, i)] = {k: -1}
-    return dim, products, ("e1", "e2")
+    return dim, products, (1, 2)
 
 
 def make_example(family: str, n: int | None = None, field: Field = QQ) -> tuple[Algebra, GenSet]:
@@ -101,21 +101,21 @@ def make_example(family: str, n: int | None = None, field: Field = QQ) -> tuple[
     if n is not None and n > MAX_N:
         raise BudgetExceeded(f"size parameter {n} exceeds the limit {MAX_N}", count=None)
     if family == "lc-gap7":
-        dim, products, gen_names = _lc_gap7(n, field)
+        dim, products, gen_indices = _lc_gap7(n, field)
     else:
         if n is None:
             raise RangeError(f"family {family!r} needs the size parameter n")
         if family == "power2":
-            dim, products, gen_names = _power2(n, field)
+            dim, products, gen_indices = _power2(n, field)
         elif family == "stall-chain":
-            dim, products, gen_names = _stall_chain(n, field)
+            dim, products, gen_indices = _stall_chain(n, field)
         elif family == "fib-lc":
-            dim, products, gen_names = _fib_lc(n, field)
+            dim, products, gen_indices = _fib_lc(n, field)
         elif family == "lc-gap-family":
-            dim, products, gen_names = _lc_gap_family(n, field)
+            dim, products, gen_indices = _lc_gap_family(n, field)
         else:
             raise RangeError(f"unknown family {family!r}; choose from {FAMILY_NAMES}")
     lc = family in _LC_FAMILIES and field.modulus is None
     algebra = Algebra.from_products(field, dim, products, lc_flag=lc)
-    gens = tuple(algebra.basis_vector(algebra.basis_index(name)) for name in gen_names)
+    gens = tuple(algebra.basis_vector(i) for i in gen_indices)
     return algebra, gens

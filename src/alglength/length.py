@@ -46,23 +46,6 @@ STOP_WINDOW = "stabilized_window"
 STOP_LC_WINDOW = "stabilized_lc_window"
 
 
-@dataclass(frozen=True)
-class CharSeq:
-    """Characteristic sequence; ``partial`` marks a non-generating run."""
-
-    terms: tuple[int, ...]
-    partial: bool = False
-
-    def __iter__(self):
-        return iter(self.terms)
-
-    def __len__(self):
-        return len(self.terms)
-
-    def __getitem__(self, i):
-        return self.terms[i]
-
-
 def dims_from_charseq(terms: Sequence[int], kmax: int) -> list[int]:
     """dim L_0, ..., dim L_kmax: dim L_k is the number of terms <= k.
 
@@ -77,13 +60,14 @@ class LengthReport:
     """Result of a length computation.
 
     ``length`` is None when S does not generate; ``stop_reason`` says why the
-    run ended.  ``charseq`` is partial in the non-generating case.
+    run ended.  ``charseq`` holds the terms of the characteristic sequence,
+    partial in the non-generating case.
     ``fresh_basis`` lists the nonempty groups of basis increments by word
     length (length 0 is the unit).
     """
 
     n: int
-    charseq: CharSeq
+    charseq: tuple[int, ...]
     length: Optional[int]
     stop_reason: str
     fresh_basis: tuple[tuple[int, tuple[Vector, ...]], ...] = field(default=())
@@ -103,9 +87,9 @@ class LengthReport:
         """
         kmax = self.length
         if kmax is None:
-            g = self.charseq.terms[-1]
+            g = self.charseq[-1]
             kmax = max(2 * g - (self.stop_reason == STOP_LC_WINDOW), 1)
-        return tuple(dims_from_charseq(self.charseq.terms, kmax))
+        return tuple(dims_from_charseq(self.charseq, kmax))
 
 
 def _insert_all(
@@ -181,10 +165,7 @@ def compute_length(
 
     return LengthReport(
         n=n,
-        charseq=CharSeq(
-            tuple(a for a, rows in fresh.items() for _ in rows),
-            partial=length is None,
-        ),
+        charseq=tuple(a for a, rows in fresh.items() for _ in rows),
         length=length,
         stop_reason=stop,
         fresh_basis=tuple(fresh.items()),

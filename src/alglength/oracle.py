@@ -31,8 +31,10 @@ DEFAULT_KMAX_LIMIT = 10
 DEFAULT_GENS_LIMIT = 3
 # Most subspaces brute_force_algebra_length enumerates.
 SUBSPACE_BUDGET = 4096
-# Largest kmax for which a BudgetExceeded error counts the candidate words;
-# the count is a sum of kmax big Catalan numbers, too costly for huge kmax.
+# Most candidate words enumerate_words_spans evaluates, over all k <= kmax.
+WORD_BUDGET = 1_000_000
+# Largest kmax for which the candidate words are counted; the count is a sum
+# of kmax big Catalan numbers, too costly for huge kmax.
 COUNT_KMAX_LIMIT = 64
 
 
@@ -83,18 +85,22 @@ def enumerate_words_spans(
     gens,
     kmax: int,
 ) -> list[int]:
-    """Exact dims of L_0..L_kmax by exhaustive bracketed-word evaluation."""
+    """Exact dims of L_0..L_kmax by exhaustive bracketed-word evaluation.
+
+    Raises BudgetExceeded for kmax above 10, more than 3 generators, or more
+    than :data:`WORD_BUDGET` candidate words in total.
+    """
     if kmax < 0:
         raise RangeError(f"kmax must be >= 0, got {kmax}")
     gens = coerce_genset(algebra, gens)
-    if kmax > DEFAULT_KMAX_LIMIT or len(gens) > DEFAULT_GENS_LIMIT:
-        what, total = f"kmax={kmax}, {len(gens)} generators", None
-        if kmax <= COUNT_KMAX_LIMIT:
-            total = sum(bracketed_word_count(len(gens), k) for k in range(1, kmax + 1))
-            what = f"{total} candidate words ({what})"
+    what, total = f"kmax={kmax}, {len(gens)} generators", None
+    if kmax <= COUNT_KMAX_LIMIT:
+        total = sum(bracketed_word_count(len(gens), k) for k in range(1, kmax + 1))
+        what = f"{total} candidate words ({what})"
+    if kmax > DEFAULT_KMAX_LIMIT or len(gens) > DEFAULT_GENS_LIMIT or total > WORD_BUDGET:
         raise BudgetExceeded(
             f"{what} exceeds the kmax<={DEFAULT_KMAX_LIMIT}, "
-            f"|S|<={DEFAULT_GENS_LIMIT} budget",
+            f"|S|<={DEFAULT_GENS_LIMIT}, {WORD_BUDGET} words budget",
             count=total,
         )
     space, _ = EchelonSubspace.empty(algebra.field, algebra.n).insert(algebra.unit())

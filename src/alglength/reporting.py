@@ -30,8 +30,8 @@ def vector_payload(field: Field, vector) -> list[str]:
 
 def length_report_payload(report: LengthReport, field: Field) -> dict:
     return {
-        "charseq": list(report.charseq.terms),
-        "charseq_partial": report.charseq.partial,
+        "charseq": list(report.charseq),
+        "charseq_partial": not report.is_generating,
         "length": report.length,
         "generating": report.is_generating,
         "stop_reason": report.stop_reason,

@@ -14,7 +14,6 @@ from alglength import (
     STOP_LC_WINDOW,
     STOP_WINDOW,
     Algebra,
-    CharSeq,
     EchelonSubspace,
     GF,
     compute_length,
@@ -199,7 +198,7 @@ def nested_generating_pair(rng: random.Random, algebra: Algebra, tries: int = 40
 
 def assert_filtration_identity(report) -> None:
     """dims[k] must equal max{t | m_t <= k} + 1 at every recorded step."""
-    m = report.charseq.terms
+    m = report.charseq
     dims = report.dims
     assert all(a <= b for a, b in zip(dims, dims[1:]))
     assert dims[0] == 1 and dims[-1] <= report.n
@@ -274,17 +273,17 @@ def initial_state(algebra: Algebra, gens) -> LayerState:
     )
 
 
-def reference_charseq(dims, partial: bool = False) -> CharSeq:
+def reference_charseq(dims) -> tuple[int, ...]:
     terms = [0]
     for k in range(1, len(dims)):
         terms.extend([k] * (dims[k] - dims[k - 1]))
-    return CharSeq(tuple(terms), partial)
+    return tuple(terms)
 
 
 @dataclass(frozen=True)
 class ReferenceRun:
     dims: tuple[int, ...]
-    charseq: CharSeq
+    charseq: tuple[int, ...]
     length: Optional[int]
     stop_reason: str
     fresh_basis: tuple[tuple[int, tuple[Vector, ...]], ...]
@@ -330,7 +329,7 @@ def reference_run(
     dims = tuple(state.dims)
     return ReferenceRun(
         dims=dims,
-        charseq=reference_charseq(dims, partial=length is None),
+        charseq=reference_charseq(dims),
         length=length,
         stop_reason=stop,
         fresh_basis=state.fresh_groups(),

@@ -315,3 +315,94 @@ def test_bad_paths_are_one_error_line(pow2_file, tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error[ParseError]: cannot ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["gen-example", "--family", "power2", "--n", "4", "--lc-shortcut"], "--lc-shortcut"),
+        (["gen-example", "--family", "power2", "--n", "4", "--algebra", "a.alg"], "--algebra"),
+        (["brute-force", "--require-generating"], "--require-generating"),
+    ],
+    ids=["gen-example-lc-shortcut", "gen-example-algebra", "brute-force-require-generating"],
+)
+def test_flag_a_subcommand_does_not_take_is_a_usage_error(pow2_file, tmp_path, capsys,
+                                                          argv, flag):
+    out = tmp_path / "out.alg"
+    where = ["--out", str(out)] if argv[0] == "gen-example" else ["--algebra", str(pow2_file)]
+    code = main(argv + where)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"unrecognized arguments: {flag}" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("require", [[], ["--require-generating"]], ids=["plain", "require"])
+def test_dims_lc_shortcut_needs_locally_complex_basis(pow2_file, capsys, require):
+    argv = ["dims", "--algebra", str(pow2_file), "--gens", "e1", "--kmax", "6",
+            "--lc-shortcut"]
+    code = main(argv + require)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error[NotLocallyComplex]:")
+    assert captured.err.count("\n") == 1
+
+
+def test_oracle_check_require_generating(pow2_file, tmp_path, capsys):
+    report = tmp_path / "r.json"
+    code = main(["oracle-check", "--algebra", str(pow2_file), "--gens", "e2", "--kmax", "5",
+                 "--require-generating", "--json", str(report)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error[NotGenerating]:")
+    assert captured.err.count("\n") == 1
+    assert not report.exists()
+
+
+def test_oracle_check_word_budget_is_one_error_line(tmp_path, capsys):
+    alg = tmp_path / "g7.alg"
+    assert main(["gen-example", "--family", "lc-gap7", "--out", str(alg)]) == 0
+    capsys.readouterr()
+    start = time.perf_counter()
+    code = main(["oracle-check", "--algebra", str(alg), "--gens", "e1,e2,e3", "--kmax", "10"])
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error[BudgetExceeded]:")
+    assert captured.err.count("\n") == 1
+
+
+_ENGINE_OPTIONS = {"gens", "lc_shortcut", "require_generating"}
+
+
+@pytest.mark.parametrize(
+    "argv,options",
+    [
+        (["length", "--gens", "e1"], _ENGINE_OPTIONS),
+        (["charseq", "--gens", "e1"], _ENGINE_OPTIONS),
+        (["dims", "--gens", "e1", "--kmax", "3"], _ENGINE_OPTIONS | {"kmax"}),
+        (["verify", "--gens", "e1"], _ENGINE_OPTIONS | {"checks"}),
+        (["oracle-check", "--gens", "e1", "--kmax", "3"], _ENGINE_OPTIONS | {"kmax"}),
+        (["brute-force"], set()),
+        (["gen-example", "--family", "power2", "--n", "3"], {"family", "n", "field"}),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else None,
+)
+def test_report_options_are_the_subcommands_own_arguments(tmp_path, capsys, argv, options):
+    alg = tmp_path / "p3.alg"
+    assert main(["gen-example", "--family", "power2", "--n", "3", "--field", "prime:2",
+                 "--out", str(alg)]) == 0
+    where = ["--out", str(tmp_path / "out.alg")] if argv[0] == "gen-example" else [
+        "--algebra", str(alg)]
+    report = tmp_path / "r.json"
+    assert main(argv + where + ["--json", str(report)]) == 0
+    capsys.readouterr()
+    payload = json.loads(report.read_text())
+    assert payload["command"] == argv[0]
+    assert set(payload["options"]) == options
+    if argv[0] == "verify":
+        assert payload["options"]["checks"] == ["chain", "power"]

@@ -40,10 +40,10 @@ def test_power2_4_reference_run():
     algebra, gens = make_example("power2", 4)
     report = compute_length(algebra, gens)
     assert report.length == 4
-    assert report.charseq.terms == (0, 1, 2, 4)
+    assert report.charseq == (0, 1, 2, 4)
     assert report.dims == (1, 2, 3, 3, 4)
     assert report.stop_reason == STOP_FULL_DIM
-    assert not report.charseq.partial
+    assert report.is_generating
     assert_filtration_identity(report)
 
 
@@ -51,7 +51,7 @@ def test_fib_lc_5_reference_run():
     algebra, gens = make_example("fib-lc", 5)
     report = compute_length(algebra, gens)
     assert report.length == 3
-    assert report.charseq.terms == (0, 1, 1, 2, 3)
+    assert report.charseq == (0, 1, 1, 2, 3)
     assert report.dims == (1, 3, 4, 5)
 
 
@@ -61,13 +61,13 @@ def test_full_basis_has_length_one():
         gens = tuple(algebra.basis_vector(i) for i in range(1, algebra.n))
         report = compute_length(algebra, gens)
         assert report.length == 1
-        assert report.charseq.terms == (0,) + (1,) * (algebra.n - 1)
+        assert report.charseq == (0,) + (1,) * (algebra.n - 1)
 
 
 def test_stall_chain_plateau():
     algebra, gens = make_example("stall-chain", 3)
     report = compute_length(algebra, gens)
-    assert report.charseq.terms == (0, 1, 2, 3, 6)
+    assert report.charseq == (0, 1, 2, 3, 6)
     assert report.dims == (1, 2, 3, 4, 4, 4, 5)
 
 
@@ -124,17 +124,18 @@ def test_unit_only_degenerate_window():
     assert report.length is None
     assert report.stop_reason == STOP_WINDOW
     assert report.dims == (1, 1)
-    assert report.charseq.partial
+    assert report.charseq == (0,)
 
 
 def test_charseq_partial_flag():
+    # A partial sequence is one whose run does not generate.
     algebra, _ = make_example("power2", 4)
     report = compute_length(algebra, (algebra.basis_vector(2),))
-    seq = report.charseq
-    assert seq.partial
-    assert seq.terms[0] == 0
+    assert not report.is_generating
+    assert report.charseq == (0, 1, 2)
     generating = compute_length(algebra, (algebra.basis_vector(1),))
-    assert not generating.charseq.partial
+    assert generating.is_generating
+    assert generating.charseq == (0, 1, 2, 4)
 
 
 def test_dims_from_charseq_examples():
@@ -144,7 +145,7 @@ def test_dims_from_charseq_examples():
         ((1, 5), (0, 1, 1, 1, 1)),
     )
     for dims, terms in examples:
-        assert reference_charseq(dims).terms == terms
+        assert reference_charseq(dims) == terms
         assert dims_from_charseq(terms, len(dims) - 1) == list(dims)
     assert dims_from_charseq((0, 1, 2, 4), 6) == [1, 2, 3, 3, 4, 4, 4]
     assert dims_from_charseq((0,), 0) == [1]
@@ -220,7 +221,7 @@ def test_dim_one_algebra_has_length_zero():
     algebra = Algebra.from_products(QQ, 1, {})
     report = compute_length(algebra, (algebra.unit(),))
     assert report.length == 0
-    assert report.charseq.terms == (0,)
+    assert report.charseq == (0,)
 
 
 def test_sequence_has_n_terms_and_ends_at_length():
@@ -231,7 +232,7 @@ def test_sequence_has_n_terms_and_ends_at_length():
         report = compute_length(algebra, gens)
         assert report.is_generating
         assert len(report.charseq) == algebra.n
-        assert report.charseq.terms[-1] == report.length
+        assert report.charseq[-1] == report.length
         assert_filtration_identity(report)
 
 
@@ -240,8 +241,8 @@ def test_fresh_count_matches_multiplicity():
         algebra, gens = make_example(family, n)
         report = compute_length(algebra, gens)
         counts = {length: len(vs) for length, vs in report.fresh_basis}
-        for k in set(report.charseq.terms):
-            assert counts.get(k, 0) == list(report.charseq.terms).count(k)
+        for k in set(report.charseq):
+            assert counts.get(k, 0) == list(report.charseq).count(k)
 
 
 def test_equal_spans_give_identical_results():
@@ -255,9 +256,9 @@ def test_equal_spans_give_identical_results():
             continue
         r0 = compute_length(algebra, gens)
         r1 = compute_length(algebra, other)
-        assert (r0.dims, r0.charseq.terms, r0.length) == (
+        assert (r0.dims, r0.charseq, r0.length) == (
             r1.dims,
-            r1.charseq.terms,
+            r1.charseq,
             r1.length,
         )
         done += 1
@@ -299,7 +300,7 @@ def test_engine_matches_word_oracle_on_random_algebras():
         algebra = random_unital_algebra(rng, rng.randint(2, 4), rng.choice((2, 3)))
         gens = random_genset(rng, algebra, max_size=2)
         kmax = 6
-        engine = compute_length(algebra, gens).charseq.terms
+        engine = compute_length(algebra, gens).charseq
         assert enumerate_words_spans(algebra, gens, kmax) == dims_from_charseq(
             engine, kmax
         )

@@ -19,7 +19,7 @@ from alglength import (
     make_example,
     subspace_count,
 )
-from alglength.oracle import SUBSPACE_BUDGET
+from alglength.oracle import SUBSPACE_BUDGET, WORD_BUDGET
 
 from helpers import random_genset, random_unital_algebra
 
@@ -60,7 +60,7 @@ def test_words_spans_kmax_zero():
 def test_words_spans_fib_lc():
     algebra, gens = make_example("fib-lc", 5)
     assert enumerate_words_spans(algebra, gens, 3) == [1, 3, 4, 5]
-    terms = compute_length(algebra, gens).charseq.terms
+    terms = compute_length(algebra, gens).charseq
     assert dims_from_charseq(terms, 3) == [1, 3, 4, 5]
 
 
@@ -72,6 +72,18 @@ def test_words_budget_enforced():
     big = tuple(algebra.basis_vector(1) for _ in range(4))
     with pytest.raises(BudgetExceeded):
         enumerate_words_spans(algebra, big, 3)
+
+
+def test_words_budget_bounds_the_total_word_count():
+    # kmax = 8 and |S| = 3 are each within their own limit, but together
+    # they give sum_{k<=8} Catalan(k-1) * 3^k words.
+    algebra, _ = make_example("lc-gap7")
+    gens = tuple(algebra.basis_vector(i) for i in (1, 2, 3))
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded) as info:
+        enumerate_words_spans(algebra, gens, 8)
+    assert time.perf_counter() - start < 0.5
+    assert info.value.count == 3_137_844 > WORD_BUDGET
 
 
 def test_words_budget_for_huge_kmax_is_immediate():
@@ -99,7 +111,7 @@ def test_oracle_agrees_with_engine_on_families():
         algebra, gens = make_example(family, n)
         if len(gens) > 2 and kmax > 5:
             kmax = 5
-        terms = compute_length(algebra, gens).charseq.terms
+        terms = compute_length(algebra, gens).charseq
         assert enumerate_words_spans(algebra, gens, kmax) == dims_from_charseq(
             terms, kmax
         ), family
@@ -110,7 +122,7 @@ def test_oracle_agrees_with_engine_on_random_tables():
     for _ in range(20):
         algebra = random_unital_algebra(rng, rng.randint(2, 4), rng.choice((2, 3)))
         gens = random_genset(rng, algebra, max_size=2)
-        terms = compute_length(algebra, gens).charseq.terms
+        terms = compute_length(algebra, gens).charseq
         assert enumerate_words_spans(algebra, gens, 7) == dims_from_charseq(terms, 7)
 
 

@@ -6,12 +6,15 @@ Usage:
 
 Both trees run the same argument lists: the README examples, the bench
 ``CLI_FAMILIES`` family files, two sparse files shaped like the bench's
-``CLI_SPARSE`` ones (each with non-generating sets too) and the dim-1
-algebra, where ``fib-k`` has no k, with and without ``--lc-shortcut``,
-through ``length``, ``charseq``, ``dims``, ``verify`` and ``oracle-check``.
-``verify`` also runs with reordered and repeated check tokens, ``lc`` and an
-unknown token.  For every run the exit code, stdout,
-stderr and the ``--json`` bytes must be equal.  Each tree runs in its own
+``CLI_SPARSE`` ones (each with non-generating sets too), two seeded dense
+tables (over Q and GF(101), every non-unit product nonzero, run with two
+random coordinate rows, so that no fresh row is a basis vector) and the
+dim-1 algebra, where ``fib-k`` has no k, with and without
+``--lc-shortcut``, through ``length``, ``charseq``, ``dims``, ``verify`` and
+``oracle-check``, the last also with ``--require-generating``.  ``verify``
+also runs with reordered and repeated check tokens, ``lc`` and an unknown
+token.  For every run the exit code, stdout, stderr and the ``--json`` bytes
+must be equal.  Each tree runs in its own
 interpreter, so the two packages never share a process.  Exit status 0
 means every run agreed.
 """
@@ -21,6 +24,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import random
 import subprocess
 import sys
 import tempfile
@@ -52,6 +56,8 @@ EXTRA_GENS = {"power2": ["e2"], "fib-lc": ["e1", "e3"], "stall-chain": ["e2"],
 # (dim, field line, coefficient): sparse files like the bench's CLI_SPARSE.
 SPARSE_FILES = ((100, "rational", "-2/5"), (150, "prime 10007", "5000"))
 SPARSE_CHAIN = 5
+# (dim, field line, seed): dense tables with every non-unit product nonzero.
+DENSE_FILES = ((5, "rational", 11), (6, "prime 101", 12))
 UNIT_ONLY = "alglength-algebra v1\nfield rational\ndim 1\nbasis 1\n"
 
 
@@ -78,6 +84,27 @@ def _sparse_text(dim: int, field: str, coeff: str) -> tuple[str, list[str]]:
                                       f"e{xs[m + 2]}"]
 
 
+def _dense_text(dim: int, field: str, seed: int) -> tuple[str, list[str]]:
+    """A seeded table whose non-unit products are all nonzero, entries in [-2, 2].
+
+    Returns the v1 text and one --gens value: two random coordinate rows.
+    """
+    rng = random.Random(seed)
+    names = ["1"] + [f"e{i}" for i in range(1, dim)]
+    lines = ["alglength-algebra v1", f"field {field}", f"dim {dim}",
+             "basis " + " ".join(names)]
+    for i in range(1, dim):
+        for j in range(1, dim):
+            row = [0]
+            while not any(row):
+                row = [rng.randint(-2, 2) for _ in range(dim)]
+            terms = [f"{c}*{names[k]}" for k, c in enumerate(row) if c]
+            lines.append(f"prod e{i} e{j} = " + " + ".join(terms))
+    rows = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(2)]
+    gens = ";".join("[" + ", ".join(map(str, row)) + "]" for row in rows)
+    return "\n".join(lines) + "\n", [gens]
+
+
 def _cases(workdir: Path) -> list[list[str]]:
     gen = []  # gen-example runs, made once by the new tree
     runs = []
@@ -88,6 +115,11 @@ def _cases(workdir: Path) -> list[list[str]]:
     for dim, field, coeff in SPARSE_FILES:
         text, gen_sets = _sparse_text(dim, field, coeff)
         name = f"sparse_{dim}.alg"
+        (workdir / name).write_text(text, encoding="utf-8")
+        files.append((name, None, None, None, gen_sets))
+    for dim, field, seed in DENSE_FILES:
+        text, gen_sets = _dense_text(dim, field, seed)
+        name = f"dense_{dim}.alg"
         (workdir / name).write_text(text, encoding="utf-8")
         files.append((name, None, None, None, gen_sets))
     (workdir / "unit_only.alg").write_text(UNIT_ONLY, encoding="utf-8")
@@ -115,6 +147,7 @@ def _cases(workdir: Path) -> list[list[str]]:
                     ["verify", "--checks", "lc,power,power"] + base,
                     ["verify", "--checks", "chain,bogus"] + base,
                     ["oracle-check", "--kmax", "5"] + base,
+                    ["oracle-check", "--kmax", "5", "--require-generating"] + base,
                 ]
     p3 = str(workdir / "p3.alg")
     gen.append(["gen-example", "--family", "power2", "--n", "3", "--out", p3,
