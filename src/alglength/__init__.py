@@ -34,7 +34,6 @@ from .errors import (
     EmptyGeneratingSet,
     FieldMismatch,
     KOutOfRange,
-    NoGeneratingSet,
     NotGenerating,
     NotLocallyComplex,
     ParseError,
@@ -89,7 +88,6 @@ __all__ = [
     "GF",
     "KOutOfRange",
     "LengthReport",
-    "NoGeneratingSet",
     "NotGenerating",
     "NotLocallyComplex",
     "ParseError",

@@ -115,13 +115,14 @@ def check_power_bound(seq) -> BoundCheck:
 def check_fibonacci_bound(seq, k: int = 1) -> BoundCheck:
     """Fibonacci bound for sequences of locally-complex generating sets.
 
-    For k = 1 this is the pointwise bound m_h <= F_h.  For k >= 2 (a set
-    with k generators independent modulo the unit) it requires
-    m_1 = ... = m_k = 1 and m_{k+h} <= F_{h+2} for -1 <= h <= N-k.
+    For k = 1 this is the pointwise bound m_h <= F_h, vacuous on the
+    unit-only sequence (0,).  For k >= 2 (a set with k generators
+    independent modulo the unit) it requires m_1 = ... = m_k = 1 and
+    m_{k+h} <= F_{h+2} for -1 <= h <= N-k.
     """
     m = ensure_wellformed(seq)
     N = len(m) - 1
-    if not 1 <= k <= N:
+    if k != 1 and not 1 <= k <= N:
         raise KOutOfRange(f"k = {k} outside 1..{N}")
     failures = []
     equalities = []
@@ -197,7 +198,5 @@ def verify_sequence(seq, checks: Iterable[str]) -> BoundReport:
     m = tuple(seq)
     if not is_wellformed_sequence(m):
         return BoundReport(wellformed=False, checks={})
-    # Run in reverse table order: on the unit-only sequence (0,) both fib and
-    # fib-k raise KOutOfRange, and fib-k's message names the actual problem.
-    verdicts = {t: CHECKS[t][1](m) for t in reversed(CHECKS) if t in wanted}
-    return BoundReport(wellformed=True, checks=dict(reversed(verdicts.items())))
+    verdicts = {t: CHECKS[t][1](m) for t in CHECKS if t in wanted}
+    return BoundReport(wellformed=True, checks=verdicts)

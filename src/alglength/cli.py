@@ -25,6 +25,7 @@ one line ``error[<Class>]: <message>`` to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -62,6 +63,7 @@ def _check_tokens(text: str) -> list[str]:
     return [t.strip() for t in text.split(",") if t.strip()]
 
 
+@functools.cache  # built once per process; main only parses with it
 def _build_parser() -> argparse.ArgumentParser:
     algebra_arg = argparse.ArgumentParser(add_help=False)
     algebra_arg.add_argument("--algebra", metavar="PATH", help="algebra file (v1 format)")

@@ -1,20 +1,21 @@
-"""Subspaces maintained in canonical reduced row-echelon form.
+"""Subspaces held as row-echelon bases, grown by plain Gaussian elimination.
 
-An :class:`EchelonSubspace` stores a basis as RREF rows with strictly
-increasing pivot columns.  Because the reduced form is unique, two objects
-span the same subspace exactly when their ``rows`` are equal, which makes
-span-stabilization tests (L_m == L_n iff equal dims) structural comparisons.
+An :class:`EchelonSubspace` stores a basis as rows with strictly increasing
+pivot columns.  Each row is 1 at its pivot, 0 left of it, and 0 at the pivot
+of every row inserted before it; the rows are not back-substituted, so equal
+spans may have different rows.
 
-Insertion is incremental: reduce the new vector against the current rows,
-pick the leftmost surviving nonzero coordinate as its pivot, scale the pivot
-to 1, and eliminate that column from the older rows.  The result does not
-depend on insertion order.
+Insertion reduces the new vector against the current rows, picks the leftmost
+surviving nonzero coordinate as its pivot, scales the pivot to 1 and slots the
+row in by pivot; no older row changes.  The residue is the one vector of
+v + span(rows) that is 0 at every pivot, so it depends only on the span and
+not on which echelon basis of it is stored.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import ShapeError
 from .fields import Field, Scalar
@@ -23,7 +24,7 @@ Vector = tuple  # tuple[Scalar, ...]
 
 
 class EchelonSubspace:
-    """Immutable subspace of F^ambient held as a reduced-echelon basis."""
+    """Immutable subspace of F^ambient held as a row-echelon basis."""
 
     __slots__ = ("field", "ambient", "rows", "pivots")
 
@@ -44,15 +45,6 @@ class EchelonSubspace:
         if ambient < 0:
             raise ShapeError(f"ambient dimension must be >= 0, got {ambient}")
         return cls(field, ambient)
-
-    @classmethod
-    def spanned_by(
-        cls, field: Field, ambient: int, vectors: Iterable[Sequence[Scalar]]
-    ) -> "EchelonSubspace":
-        space = cls.empty(field, ambient)
-        for v in vectors:
-            space, _ = space.insert(tuple(v))
-        return space
 
     @property
     def dim(self) -> int:
@@ -78,9 +70,6 @@ class EchelonSubspace:
                     out = [(x - c * r) % mod for x, r in zip(out, row)]
         return out
 
-    def contains(self, v: Sequence[Scalar]) -> bool:
-        return not any(self.reduce(v))
-
     def insert(self, v: Sequence[Scalar]) -> tuple["EchelonSubspace", Optional[Vector]]:
         """Insert ``v``; returns (new space, added row) with row None when spanned.
 
@@ -92,39 +81,16 @@ class EchelonSubspace:
         pivot = next((j for j, x in enumerate(residue) if x), None)
         if pivot is None:
             return self, None
-        field = self.field
-        mod = field.modulus
-        lead_inv = field.inv(residue[pivot])
+        mod = self.field.modulus
+        lead_inv = self.field.inv(residue[pivot])
         if mod is None:
             newrow = tuple(x * lead_inv for x in residue)
         else:
             newrow = tuple((x * lead_inv) % mod for x in residue)
-        # Clear the new pivot column from the existing rows to stay reduced.
-        updated = []
-        for row in self.rows:
-            c = row[pivot]
-            if c:
-                if mod is None:
-                    row = tuple(x - c * nr for x, nr in zip(row, newrow))
-                else:
-                    row = tuple((x - c * nr) % mod for x, nr in zip(row, newrow))
-            updated.append(row)
         at = bisect_left(self.pivots, pivot)
-        rows = tuple(updated[:at]) + (newrow,) + tuple(updated[at:])
+        rows = self.rows[:at] + (newrow,) + self.rows[at:]
         pivots = self.pivots[:at] + (pivot,) + self.pivots[at:]
         return EchelonSubspace(self.field, self.ambient, rows, pivots), newrow
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, EchelonSubspace)
-            and self.field == other.field
-            and self.ambient == other.ambient
-            and self.rows == other.rows
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.ambient, self.rows))
-
     def __repr__(self) -> str:
         return f"EchelonSubspace(dim={self.dim}, ambient={self.ambient})"
-

@@ -64,10 +64,6 @@ class BudgetExceeded(AlgLengthError):
         self.count = count
 
 
-class NoGeneratingSet(AlgLengthError):
-    """No enumerated subspace generates the algebra; flags a corrupt table."""
-
-
 class NotGenerating(AlgLengthError):
     """Raised by the CLI when --require-generating is set and S does not generate."""
 

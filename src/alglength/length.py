@@ -95,7 +95,8 @@ class LengthReport:
 def _insert_all(
     acc: EchelonSubspace, vectors: Iterable[Vector]
 ) -> tuple[EchelonSubspace, tuple[Vector, ...]]:
-    """Insert ``vectors`` in order; returns the new span and the added rows."""
+    """Insert ``vectors`` in order; returns the new span and the added rows,
+    the normalized residues of the vectors that grew it."""
     group = []
     for v in vectors:
         acc, row = acc.insert(v)
@@ -115,8 +116,9 @@ def compute_length(
     L_1 is span(unit, S); the result therefore depends on S only through
     that span.  Each visited step k inserts the products f*g over fresh
     groups of lengths a and b with a + b = k and a, b >= 1, taken in
-    ascending a, then in group order; the rows that grow the span form the
-    fresh group of length k.  With ``lc_shortcut`` the tighter
+    ascending a, then in group order; each product's nonzero residue modulo
+    the span so far, scaled to 1 at its pivot, joins the fresh group of
+    length k.  With ``lc_shortcut`` the tighter
     locally-complex window is used; it requires a basis that passes
     :func:`check_lc_basis`, which an algebra with ``lc_flag`` set has passed.
     """

@@ -1,10 +1,12 @@
 """Shared builders for randomized suites (seeded, deterministic), the dense
-reference stepper that the event-driven engine is checked against, and the
-dense-table reference for the sparse locally-complex check."""
+reference stepper that the event-driven engine is checked against, the
+reduced (Gauss-Jordan) insert it runs on, and the dense-table reference for
+the sparse locally-complex check."""
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -148,11 +150,52 @@ def find_non_generating_set(rng: random.Random, algebra: Algebra, tries: int = 4
     return None
 
 
-def span_with_unit(algebra: Algebra, gens) -> EchelonSubspace:
-    space, _ = EchelonSubspace.empty(algebra.field, algebra.n).insert(algebra.unit())
-    for v in gens:
-        space, _ = space.insert(tuple(algebra.field.coerce(x) for x in v))
+def gauss_jordan_insert(
+    space: EchelonSubspace, v
+) -> tuple[EchelonSubspace, Optional[Vector]]:
+    """Reference for ``EchelonSubspace.insert``: the same normalized residue
+    of ``v`` is added, and back-substitution then clears its pivot from every
+    older row.  The rows stay the reduced row-echelon form of the span, which
+    is unique, so equal spans give equal rows whatever the insertion order."""
+    residue = space.reduce(v)
+    pivot = next((j for j, x in enumerate(residue) if x), None)
+    if pivot is None:
+        return space, None
+    mod = space.field.modulus
+    lead_inv = space.field.inv(residue[pivot])
+    if mod is None:
+        newrow = tuple(x * lead_inv for x in residue)
+    else:
+        newrow = tuple((x * lead_inv) % mod for x in residue)
+    updated = []
+    for row in space.rows:
+        c = row[pivot]
+        if c:
+            if mod is None:
+                row = tuple(x - c * nr for x, nr in zip(row, newrow))
+            else:
+                row = tuple((x - c * nr) % mod for x, nr in zip(row, newrow))
+        updated.append(row)
+    at = bisect_left(space.pivots, pivot)
+    rows = tuple(updated[:at]) + (newrow,) + tuple(updated[at:])
+    pivots = space.pivots[:at] + (pivot,) + space.pivots[at:]
+    return EchelonSubspace(space.field, space.ambient, rows, pivots), newrow
+
+
+def reduced_span(field, ambient: int, vectors) -> EchelonSubspace:
+    """The span of ``vectors`` in reduced row-echelon form."""
+    space = EchelonSubspace.empty(field, ambient)
+    for v in vectors:
+        space, _ = gauss_jordan_insert(space, tuple(v))
     return space
+
+
+def span_with_unit(algebra: Algebra, gens) -> EchelonSubspace:
+    field = algebra.field
+    unit_and_gens = (algebra.unit(),) + tuple(
+        tuple(field.coerce(x) for x in v) for v in gens
+    )
+    return reduced_span(field, algebra.n, unit_and_gens)
 
 
 def mixed_equal_span_set(rng: random.Random, algebra: Algebra, gens):
@@ -190,7 +233,7 @@ def nested_generating_pair(rng: random.Random, algebra: Algebra, tries: int = 40
             continue
         while True:
             w = random_vector(rng, n, p, nonzero=True)
-            if not space.contains(w):
+            if any(space.reduce(w)):
                 break
         return s0, s0 + (w,)
     return None
@@ -211,9 +254,9 @@ def assert_filtration_identity(report) -> None:
 class LayerState:
     """One step of the dense reference stepper.
 
-    ``acc`` spans L_k; ``fresh[length]`` holds the echelon-reduced basis
-    increments contributed at that word length (length 0 is the unit);
-    ``dims[i]`` is dim L_i for i <= k.
+    ``acc`` spans L_k in reduced row-echelon form; ``fresh[length]`` holds
+    the basis increments, normalized residues, contributed at that word
+    length (length 0 is the unit); ``dims[i]`` is dim L_i for i <= k.
     """
 
     acc: EchelonSubspace
@@ -248,7 +291,7 @@ def layer_step(algebra: Algebra, state: LayerState) -> LayerState:
         right = state.fresh[b]
         for f in state.fresh[a]:
             for g in right:
-                acc, row = acc.insert(algebra.multiply(f, g))
+                acc, row = gauss_jordan_insert(acc, algebra.multiply(f, g))
                 if row is not None:
                     group.append(row)
     fresh = dict(state.fresh)
@@ -258,14 +301,14 @@ def layer_step(algebra: Algebra, state: LayerState) -> LayerState:
 
 def initial_state(algebra: Algebra, gens) -> LayerState:
     """The state at k = 1 (k = 0 for a dimension-one algebra)."""
-    acc, unit_row = EchelonSubspace.empty(algebra.field, algebra.n).insert(
-        algebra.unit()
+    acc, unit_row = gauss_jordan_insert(
+        EchelonSubspace.empty(algebra.field, algebra.n), algebra.unit()
     )
     if algebra.n == 1:
         return LayerState(acc=acc, fresh={0: [unit_row]}, dims=[1], k=0)
     group1 = []
     for v in gens:
-        acc, row = acc.insert(tuple(algebra.field.coerce(x) for x in v))
+        acc, row = gauss_jordan_insert(acc, tuple(algebra.field.coerce(x) for x in v))
         if row is not None:
             group1.append(row)
     return LayerState(

@@ -201,3 +201,10 @@ def test_verify_sequence_token_errors():
     with pytest.raises(KOutOfRange, match="at least one generator"):
         verify_sequence((0,), ("fib", "fib-k"))
     assert verify_sequence((0,), ()).ok()
+
+
+def test_fib_is_vacuous_on_unit_only_sequence():
+    # m_h <= F_h for h >= 1 has no terms to check on (0,), as chain and power.
+    assert check_fibonacci_bound((0,)).ok
+    assert verify_sequence((0,), ("fib",)).ok()
+    assert verify_sequence((0,), ("chain", "power", "fib")).ok()

@@ -4,7 +4,7 @@ import time
 import pytest
 
 from alglength.bounds import CHECKS
-from alglength.cli import main
+from alglength.cli import _build_parser, main
 
 
 @pytest.fixture()
@@ -232,15 +232,50 @@ def test_oracle_check_huge_kmax_is_one_error_line(pow2_file, capsys):
     assert captured.err.count("\n") == 1
 
 
-def test_verify_fib_k_on_unit_only_algebra(tmp_path, capsys):
+@pytest.fixture()
+def dim1_file(tmp_path):
+    path = tmp_path / "d1.alg"
+    path.write_text("alglength-algebra v1\nfield rational\ndim 1\nbasis 1\n")
+    return path
+
+
+def test_verify_fib_k_on_unit_only_algebra(dim1_file, capsys):
     # k counts the terms equal to 1; the dim-1 algebra has none.
-    alg = tmp_path / "d1.alg"
-    alg.write_text("alglength-algebra v1\nfield rational\ndim 1\nbasis 1\n")
-    code = main(["verify", "--algebra", str(alg), "--gens", "1", "--checks", "fib-k"])
+    code = main(["verify", "--algebra", str(dim1_file), "--gens", "1", "--checks", "fib-k"])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.startswith("error[KOutOfRange]:")
     assert captured.err.count("\n") == 1
+
+
+def test_verify_fib_on_unit_only_algebra(dim1_file, capsys):
+    # m_h <= F_h for h >= 1 has no terms to check on the sequence (0,).
+    code = main(["verify", "--algebra", str(dim1_file), "--gens", "1", "--checks", "fib"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "check fib: pass" in captured.out
+    assert captured.err == ""
+
+
+def test_consecutive_main_calls_print_what_each_prints_alone(pow2_file, capsys):
+    # The parser is built once per process; a second call must not see the
+    # first one's arguments, so verify falls back to its default --checks.
+    runs = (
+        ["dims", "--algebra", str(pow2_file), "--gens", "e1", "--kmax", "5"],
+        ["verify", "--algebra", str(pow2_file), "--gens", "e1"],
+    )
+    capsys.readouterr()
+    alone = []
+    for argv in runs:
+        _build_parser.cache_clear()
+        alone.append((main(argv), capsys.readouterr()))
+    _build_parser.cache_clear()
+    together = []
+    for argv in runs:
+        together.append((main(argv), capsys.readouterr()))
+    assert together == alone
+    assert "check chain: pass" in alone[1][1].out
+    assert "check power: pass" in alone[1][1].out
 
 
 @pytest.mark.parametrize(

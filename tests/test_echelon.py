@@ -11,7 +11,7 @@ from alglength import (
     ShapeError,
 )
 
-from helpers import random_vector
+from helpers import random_vector, reduced_span
 
 
 def F(x):
@@ -45,11 +45,16 @@ def test_gf2_dependent_triple():
     assert row is None and space.dim == 2
 
 
+def random_rational_vector(rng, n):
+    return tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n))
+
+
 def test_contains():
-    space = EchelonSubspace.spanned_by(QQ, 3, [(F(1), F(1), F(0))])
-    assert space.contains((F(3), F(3), F(0)))
-    assert not space.contains((F(0), F(0), F(1)))
-    assert space.contains((F(0), F(0), F(0)))
+    # Membership is a zero residue.
+    space, _ = EchelonSubspace.empty(QQ, 3).insert((F(1), F(1), F(0)))
+    assert not any(space.reduce((F(3), F(3), F(0))))
+    assert any(space.reduce((F(0), F(0), F(1))))
+    assert not any(space.reduce((F(0), F(0), F(0))))
 
 
 def test_shape_error():
@@ -76,25 +81,22 @@ def test_span_is_order_independent():
         for _ in range(30):
             n = rng.randint(2, 5)
             vectors = [random_vector(rng, n, p) for _ in range(rng.randint(1, 6))]
-            reference = EchelonSubspace.spanned_by(GF(p), n, vectors)
+            reference = reduced_span(GF(p), n, vectors)
             for _ in range(4):
                 shuffled = vectors[:]
                 rng.shuffle(shuffled)
-                assert EchelonSubspace.spanned_by(GF(p), n, shuffled) == reference
+                assert reduced_span(GF(p), n, shuffled).rows == reference.rows
 
 
 def test_rational_order_independence():
     rng = random.Random(23)
     for _ in range(20):
         n = rng.randint(2, 4)
-        vectors = [
-            tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n))
-            for _ in range(rng.randint(1, 5))
-        ]
-        reference = EchelonSubspace.spanned_by(QQ, n, vectors)
+        vectors = [random_rational_vector(rng, n) for _ in range(rng.randint(1, 5))]
+        reference = reduced_span(QQ, n, vectors)
         shuffled = vectors[:]
         rng.shuffle(shuffled)
-        assert EchelonSubspace.spanned_by(QQ, n, shuffled) == reference
+        assert reduced_span(QQ, n, shuffled).rows == reference.rows
 
 
 def test_dim_counts_successful_inserts():
@@ -113,7 +115,7 @@ def test_contains_iff_insert_does_not_grow():
     rng = random.Random(41)
     space = EchelonSubspace.empty(GF(3), 4)
     for v in [random_vector(rng, 4, 3) for _ in range(8)]:
-        contained = space.contains(v)
+        contained = not any(space.reduce(v))
         space2, row = space.insert(v)
         assert contained == (row is None)
         space = space2
@@ -121,12 +123,60 @@ def test_contains_iff_insert_does_not_grow():
 
 def test_rows_are_reduced_echelon():
     rng = random.Random(59)
-    space = EchelonSubspace.empty(GF(5), 5)
-    for _ in range(8):
-        space, _ = space.insert(random_vector(rng, 5, 5))
+    space = reduced_span(GF(5), 5, [random_vector(rng, 5, 5) for _ in range(8)])
     assert list(space.pivots) == sorted(space.pivots)
     for i, (row, piv) in enumerate(zip(space.rows, space.pivots)):
         assert row[piv] == 1
         for j, other in enumerate(space.rows):
             if i != j:
                 assert other[piv] == 0
+
+
+def seeded_inserts():
+    """(field, vectors) cases over GF(2), GF(3), GF(5) and Q."""
+    rng = random.Random(61)
+    for p in (2, 3, 5, None):
+        for _ in range(15):
+            n = rng.randint(1, 6)
+            count = rng.randint(1, 8)
+            if p is None:
+                yield QQ, [random_rational_vector(rng, n) for _ in range(count)]
+            else:
+                yield GF(p), [random_vector(rng, n, p) for _ in range(count)]
+
+
+def test_insert_is_plain_echelon_and_keeps_older_rows():
+    for field, vectors in seeded_inserts():
+        space = EchelonSubspace.empty(field, len(vectors[0]))
+        added = []  # (row, pivot) in insertion order
+        for v in vectors:
+            grown, row = space.insert(v)
+            if row is None:
+                assert grown is space
+                continue
+            at = grown.rows.index(row)
+            pivot = grown.pivots[at]
+            assert not any(row[:pivot]) and row[pivot] == 1
+            assert all(row[p] == 0 for _, p in added)
+            # Older rows are untouched: the new row is slotted in by pivot.
+            assert grown.rows[:at] + grown.rows[at + 1:] == space.rows
+            added.append((row, pivot))
+            space = grown
+        assert list(space.pivots) == sorted(space.pivots)
+        assert sorted(added, key=lambda rp: rp[1]) == list(zip(space.rows, space.pivots))
+
+
+def test_span_matches_reduced_reference():
+    # The rows differ from the reduced ones, the span does not: every
+    # reference row reduces to 0, and the dims agree, in any insertion order.
+    rng = random.Random(67)
+    for field, vectors in seeded_inserts():
+        reference = reduced_span(field, len(vectors[0]), vectors)
+        for _ in range(3):
+            rng.shuffle(vectors)
+            space = EchelonSubspace.empty(field, len(vectors[0]))
+            for v in vectors:
+                space, _ = space.insert(v)
+            assert space.dim == reference.dim
+            assert not any(any(space.reduce(r)) for r in reference.rows)
+
