@@ -2,12 +2,18 @@
 
 An algebra of dimension n is described by the products of its basis elements:
 ``e_i * e_j = sum_k c[i][j][k] e_k``.  Basis element 0 is always the unit:
-:meth:`Algebra.from_products`, the one constructor, writes
-``e_0 * e_j = e_j`` and ``e_i * e_0 = e_i`` itself and takes only the
-non-unit products, so the unit law holds by construction.
+:meth:`Algebra.from_products`, the one constructor, takes only the non-unit
+products, and multiplication applies ``e_0 * e_j = e_j = e_j * e_0``
+itself, so the unit law holds by construction.
 Multiplication of arbitrary vectors extends the table bilinearly.  Only the
-nonzero structure constants are stored, so an algebra with a few nonzero
-products in a large basis costs O(n) plus their number, not n^3.
+nonzero non-unit structure constants are stored, so an algebra with a few
+nonzero products in a large basis costs O(n) plus their number, not n^3.
+
+The stored constants are integers: over Q the table times the common
+denominator D of its entries (1 for integer tables), over GF(p) the residues.
+A span does not change when a vector is scaled, so the length engine works
+on :meth:`Algebra.scaled_product`, D times the product with no field step,
+and only :meth:`Algebra.multiply` divides by D or reduces mod p.
 
 The "locally complex" basis predicate checks the multiplication-table face of
 that class of real algebras: every non-unit basis element squares to -1 and
@@ -18,9 +24,12 @@ entries, and ranks over Q and R agree for rational data).
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
 from .errors import (
+    BudgetExceeded,
     EmptyGeneratingSet,
     NotLocallyComplex,
     PrimeFieldNotAllowed,
@@ -31,10 +40,14 @@ from .fields import Field, Scalar
 
 Vector = tuple  # tuple[Scalar, ...]
 GenSet = tuple  # tuple[Vector, ...], nonempty
+# Most bits the integral structure constants may take together (the bits of
+# their common denominator times their number): entries with many distinct
+# denominators would otherwise each carry all of them.
+MAX_TABLE_BITS = 1 << 27
 
 
 class Algebra:
-    """Sparse structure constants with bilinear multiplication.
+    """Sparse integral structure constants with bilinear multiplication.
 
     Attributes:
         n: dimension (number of basis elements, the unit included).
@@ -42,13 +55,14 @@ class Algebra:
         basis_names: n labels; index 0 is always "1".
         lc_flag: claim that the basis passes :func:`check_lc_basis`, checked
             at construction.
+        denominator: D, the least common denominator of the structure
+            constants over Q; 1 over GF(p).
 
-    The products are stored only where nonzero: ``_rows[i]`` maps j to the
-    nonzero ``(k, coeff)`` pairs of e_i * e_j, k ascending, the unit products
-    included.
+    ``_rows[i]`` maps j >= 1 to the nonzero ``(k, c)`` pairs of e_i * e_j,
+    k ascending, with ``c`` the int D * c[i][j][k]; ``_rows[0]`` is empty.
     """
 
-    __slots__ = ("n", "field", "basis_names", "lc_flag", "_rows")
+    __slots__ = ("n", "field", "basis_names", "lc_flag", "denominator", "_rows")
 
     @classmethod
     def from_products(
@@ -63,14 +77,12 @@ class Algebra:
 
         ``products`` maps ``(i, j)`` with ``1 <= i, j < n`` to either a sparse
         ``{k: coeff}`` mapping or a full coordinate sequence.  Products
-        involving the unit are written here from the unit law; a key with a
-        0 index raises RangeError.  Costs O(n) plus the size of ``products``.
+        involving the unit follow from the unit law; a key with a 0 index
+        raises RangeError.  Costs O(n) plus the size of ``products``.
         """
         if n < 1:
             raise RangeError(f"dimension must be >= 1, got {n}")
-        one = field.one
-        rows = [{0: ((i, one),)} for i in range(n)]
-        rows[0] = {j: ((j, one),) for j in range(n)}
+        rows = [{} for _ in range(n)]
         indices = set(range(n))
         for key, value in products.items():
             if not (isinstance(key, tuple) and len(key) == 2):
@@ -95,6 +107,21 @@ class Algebra:
                 cell = tuple((k, c) for k, c in enumerate(map(field.coerce, value)) if c)
             if cell:
                 rows[i][j] = cell
+        denominator = 1
+        if field.modulus is None:
+            constants = [c for row in rows for cell in row.values() for _, c in cell]
+            denominator = lcm(*{c.denominator for c in constants})
+            if denominator.bit_length() * len(constants) > MAX_TABLE_BITS:
+                raise BudgetExceeded(
+                    f"{len(constants)} structure constants over a common denominator "
+                    f"of {denominator.bit_length()} bits exceed {MAX_TABLE_BITS} bits",
+                    count=None,
+                )
+            for row in rows:
+                for j, cell in row.items():
+                    row[j] = tuple(
+                        (k, c.numerator * (denominator // c.denominator)) for k, c in cell
+                    )
         if basis_names is None:
             basis_names = ("1",) + tuple(f"e{i}" for i in range(1, n))
         else:
@@ -106,12 +133,17 @@ class Algebra:
         algebra.field = field
         algebra.basis_names = basis_names
         algebra.lc_flag = bool(lc_flag)
+        algebra.denominator = denominator
         algebra._rows = tuple(rows)
         if algebra.lc_flag and not check_lc_basis(algebra):
             raise NotLocallyComplex(
                 "lc flag is set but the basis fails the locally-complex check"
             )
         return algebra
+
+    def constant(self, c: int) -> Scalar:
+        """The field scalar of a stored structure constant."""
+        return c if self.field.modulus is not None else Fraction(c, self.denominator)
 
     # ----- vectors -------------------------------------------------------
 
@@ -131,16 +163,21 @@ class Algebra:
 
     # ----- multiplication ------------------------------------------------
 
-    def multiply(self, u: Sequence[Scalar], v: Sequence[Scalar]) -> Vector:
-        """Bilinear product: (u*v)_k = sum_{i,j} u_i v_j c[i][j][k], exact.
+    def scaled_product(self, u: Sequence[Scalar], v: Sequence[Scalar]) -> list:
+        """D * (u*v) with no field step: not divided by D, not reduced mod p.
 
-        Visits only the stored products e_i * e_j with u_i nonzero.
+        ``(u*v)_k = sum_{i,j} u_i v_j c[i][j][k]``.  The sum starts from the
+        unit law's share ``u_0 v + v_0 u - u_0 v_0 e_0`` (zero, and not formed,
+        when u_0 = v_0 = 0), and the loop adds only the stored products
+        e_i * e_j with u_i nonzero.  Integer operands give an integer product.
         """
-        n = self.n
-        if len(u) != n or len(v) != n:
-            raise ShapeError("operand length does not match the algebra dimension")
-        mod = self.field.modulus
-        acc = [self.field.zero] * n
+        u0, v0 = u[0], v[0]
+        if u0 or v0:
+            d = self.denominator
+            acc = [d * (u0 * y + v0 * z) for y, z in zip(v, u)]
+            acc[0] -= d * u0 * v0
+        else:
+            acc = [0] * self.n
         rows = self._rows
         for i, ui in enumerate(u):
             if not ui:
@@ -151,9 +188,17 @@ class Algebra:
                     coef = ui * vj
                     for k, c in cell:
                         acc[k] += coef * c
+        return acc
+
+    def multiply(self, u: Sequence[Scalar], v: Sequence[Scalar]) -> Vector:
+        """Bilinear product u*v, exact, as field scalars."""
+        if len(u) != self.n or len(v) != self.n:
+            raise ShapeError("operand length does not match the algebra dimension")
+        acc = self.scaled_product(u, v)
+        mod = self.field.modulus
         if mod is not None:
-            acc = [x % mod for x in acc]
-        return tuple(acc)
+            return tuple([x % mod for x in acc])
+        return tuple([Fraction(x, self.denominator) for x in acc])
 
     # ----- comparison ----------------------------------------------------
 
@@ -161,13 +206,15 @@ class Algebra:
         return (
             isinstance(other, Algebra)
             and self.field == other.field
+            and self.denominator == other.denominator
             and self._rows == other._rows
             and self.basis_names == other.basis_names
             and self.lc_flag == other.lc_flag
         )
 
     def __hash__(self):
-        return hash((self.field, tuple(frozenset(row.items()) for row in self._rows)))
+        rows = tuple(frozenset(row.items()) for row in self._rows)
+        return hash((self.field, self.denominator, rows))
 
     def __repr__(self) -> str:
         return f"Algebra(dim={self.n}, field={self.field.descriptor()})"
@@ -188,13 +235,13 @@ def check_lc_basis(algebra: Algebra) -> bool:
             + algebra.field.descriptor()
         )
     rows = algebra._rows
-    minus_one = ((0, -algebra.field.one),)
+    minus_one = ((0, -algebra.denominator),)
     for i in range(1, algebra.n):
         row = rows[i]
         if row.get(i) != minus_one:
             return False
         for j, cell in row.items():
-            if j and j != i and rows[j].get(i) != tuple((k, -c) for k, c in cell):
+            if j != i and rows[j].get(i) != tuple((k, -c) for k, c in cell):
                 return False
     return True
 

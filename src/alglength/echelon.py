@@ -1,20 +1,26 @@
-"""Subspaces held as row-echelon bases, grown by plain Gaussian elimination.
+"""Subspaces held as integer row-echelon bases, grown by fraction-free elimination.
 
 An :class:`EchelonSubspace` stores a basis as rows with strictly increasing
-pivot columns.  Each row is 1 at its pivot, 0 left of it, and 0 at the pivot
-of every row inserted before it; the rows are not back-substituted, so equal
-spans may have different rows.
+pivot columns.  Each row is 0 left of its pivot and 0 at the pivot of every
+row inserted before it; the rows are not back-substituted, so equal spans
+may have different rows.  Rows hold ints: over Q each row is primitive (the
+gcd of its entries is 1) with a positive pivot entry, over GF(p) each row is
+1 at its pivot.
 
-Insertion reduces the new vector against the current rows, picks the leftmost
-surviving nonzero coordinate as its pivot, scales the pivot to 1 and slots the
-row in by pivot; no older row changes.  The residue is the one vector of
-v + span(rows) that is 0 at every pivot, so it depends only on the span and
-not on which echelon basis of it is stored.
+A span does not change when a vector is scaled, so reduction never divides
+(Bareiss, Math. Comp. 1968): against a row with pivot entry r, a vector with
+entry c there becomes ``(r/g)*v - (c/g)*row`` with ``g = gcd(r, c)``.  Over
+GF(p), r = 1, so that is the usual ``v - c*row``.  The residue is a nonzero
+multiple of the one vector of v + span(rows) that is 0 at every pivot, so
+up to a scalar it depends only on the span and not on which echelon basis
+of it is stored.  Insertion makes the residue primitive (over Q) or 1 at its
+pivot (over GF(p)) and slots it in by pivot; no older row changes.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .errors import ShapeError
@@ -24,7 +30,7 @@ Vector = tuple  # tuple[Scalar, ...]
 
 
 class EchelonSubspace:
-    """Immutable subspace of F^ambient held as a row-echelon basis."""
+    """Immutable subspace of F^ambient held as an integer row-echelon basis."""
 
     __slots__ = ("field", "ambient", "rows", "pivots")
 
@@ -32,7 +38,7 @@ class EchelonSubspace:
         self,
         field: Field,
         ambient: int,
-        rows: tuple[Vector, ...] = (),
+        rows: tuple[tuple[int, ...], ...] = (),
         pivots: tuple[int, ...] = (),
     ):
         self.field = field
@@ -50,42 +56,56 @@ class EchelonSubspace:
     def dim(self) -> int:
         return len(self.rows)
 
-    def _check_shape(self, v: Sequence[Scalar]) -> None:
+    def reduce(self, v: Sequence[Scalar]) -> list[int]:
+        """A nonzero multiple of the residue of ``v``, as ints; 0 iff v is spanned.
+
+        ``v`` holds field scalars or ints.  Over Q its denominators are
+        cleared first; over GF(p) it is reduced mod p.
+        """
         if len(v) != self.ambient:
             raise ShapeError(
                 f"vector of length {len(v)} in a {self.ambient}-dimensional space"
             )
-
-    def reduce(self, v: Sequence[Scalar]) -> list[Scalar]:
-        """Eliminate the pivot coordinates of ``v``; the residue is 0 iff v is spanned."""
-        self._check_shape(v)
         mod = self.field.modulus
-        out = list(v)
+        if mod is not None:
+            out = [x % mod for x in v]
+        elif set(map(type, v)) == {int}:  # the engine's vectors: nothing to clear
+            out = list(v)
+        else:
+            d = lcm(*{x.denominator for x in v})
+            out = [x.numerator * (d // x.denominator) for x in v]
         for row, p in zip(self.rows, self.pivots):
             c = out[p]
             if c:
+                r = row[p]
+                g = gcd(r, c)
+                r, c = r // g, c // g
                 if mod is None:
-                    out = [x - c * r for x, r in zip(out, row)]
+                    out = [r * x - c * y for x, y in zip(out, row)]
                 else:
-                    out = [(x - c * r) % mod for x, r in zip(out, row)]
+                    out = [(r * x - c * y) % mod for x, y in zip(out, row)]
         return out
 
-    def insert(self, v: Sequence[Scalar]) -> tuple["EchelonSubspace", Optional[Vector]]:
+    def insert(self, v: Sequence[Scalar]) -> tuple["EchelonSubspace", Optional[tuple]]:
         """Insert ``v``; returns (new space, added row) with row None when spanned.
 
-        The added row is the normalized reduction of ``v`` at insertion time;
-        it extends the previous basis and is what the length engine records as
+        The added row is the residue of ``v`` at insertion time, made
+        primitive with a positive pivot (Q) or 1 at its pivot (GF(p)); it
+        extends the previous basis and is what the length engine records as
         a fresh-basis vector.
         """
         residue = self.reduce(v)
-        pivot = next((j for j, x in enumerate(residue) if x), None)
-        if pivot is None:
+        if not any(residue):
             return self, None
+        pivot = next(j for j, x in enumerate(residue) if x)
         mod = self.field.modulus
-        lead_inv = self.field.inv(residue[pivot])
         if mod is None:
-            newrow = tuple(x * lead_inv for x in residue)
+            g = gcd(*residue)
+            if residue[pivot] < 0:
+                g = -g
+            newrow = tuple(x // g for x in residue)
         else:
+            lead_inv = self.field.inv(residue[pivot])
             newrow = tuple((x * lead_inv) % mod for x in residue)
         at = bisect_left(self.pivots, pivot)
         rows = self.rows[:at] + (newrow,) + self.rows[at:]

@@ -33,13 +33,15 @@ shortened further.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from fractions import Fraction
 from heapq import heappop, heappush
 from typing import Iterable, Optional, Sequence
 
 from .algebra import Algebra, Vector, check_lc_basis, coerce_genset
 from .echelon import EchelonSubspace
 from .errors import NotLocallyComplex
+from .fields import Field
 
 STOP_FULL_DIM = "reached_full_dim"
 STOP_WINDOW = "stabilized_window"
@@ -61,20 +63,32 @@ class LengthReport:
 
     ``length`` is None when S does not generate; ``stop_reason`` says why the
     run ended.  ``charseq`` holds the terms of the characteristic sequence,
-    partial in the non-generating case.
-    ``fresh_basis`` lists the nonempty groups of basis increments by word
-    length (length 0 is the unit).
+    partial in the non-generating case.  ``fresh_rows`` holds the engine's
+    integer echelon rows by word length, which :attr:`fresh_basis` scales to
+    field scalars.
     """
 
     n: int
     charseq: tuple[int, ...]
     length: Optional[int]
     stop_reason: str
-    fresh_basis: tuple[tuple[int, tuple[Vector, ...]], ...] = field(default=())
+    field: Field
+    fresh_rows: tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]
 
     @property
     def is_generating(self) -> bool:
         return self.length is not None
+
+    @property
+    def fresh_basis(self) -> tuple[tuple[int, tuple[Vector, ...]], ...]:
+        """The nonempty groups of basis increments by word length (length 0
+        is the unit): each the residue of its product modulo the span before
+        it, scaled to 1 at its pivot."""
+        if self.field.modulus is not None:  # GF(p) rows are 1 at the pivot
+            return self.fresh_rows
+        return tuple(
+            (a, tuple(_monic(row) for row in rows)) for a, rows in self.fresh_rows
+        )
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -92,16 +106,27 @@ class LengthReport:
         return tuple(dims_from_charseq(self.charseq, kmax))
 
 
+def _monic(row: tuple[int, ...]) -> Vector:
+    """An integer row over Q divided by its pivot entry."""
+    lead = next(x for x in row if x)
+    return tuple(Fraction(x, lead) for x in row)
+
+
 def _insert_all(
     acc: EchelonSubspace, vectors: Iterable[Vector]
-) -> tuple[EchelonSubspace, tuple[Vector, ...]]:
-    """Insert ``vectors`` in order; returns the new span and the added rows,
-    the normalized residues of the vectors that grew it."""
+) -> tuple[EchelonSubspace, tuple[tuple[int, ...], ...]]:
+    """Insert ``vectors`` in order; returns the new span and the added rows.
+
+    Stops drawing from ``vectors`` once the span is the whole space: a full
+    span cannot grow, so the rest would all reduce to zero.
+    """
     group = []
     for v in vectors:
         acc, row = acc.insert(v)
         if row is not None:
             group.append(row)
+            if acc.dim == acc.ambient:
+                break
     return acc, tuple(group)
 
 
@@ -117,8 +142,11 @@ def compute_length(
     that span.  Each visited step k inserts the products f*g over fresh
     groups of lengths a and b with a + b = k and a, b >= 1, taken in
     ascending a, then in group order; each product's nonzero residue modulo
-    the span so far, scaled to 1 at its pivot, joins the fresh group of
-    length k.  With ``lc_shortcut`` the tighter
+    the span so far joins the fresh group of length k.  The engine runs on
+    the integer rows of :class:`EchelonSubspace` and
+    :meth:`Algebra.scaled_product`, which scale each vector by a nonzero
+    constant and so leave every span and every residue up to a scalar as
+    it is.  With ``lc_shortcut`` the tighter
     locally-complex window is used; it requires a basis that passes
     :func:`check_lc_basis`, which an algebra with ``lc_flag`` set has passed.
     """
@@ -127,7 +155,7 @@ def compute_length(
         raise NotLocallyComplex("lc_shortcut requires a locally-complex basis")
     n = algebra.n
     acc, unit_row = EchelonSubspace.empty(algebra.field, n).insert(algebra.unit())
-    fresh: dict[int, tuple[Vector, ...]] = {0: (unit_row,)}
+    fresh: dict[int, tuple[tuple[int, ...], ...]] = {0: (unit_row,)}
     pending: list[int] = []  # heap of unvisited sums of nonempty fresh lengths
     k, group = 0, ()
     if n > 1:
@@ -157,7 +185,7 @@ def compute_length(
         acc, group = _insert_all(
             acc,
             (
-                algebra.multiply(f, h)
+                algebra.scaled_product(f, h)
                 for a, left in fresh.items()
                 if 0 < a < k and k - a in fresh
                 for f in left
@@ -170,6 +198,7 @@ def compute_length(
         charseq=tuple(a for a, rows in fresh.items() for _ in rows),
         length=length,
         stop_reason=stop,
-        fresh_basis=tuple(fresh.items()),
+        field=algebra.field,
+        fresh_rows=tuple(fresh.items()),
     )
 

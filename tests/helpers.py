@@ -1,7 +1,7 @@
 """Shared builders for randomized suites (seeded, deterministic), the dense
 reference stepper that the event-driven engine is checked against, the
-reduced (Gauss-Jordan) insert it runs on, and the dense-table reference for
-the sparse locally-complex check."""
+reduced (Gauss-Jordan) span it runs on, on field scalars, and the
+dense-table reference for the sparse locally-complex check."""
 
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ from alglength import (
     STOP_LC_WINDOW,
     STOP_WINDOW,
     Algebra,
-    EchelonSubspace,
     GF,
     compute_length,
 )
@@ -150,13 +149,44 @@ def find_non_generating_set(rng: random.Random, algebra: Algebra, tries: int = 4
     return None
 
 
+@dataclass(frozen=True)
+class ReducedSpan:
+    """Reference span in reduced row-echelon form over field scalars.
+
+    Each row is 1 at its pivot and 0 at every other row's pivot, so the rows
+    are unique for a span whatever the insertion order.  It shares no code
+    with :class:`EchelonSubspace`, whose integer rows it checks.
+    """
+
+    field: object
+    ambient: int
+    rows: tuple[Vector, ...] = ()
+    pivots: tuple[int, ...] = ()
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, v) -> list:
+        """The one vector of v + span(rows) that is 0 at every pivot."""
+        mod = self.field.modulus
+        out = [self.field.coerce(x) for x in v]
+        for row, p in zip(self.rows, self.pivots):
+            c = out[p]
+            if c:
+                if mod is None:
+                    out = [x - c * r for x, r in zip(out, row)]
+                else:
+                    out = [(x - c * r) % mod for x, r in zip(out, row)]
+        return out
+
+
 def gauss_jordan_insert(
-    space: EchelonSubspace, v
-) -> tuple[EchelonSubspace, Optional[Vector]]:
-    """Reference for ``EchelonSubspace.insert``: the same normalized residue
-    of ``v`` is added, and back-substitution then clears its pivot from every
-    older row.  The rows stay the reduced row-echelon form of the span, which
-    is unique, so equal spans give equal rows whatever the insertion order."""
+    space: ReducedSpan, v
+) -> tuple[ReducedSpan, Optional[Vector]]:
+    """Reference for ``EchelonSubspace.insert``: the residue of ``v`` scaled
+    to 1 at its pivot is added, and back-substitution then clears its pivot
+    from every older row."""
     residue = space.reduce(v)
     pivot = next((j for j, x in enumerate(residue) if x), None)
     if pivot is None:
@@ -179,18 +209,18 @@ def gauss_jordan_insert(
     at = bisect_left(space.pivots, pivot)
     rows = tuple(updated[:at]) + (newrow,) + tuple(updated[at:])
     pivots = space.pivots[:at] + (pivot,) + space.pivots[at:]
-    return EchelonSubspace(space.field, space.ambient, rows, pivots), newrow
+    return ReducedSpan(space.field, space.ambient, rows, pivots), newrow
 
 
-def reduced_span(field, ambient: int, vectors) -> EchelonSubspace:
+def reduced_span(field, ambient: int, vectors) -> ReducedSpan:
     """The span of ``vectors`` in reduced row-echelon form."""
-    space = EchelonSubspace.empty(field, ambient)
+    space = ReducedSpan(field, ambient)
     for v in vectors:
         space, _ = gauss_jordan_insert(space, tuple(v))
     return space
 
 
-def span_with_unit(algebra: Algebra, gens) -> EchelonSubspace:
+def span_with_unit(algebra: Algebra, gens) -> ReducedSpan:
     field = algebra.field
     unit_and_gens = (algebra.unit(),) + tuple(
         tuple(field.coerce(x) for x in v) for v in gens
@@ -259,7 +289,7 @@ class LayerState:
     length (length 0 is the unit); ``dims[i]`` is dim L_i for i <= k.
     """
 
-    acc: EchelonSubspace
+    acc: ReducedSpan
     fresh: dict[int, list[Vector]]
     dims: list[int]
     k: int
@@ -302,13 +332,13 @@ def layer_step(algebra: Algebra, state: LayerState) -> LayerState:
 def initial_state(algebra: Algebra, gens) -> LayerState:
     """The state at k = 1 (k = 0 for a dimension-one algebra)."""
     acc, unit_row = gauss_jordan_insert(
-        EchelonSubspace.empty(algebra.field, algebra.n), algebra.unit()
+        ReducedSpan(algebra.field, algebra.n), algebra.unit()
     )
     if algebra.n == 1:
         return LayerState(acc=acc, fresh={0: [unit_row]}, dims=[1], k=0)
     group1 = []
     for v in gens:
-        acc, row = gauss_jordan_insert(acc, tuple(algebra.field.coerce(x) for x in v))
+        acc, row = gauss_jordan_insert(acc, v)
         if row is not None:
             group1.append(row)
     return LayerState(

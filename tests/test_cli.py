@@ -302,6 +302,23 @@ def _alg(field="rational", dim="2", prod=""):
 _GEN = ["gen-example", "--family", "power2", "--n", "4", "--field"]
 
 
+def _prime_denominators(count=5000):
+    """One product whose ``count`` coefficients have distinct prime
+    denominators: their lcm has about 70,000 bits, and every integral
+    structure constant would carry them."""
+    limit, primes = 50000, []
+    composite = bytearray(limit)
+    for p in range(2, limit):
+        if not composite[p]:
+            primes.append(p)
+            composite[p * p::p] = b"\1" * len(range(p * p, limit, p))
+    names = " ".join(f"x{i}" for i in range(1, count + 1))
+    terms = " + ".join(f"1/{p}*x{i}" for i, p in enumerate(primes[:count], 1))
+    return _alg(dim=str(count + 1), prod=f"prod x1 x1 = {terms}\n").replace(
+        "basis 1 x\n", f"basis 1 {names}\n"
+    )
+
+
 @pytest.mark.parametrize(
     "text,argv,error",
     [
@@ -313,9 +330,10 @@ _GEN = ["gen-example", "--family", "power2", "--n", "4", "--field"]
         (None, _GEN + [f"prime:{_BIG}"], "ParseError"),
         (None, _GEN + ["prime:1000000000000000003"], "BudgetExceeded"),
         (None, ["gen-example", "--family", "power2", "--n", "1000000000"], "BudgetExceeded"),
+        (_prime_denominators(), ["length", "--gens", "x1"], "BudgetExceeded"),
     ],
     ids=["prod-scalar", "gens-row", "dim", "field-prime-digits", "field-prime-size",
-         "gen-example-digits", "gen-example-size", "gen-example-n"],
+         "gen-example-digits", "gen-example-size", "gen-example-n", "denominators"],
 )
 def test_huge_numbers_are_one_error_line(tmp_path, capsys, text, argv, error):
     path = tmp_path / "a.alg"

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -156,11 +157,17 @@ def test_insert_is_plain_echelon_and_keeps_older_rows():
                 continue
             at = grown.rows.index(row)
             pivot = grown.pivots[at]
+            added.append((row, pivot))
+            if field.modulus is None:
+                # Over Q the row is a primitive integer vector with a
+                # positive pivot; divided by its pivot it is the residue.
+                assert all(type(x) is int for x in row)
+                assert gcd(*row) == 1 and row[pivot] > 0
+                row = tuple(Fraction(x, row[pivot]) for x in row)
             assert not any(row[:pivot]) and row[pivot] == 1
-            assert all(row[p] == 0 for _, p in added)
+            assert all(row[p] == 0 for _, p in added[:-1])
             # Older rows are untouched: the new row is slotted in by pivot.
             assert grown.rows[:at] + grown.rows[at + 1:] == space.rows
-            added.append((row, pivot))
             space = grown
         assert list(space.pivots) == sorted(space.pivots)
         assert sorted(added, key=lambda rp: rp[1]) == list(zip(space.rows, space.pivots))
@@ -180,3 +187,25 @@ def test_span_matches_reduced_reference():
             assert space.dim == reference.dim
             assert not any(any(space.reduce(r)) for r in reference.rows)
 
+
+
+def test_rational_rows_are_the_reference_residues():
+    # The fraction-free residue divided by its pivot is the residue of plain
+    # elimination on field scalars, which is unique for the span.
+    for field, vectors in seeded_inserts():
+        if field.modulus is not None:
+            continue
+        space = EchelonSubspace.empty(field, len(vectors[0]))
+        reference = reduced_span(field, len(vectors[0]), [])
+        for v in vectors:
+            space, row = space.insert(v)
+            residue = reference.reduce(v)
+            reference = reduced_span(field, len(v), reference.rows + (v,))
+            if row is None:
+                assert not any(residue)
+                continue
+            pivot = next(j for j, x in enumerate(row) if x)
+            assert residue[pivot] != 0
+            assert [Fraction(x, row[pivot]) for x in row] == [
+                x / residue[pivot] for x in residue
+            ]

@@ -1,5 +1,6 @@
 import random
 import time
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 import alglength.length
 from alglength import (
     Algebra,
+    EchelonSubspace,
     GF,
     QQ,
     EmptyGeneratingSet,
@@ -29,7 +31,9 @@ from helpers import (
     mixed_equal_span_set,
     nested_generating_pair,
     random_genset,
+    random_lc_products,
     random_unital_algebra,
+    random_vector,
     reference_charseq,
     reference_run,
     run_fields,
@@ -330,3 +334,71 @@ def test_engine_matches_reference_stepper():
                     expected = run_fields(reference_run(algebra, s, lc_shortcut=lc))
                     got = run_fields(compute_length(algebra, s, lc_shortcut=lc))
                     assert got == expected, (family, size, lc, s)
+
+
+RATIONALS = (0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 3))
+
+
+def test_engine_matches_reference_stepper_over_q_with_fractions():
+    # Fractional structure constants and generators: the engine clears the
+    # denominators and works on integer rows, the reference on Fractions.
+    rng = random.Random(131)
+    denominators = set()
+    for case in range(160):
+        n = 2 + case % 6
+        if case % 4 == 3:
+            products = random_lc_products(rng, n)
+        else:
+            density = rng.choice((0.3, 0.6, 1.0))
+            products = {
+                (i, j): [rng.choice(RATIONALS) for _ in range(n)]
+                for i in range(1, n)
+                for j in range(1, n)
+                if rng.random() < density
+            }
+        algebra = Algebra.from_products(QQ, n, products)
+        denominators.add(algebra.denominator)
+        gens = tuple(
+            tuple(rng.choice(RATIONALS) for _ in range(n))
+            for _ in range(rng.randint(1, 3))
+        )
+        for lc in (False, True) if case % 4 == 3 else (False,):
+            expected = run_fields(reference_run(algebra, gens, lc_shortcut=lc))
+            got = run_fields(compute_length(algebra, gens, lc_shortcut=lc))
+            assert got == expected, (case, lc, gens)
+    assert {1, 3, 6} <= denominators
+
+
+def test_no_product_is_formed_once_the_span_is_full(monkeypatch):
+    rng = random.Random(137)
+    n, p = 12, 101
+    products = {
+        (i, j): [rng.randrange(p) for _ in range(n)]
+        for i in range(1, n)
+        for j in range(1, n)
+    }
+    algebra = Algebra.from_products(GF(p), n, products)
+    gens = (random_vector(rng, n, p, nonzero=True),)
+    formed = []
+    scaled_product = Algebra.scaled_product
+
+    def counting(self, u, v):
+        formed.append(scaled_product(self, u, v))
+        return formed[-1]
+
+    monkeypatch.setattr(Algebra, "scaled_product", counting)
+    report = compute_length(algebra, gens)
+    monkeypatch.undo()
+    assert report.charseq == (0, 1, 2, 3, 3, 4, 4, 4, 4, 4, 5, 5)
+    assert run_fields(report) == run_fields(reference_run(algebra, gens))
+    # Replaying the products formed: the last one fills the span, so none
+    # was formed after dim n.  Steps 2-5 would form 1 + 2 + 5 + 14 in full.
+    space = EchelonSubspace.empty(algebra.field, n)
+    for v in (algebra.unit(),) + gens:
+        space, _ = space.insert(v)
+    dims = []
+    for w in formed:
+        space, _ = space.insert(w)
+        dims.append(space.dim)
+    assert dims[-1] == n and dims[-2] < n
+    assert len(formed) < 1 + 2 + 5 + 14

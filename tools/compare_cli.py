@@ -6,8 +6,9 @@ Usage:
 
 Both trees run the same argument lists: the README examples, the bench
 ``CLI_FAMILIES`` family files, two sparse files shaped like the bench's
-``CLI_SPARSE`` ones (each with non-generating sets too), two seeded dense
-tables (over Q and GF(101), every non-unit product nonzero, run with two
+``CLI_SPARSE`` ones (each with non-generating sets too), three seeded dense
+tables (over Q and GF(101) with integer entries, and over Q with fractional
+entries such as 1/2 and -2/3; every non-unit product nonzero, run with two
 random coordinate rows, so that no fresh row is a basis vector) and the
 dim-1 algebra, where ``fib-k`` has no k, with and without
 ``--lc-shortcut``, through ``length``, ``charseq``, ``dims``, ``verify`` and
@@ -28,6 +29,7 @@ import random
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -56,8 +58,12 @@ EXTRA_GENS = {"power2": ["e2"], "fib-lc": ["e1", "e3"], "stall-chain": ["e2"],
 # (dim, field line, coefficient): sparse files like the bench's CLI_SPARSE.
 SPARSE_FILES = ((100, "rational", "-2/5"), (150, "prime 10007", "5000"))
 SPARSE_CHAIN = 5
-# (dim, field line, seed): dense tables with every non-unit product nonzero.
-DENSE_FILES = ((5, "rational", 11), (6, "prime 101", 12))
+INTEGERS = tuple(Fraction(c) for c in range(-2, 3))
+FRACTIONS = tuple(Fraction(c) for c in ("-2/3", "-1", "0", "0", "1/2", "2", "5/3"))
+# (dim, field line, seed, entries): dense tables with every non-unit product
+# nonzero and generator rows, entries drawn from the given values.
+DENSE_FILES = ((5, "rational", 11, INTEGERS), (6, "prime 101", 12, INTEGERS),
+               (5, "rational", 13, FRACTIONS))
 UNIT_ONLY = "alglength-algebra v1\nfield rational\ndim 1\nbasis 1\n"
 
 
@@ -84,8 +90,8 @@ def _sparse_text(dim: int, field: str, coeff: str) -> tuple[str, list[str]]:
                                       f"e{xs[m + 2]}"]
 
 
-def _dense_text(dim: int, field: str, seed: int) -> tuple[str, list[str]]:
-    """A seeded table whose non-unit products are all nonzero, entries in [-2, 2].
+def _dense_text(dim: int, field: str, seed: int, entries) -> tuple[str, list[str]]:
+    """A seeded table whose non-unit products are all nonzero, entries from ``entries``.
 
     Returns the v1 text and one --gens value: two random coordinate rows.
     """
@@ -97,10 +103,10 @@ def _dense_text(dim: int, field: str, seed: int) -> tuple[str, list[str]]:
         for j in range(1, dim):
             row = [0]
             while not any(row):
-                row = [rng.randint(-2, 2) for _ in range(dim)]
+                row = [rng.choice(entries) for _ in range(dim)]
             terms = [f"{c}*{names[k]}" for k, c in enumerate(row) if c]
             lines.append(f"prod e{i} e{j} = " + " + ".join(terms))
-    rows = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(2)]
+    rows = [[rng.choice(entries) for _ in range(dim)] for _ in range(2)]
     gens = ";".join("[" + ", ".join(map(str, row)) + "]" for row in rows)
     return "\n".join(lines) + "\n", [gens]
 
@@ -117,9 +123,9 @@ def _cases(workdir: Path) -> list[list[str]]:
         name = f"sparse_{dim}.alg"
         (workdir / name).write_text(text, encoding="utf-8")
         files.append((name, None, None, None, gen_sets))
-    for dim, field, seed in DENSE_FILES:
-        text, gen_sets = _dense_text(dim, field, seed)
-        name = f"dense_{dim}.alg"
+    for dim, field, seed, entries in DENSE_FILES:
+        text, gen_sets = _dense_text(dim, field, seed, entries)
+        name = f"dense_{dim}_{seed}.alg"
         (workdir / name).write_text(text, encoding="utf-8")
         files.append((name, None, None, None, gen_sets))
     (workdir / "unit_only.alg").write_text(UNIT_ONLY, encoding="utf-8")
