@@ -10,6 +10,7 @@ chain without doubling), which tightens the bound to the Fibonacci numbers.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -70,21 +71,27 @@ def check_addition_chain(seq, strict: bool = False) -> ChainCheck:
 
     With ``strict`` the indices must differ (t1 < t2): the "no doubling"
     variant that characteristic sequences of locally-complex algebras obey.
+    The witness is the smallest t1, then the smallest t2.  The terms are
+    non-decreasing, so t1 starts where m_{t1} + m_{h-1} >= m_h and stops
+    once 2 m_{t1} > m_h, and t2 is the first index of the value
+    m_h - m_{t1} unless the lowest allowed index is later.  At most
+    quadratic in the length of the sequence.
     """
     m = ensure_wellformed(seq)
+    first: dict[int, int] = {}  # value -> its lowest index; equal values are contiguous
     witnesses = []
     failures = []
     for h, value in enumerate(m):
+        first.setdefault(value, h)
         if value < 2:
             continue
         found = None
-        for t1 in range(1, h):
-            start = t1 + 1 if strict else t1
-            for t2 in range(start, h):
-                if m[t1] + m[t2] == value:
-                    found = (h, t1, t2)
-                    break
-            if found:
+        for t1 in range(bisect_left(m, value - m[h - 1], 1, h), h):
+            if 2 * m[t1] > value:
+                break
+            t2 = max(first.get(value - m[t1], h), t1 + 1 if strict else t1)
+            if t2 < h and m[t2] + m[t1] == value:
+                found = (h, t1, t2)
                 break
         if found:
             witnesses.append(found)

@@ -10,7 +10,8 @@ gcd of its entries is 1) with a positive pivot entry, over GF(p) each row is
 A span does not change when a vector is scaled, so reduction never divides
 (Bareiss, Math. Comp. 1968): against a row with pivot entry r, a vector with
 entry c there becomes ``(r/g)*v - (c/g)*row`` with ``g = gcd(r, c)``.  Over
-GF(p), r = 1, so that is the usual ``v - c*row``.  The residue is a nonzero
+GF(p), r = 1, so that is the usual ``v - c*row``, taken on ints congruent to
+the residues and reduced mod p once per vector.  The residue is a nonzero
 multiple of the one vector of v + span(rows) that is 0 at every pivot, so
 up to a scalar it depends only on the span and not on which echelon basis
 of it is stored.  Insertion makes the residue primitive (over Q) or 1 at its
@@ -60,7 +61,10 @@ class EchelonSubspace:
         """A nonzero multiple of the residue of ``v``, as ints; 0 iff v is spanned.
 
         ``v`` holds field scalars or ints.  Over Q its denominators are
-        cleared first; over GF(p) it is reduced mod p.
+        cleared first.  Over GF(p) any ints congruent to it mod p give the
+        same result, the residue in [0, p): each row is 1 at its pivot, so
+        the row op is ``v - c*row`` with ``c = v[pivot] mod p``, taken on
+        ints, and the entries are reduced once, at the end.
         """
         if len(v) != self.ambient:
             raise ShapeError(
@@ -68,8 +72,15 @@ class EchelonSubspace:
             )
         mod = self.field.modulus
         if mod is not None:
-            out = [x % mod for x in v]
-        elif set(map(type, v)) == {int}:  # the engine's vectors: nothing to clear
+            out = v
+            for row, p in zip(self.rows, self.pivots):
+                c = out[p]
+                if c:  # most engine entries are 0: test before taking the residue
+                    c %= mod
+                    if c:
+                        out = [x - c * y for x, y in zip(out, row)]
+            return [x % mod for x in out]
+        if set(map(type, v)) == {int}:  # the engine's vectors: nothing to clear
             out = list(v)
         else:
             d = lcm(*{x.denominator for x in v})
@@ -80,10 +91,7 @@ class EchelonSubspace:
                 r = row[p]
                 g = gcd(r, c)
                 r, c = r // g, c // g
-                if mod is None:
-                    out = [r * x - c * y for x, y in zip(out, row)]
-                else:
-                    out = [(r * x - c * y) % mod for x, y in zip(out, row)]
+                out = [r * x - c * y for x, y in zip(out, row)]
         return out
 
     def insert(self, v: Sequence[Scalar]) -> tuple["EchelonSubspace", Optional[tuple]]:

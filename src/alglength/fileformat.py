@@ -179,11 +179,10 @@ def serialize_algebra(algebra: Algebra) -> str:
     """Canonical v1 text; ``parse_algebra(serialize_algebra(A))`` equals A."""
     out = [MAGIC, f"field {algebra.field.descriptor()}", f"dim {algebra.n}"]
     out.append("basis " + " ".join(algebra.basis_names))
-    names, field, constant = algebra.basis_names, algebra.field, algebra.constant
+    names, field = algebra.basis_names, algebra.field
     for i in range(1, algebra.n):
-        row = algebra._rows[i]
-        for j in sorted(row):
-            terms = [_format_term(field, k, constant(c), names) for k, c in row[j]]
+        for j in sorted(algebra._rows[i]):
+            terms = [_format_term(field, k, c, names) for k, c in algebra.terms(i, j)]
             out.append(f"prod {names[i]} {names[j]} = " + " + ".join(terms))
     if algebra.lc_flag:
         out.append("lc true")

@@ -1,10 +1,12 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from alglength import (
     Algebra,
+    BudgetExceeded,
     GF,
     QQ,
     FieldMismatch,
@@ -17,6 +19,7 @@ from alglength import (
     parse_algebra,
     serialize_algebra,
 )
+from alglength.algebra import MAX_TABLE_BITS, slot_limbs
 
 from helpers import (
     assert_unit_law,
@@ -171,13 +174,82 @@ def test_from_products_rejects_malformed_arguments(products, error):
         Algebra.from_products(QQ, 3, products)
 
 
+MERSENNE31 = 2**31 - 1
+
+
+def _dense_product(table, u, v, p):
+    n = len(table)
+    return tuple(
+        sum(u[i] * v[j] * table[i][j][k] for i in range(n) for j in range(n)) % p
+        for k in range(n)
+    )
+
+
+def test_slot_limbs():
+    # (n-1)^2 (p-1)^3 < 2^(64 m): one limb for every bench table, two at p = 2^31 - 1.
+    assert slot_limbs(1, MERSENNE31) == 1
+    assert slot_limbs(40, 10007) == slot_limbs(4096, 10007) == 1
+    assert slot_limbs(2, MERSENNE31) == slot_limbs(12, MERSENNE31) == 2
+    assert slot_limbs(4096, 2) == 1
+
+
+def test_packed_multiply_matches_dense_reference():
+    # Operands need not be residues: negative ints and ints >= p as well.
+    rng = random.Random(403)
+    for trial in range(150):
+        p = (2, 3, 101, 10007, MERSENNE31)[trial % 5]
+        n = rng.randint(1, 12)
+        products = random_products(rng, n, p, density=rng.choice((0.2, 0.6, 1.0)))
+        algebra = Algebra.from_products(GF(p), n, products)
+        table = dense_table(n, products)
+        for _ in range(4):
+            u, v = (
+                [rng.choice((0, rng.randrange(p), -rng.randrange(3 * p), p + rng.randrange(p)))
+                 for _ in range(n)]
+                for _ in range(2)
+            )
+            assert algebra.multiply(u, v) == _dense_product(table, u, v, p), (trial, u, v)
+
+
+def test_packed_budget_admits_dense_tables_and_sparse_families():
+    rng = random.Random(404)
+    n, p = 64, 10007
+    products = {
+        (i, j): [rng.randrange(p) for _ in range(n)] for i in range(1, n) for j in range(1, n)
+    }
+    algebra = Algebra.from_products(GF(p), n, products)
+    u, v = ([rng.randrange(p) for _ in range(n)] for _ in range(2))
+    assert algebra.multiply(u, v) == _dense_product(dense_table(n, products), u, v, p)
+    # power2 at MAX_N packs one slot per cell.  The bound is this build's
+    # tracemalloc peak when cells were stored as (k, c) pairs (Python 3.11).
+    make_example("power2", 8, GF(3))
+    tracemalloc.start()
+    try:
+        make_example("power2", 4096, GF(3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_445_000
+
+
+def test_packed_budget_counts_slots_not_terms():
+    # One {e1, e4095} cell spans 4095 slots of 64 bits, 32 KB.
+    n = 4096
+    cell = {1: 1, n - 1: 1}
+    spread = {(1, j): cell for j in range(1, MAX_TABLE_BITS // (64 * (n - 1)) + 1)}
+    Algebra.from_products(GF(101), n, spread)
+    spread[(2, 1)] = cell
+    with pytest.raises(BudgetExceeded):
+        Algebra.from_products(GF(101), n, spread)
+
+
 def test_dense_and_sparse_constructors_agree():
     # every product as a full coordinate sequence vs as a {k: coeff} mapping
     rng = random.Random(401)
-    fields = (QQ, GF(2), GF(3), GF(101))
-    for trial in range(160):
-        field = fields[trial % 4]
-        n = rng.randint(1, 7)
+    fields = (QQ, GF(2), GF(3), GF(101), GF(10007), GF(MERSENNE31))
+    for trial in range(240):
+        field = fields[trial % 6]
+        n = rng.randint(1, 12)  # GF(p) tables are packed from n = 8 on
         if field is QQ and trial % 8 == 0:
             products = random_lc_products(rng, n)
         else:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -37,16 +38,21 @@ def test_fibonacci_range_error():
 
 
 def _chain_oracle(m, strict):
-    """Exhaustive index search, independent of the library implementation."""
+    """Exhaustive index search, independent of the library implementation:
+    (witnesses, failures), each witness the first pair in (t1, t2) order."""
+    witnesses, failures = [], []
     for h, value in enumerate(m):
         if value < 2:
             continue
         pairs = itertools.combinations(range(1, h), 2) if strict else (
             (t1, t2) for t1 in range(1, h) for t2 in range(t1, h)
         )
-        if not any(m[t1] + m[t2] == value for t1, t2 in pairs):
-            return False
-    return True
+        found = next(((h, t1, t2) for t1, t2 in pairs if m[t1] + m[t2] == value), None)
+        if found:
+            witnesses.append(found)
+        else:
+            failures.append((h, value))
+    return tuple(witnesses), tuple(failures)
 
 
 def test_addition_chain_examples():
@@ -55,7 +61,7 @@ def test_addition_chain_examples():
     assert (2, 1, 1) in relaxed.witnesses  # 2 = m_1 + m_1
     strict = check_addition_chain((0, 1, 2, 4), strict=True)
     assert not strict.ok
-    assert _chain_oracle((0, 1, 2, 4), strict=True) is False
+    assert _chain_oracle((0, 1, 2, 4), strict=True)[1] == ((2, 2), (3, 4))
     assert strict.failures[0] == (2, 2)
     assert check_addition_chain((0, 1, 1, 2, 3, 5), strict=True).ok
 
@@ -70,14 +76,27 @@ def test_addition_chain_witnesses_are_valid():
 
 
 def test_addition_chain_matches_oracle_on_random_sequences():
+    # Same verdict, witnesses and failures, with runs of equal terms.
     rng = random.Random(19)
-    for _ in range(200):
+    for trial in range(600):
         m = [0]
-        for _ in range(rng.randint(1, 6)):
+        for _ in range(rng.randint(1, 6 if trial < 200 else 14)):
             m.append(m[-1] + rng.randint(0, 3) if m[-1] else 1)
         m = tuple(sorted(m))
         for strict in (False, True):
-            assert check_addition_chain(m, strict).ok == _chain_oracle(m, strict)
+            check = check_addition_chain(m, strict)
+            assert (check.witnesses, check.failures) == _chain_oracle(m, strict), m
+            assert check.ok == (not check.failures)
+
+
+def test_addition_chain_is_quadratic():
+    # The power sequence of power2 at n = MAX_N: 4095 terms up to 2^4094.
+    seq = (0,) + tuple(2**h for h in range(4095))
+    start = time.perf_counter()
+    check = check_addition_chain(seq)
+    assert time.perf_counter() - start < 10.0
+    assert check.ok
+    assert check.witnesses[-1] == (4095, 4094, 4094)
 
 
 def test_power_bound_examples():

@@ -319,6 +319,16 @@ def _prime_denominators(count=5000):
     )
 
 
+def _spread_cells(count=600, dim=4096):
+    """``count`` GF(101) products x1*x_j = x1 + x_(dim-1): each packs to dim-1
+    slots of 64 bits, 32 KB, so together they exceed the table budget."""
+    names = " ".join(f"x{i}" for i in range(1, dim))
+    prods = "".join(f"prod x1 x{j} = x1 + x{dim - 1}\n" for j in range(1, count + 1))
+    return _alg(field="prime 101", dim=str(dim), prod=prods).replace(
+        "basis 1 x\n", f"basis 1 {names}\n"
+    )
+
+
 @pytest.mark.parametrize(
     "text,argv,error",
     [
@@ -331,9 +341,11 @@ def _prime_denominators(count=5000):
         (None, _GEN + ["prime:1000000000000000003"], "BudgetExceeded"),
         (None, ["gen-example", "--family", "power2", "--n", "1000000000"], "BudgetExceeded"),
         (_prime_denominators(), ["length", "--gens", "x1"], "BudgetExceeded"),
+        (_spread_cells(), ["length", "--gens", "x1"], "BudgetExceeded"),
     ],
     ids=["prod-scalar", "gens-row", "dim", "field-prime-digits", "field-prime-size",
-         "gen-example-digits", "gen-example-size", "gen-example-n", "denominators"],
+         "gen-example-digits", "gen-example-size", "gen-example-n", "denominators",
+         "packed-slots"],
 )
 def test_huge_numbers_are_one_error_line(tmp_path, capsys, text, argv, error):
     path = tmp_path / "a.alg"

@@ -189,6 +189,24 @@ def test_span_matches_reduced_reference():
 
 
 
+def test_prime_reduce_takes_any_congruent_ints():
+    # The engine's products are only congruent to residues; reduce(v) depends
+    # on v mod p alone, with negative entries and entries >= p alike.
+    rng = random.Random(71)
+    for p in (2, 3, 101, 2**31 - 1):
+        field = GF(p)
+        for _ in range(25):
+            n = rng.randint(1, 8)
+            space = EchelonSubspace.empty(field, n)
+            for _ in range(rng.randint(0, n)):
+                space, _ = space.insert(random_vector(rng, n, p))
+            v = random_vector(rng, n, p)
+            shifted = [x + p * rng.randint(-p, p) for x in v]
+            assert space.reduce(shifted) == space.reduce(v)
+            assert all(0 <= x < p for x in space.reduce(shifted))
+            assert space.insert(shifted)[1] == space.insert(v)[1]
+
+
 def test_rational_rows_are_the_reference_residues():
     # The fraction-free residue divided by its pivot is the residue of plain
     # elimination on field scalars, which is unique for the span.

@@ -32,6 +32,7 @@ from helpers import (
     nested_generating_pair,
     random_genset,
     random_lc_products,
+    random_products,
     random_unital_algebra,
     random_vector,
     reference_charseq,
@@ -316,6 +317,17 @@ def test_engine_matches_reference_stepper():
         n = 2 + case % 5
         algebra = random_unital_algebra(rng, n, (2, 3, 5)[case % 3])
         gens = random_genset(rng, algebra, max_size=rng.randint(1, 3))
+        expected = run_fields(reference_run(algebra, gens))
+        assert run_fields(compute_length(algebra, gens)) == expected, (case, gens)
+    # Packed tables from n = 8 on, GF(2^31 - 1) in two-limb slots; sparse
+    # tables give longer filtrations than dense ones.
+    for case in range(90):
+        n, p = 2 + case % 11, (2, 3, 2**31 - 1)[case % 3]
+        products = random_products(rng, n, p, density=(0.15, 0.4, 1.0)[case // 3 % 3])
+        algebra = Algebra.from_products(GF(p), n, products)
+        gens = random_genset(rng, algebra, max_size=rng.randint(1, 2))
+        if case % 2:
+            gens = (algebra.basis_vector(1 + case % (n - 1)),)
         expected = run_fields(reference_run(algebra, gens))
         assert run_fields(compute_length(algebra, gens)) == expected, (case, gens)
     for family, sizes in (

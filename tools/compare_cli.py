@@ -6,18 +6,18 @@ Usage:
 
 Both trees run the same argument lists: the README examples, the bench
 ``CLI_FAMILIES`` family files, two sparse files shaped like the bench's
-``CLI_SPARSE`` ones (each with non-generating sets too), three seeded dense
-tables (over Q and GF(101) with integer entries, and over Q with fractional
-entries such as 1/2 and -2/3; every non-unit product nonzero, run with two
-random coordinate rows, so that no fresh row is a basis vector) and the
-dim-1 algebra, where ``fib-k`` has no k, with and without
-``--lc-shortcut``, through ``length``, ``charseq``, ``dims``, ``verify`` and
-``oracle-check``, the last also with ``--require-generating``.  ``verify``
-also runs with reordered and repeated check tokens, ``lc`` and an unknown
-token.  For every run the exit code, stdout, stderr and the ``--json`` bytes
-must be equal.  Each tree runs in its own
-interpreter, so the two packages never share a process.  Exit status 0
-means every run agreed.
+``CLI_SPARSE`` ones (each with non-generating sets too), four seeded dense
+tables (over Q, GF(101) and GF(2^31 - 1) with integer entries, and over Q
+with fractional entries such as 1/2 and -2/3; every non-unit product
+nonzero, run with two random coordinate rows, so that no fresh row is a
+basis vector) and the dim-1 algebra, where ``fib-k`` has no k, with and
+without ``--lc-shortcut``, through ``length``, ``charseq``, ``dims``,
+``verify`` and ``oracle-check``, the last also with
+``--require-generating``.  ``verify`` also runs with reordered and repeated
+check tokens, ``lc`` and an unknown token.  For every run the exit code,
+stdout, stderr and the ``--json`` bytes must be equal.  Each tree runs in
+its own interpreter, so the two packages never share a process.  Exit
+status 0 means every run agreed.
 """
 
 from __future__ import annotations
@@ -62,8 +62,9 @@ INTEGERS = tuple(Fraction(c) for c in range(-2, 3))
 FRACTIONS = tuple(Fraction(c) for c in ("-2/3", "-1", "0", "0", "1/2", "2", "5/3"))
 # (dim, field line, seed, entries): dense tables with every non-unit product
 # nonzero and generator rows, entries drawn from the given values.
+# GF(2^31 - 1) packs its structure constants in two-limb slots.
 DENSE_FILES = ((5, "rational", 11, INTEGERS), (6, "prime 101", 12, INTEGERS),
-               (5, "rational", 13, FRACTIONS))
+               (5, "rational", 13, FRACTIONS), (6, "prime 2147483647", 14, INTEGERS))
 UNIT_ONLY = "alglength-algebra v1\nfield rational\ndim 1\nbasis 1\n"
 
 
