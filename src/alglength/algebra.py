@@ -74,18 +74,14 @@ def slot_limbs(n: int, p: int) -> int:
     return max(1, -(-((n - 1) ** 2 * (p - 1) ** 3).bit_length() // 64))
 
 
-def _pack_cell(coords, keys: list, limbs: int) -> tuple:
-    """``(shift, packed)`` of the nonzero coordinates ``keys``, ascending, of
-    ``coords`` (a list or a ``{k: c}`` mapping); () when there are none."""
-    if not keys:
-        return ()
-    k0, k1 = keys[0], keys[-1] + 1
-    if isinstance(coords, list):
-        slots = coords[k0:k1]
-    else:
-        slots = [0] * (k1 - k0)
-        for k in keys:
-            slots[k - k0] = coords[k]
+def _pack_cell(coords: dict, limbs: int) -> tuple:
+    """``(shift, packed)`` of the nonzero coordinates ``coords``, a nonempty
+    ``{k: c}`` mapping in ascending k."""
+    keys = list(coords)
+    k0 = keys[0]
+    slots = [0] * (keys[-1] + 1 - k0)
+    for k, c in coords.items():
+        slots[k - k0] = c
     if limbs == 1 and _WORDS:
         packed = int.from_bytes(array("Q", slots), "little")
     else:
@@ -136,11 +132,12 @@ class Algebra:
         """Build a unital algebra from the non-unit products; the rest is zero.
 
         ``products`` maps ``(i, j)`` with ``1 <= i, j < n`` to either a sparse
-        ``{k: coeff}`` mapping or a full coordinate sequence.  Products
-        involving the unit follow from the unit law; a key with a 0 index
-        raises RangeError.  Costs O(n) plus the size of ``products`` plus
-        the packed slots, if any; more than :data:`MAX_TABLE_BITS` of them
-        raises BudgetExceeded.
+        ``{k: coeff}`` mapping or a full coordinate sequence; a sequence is
+        read as the mapping ``{k: value[k]}``.  Products involving the unit
+        follow from the unit law; a key with a 0 index raises RangeError, as
+        does an index or coordinate index that is not an int below n.  Costs
+        O(n) plus the size of ``products`` plus the packed slots, if any;
+        more than :data:`MAX_TABLE_BITS` of them raises BudgetExceeded.
         """
         if n < 1:
             raise RangeError(f"dimension must be >= 1, got {n}")
@@ -149,39 +146,31 @@ class Algebra:
         bits = 0
         rows = [{} for _ in range(n)]
         indices = set(range(n))
+        coerce = field.coerce
         for key, value in products.items():
             if not (isinstance(key, tuple) and len(key) == 2):
                 raise ShapeError(f"product key {key!r} is not an index pair (i, j)")
             i, j = key
-            if not (i in indices and j in indices and i and j):
+            if not (type(i) is type(j) is int and 0 < i < n and 0 < j < n):
                 raise RangeError(
                     f"product indices ({i!r},{j!r}) must be non-unit basis indices"
                 )
-            if isinstance(value, Mapping):
-                if not indices.issuperset(value):
-                    bad = next(k for k in value if k not in indices)
-                    raise RangeError(f"coordinate index {bad!r} out of range")
-                coords = {k: field.coerce(c) for k, c in value.items()}
-                if limbs:
-                    cell = _pack_cell(coords, sorted(k for k, c in coords.items() if c), limbs)
-                else:
-                    cell = tuple((k, coords[k]) for k in sorted(coords) if coords[k])
-            else:
+            if not isinstance(value, Mapping):
                 if not (isinstance(value, Sequence) and len(value) == n):
                     raise ShapeError(
                         f"product ({i},{j}) must be a {{k: coeff}} mapping "
                         f"or a sequence of {n} coordinates"
                     )
-                coords = map(field.coerce, value)
-                if limbs:
-                    coords = list(coords)
-                    cell = _pack_cell(coords, [k for k, c in enumerate(coords) if c], limbs)
-                else:
-                    cell = tuple((k, c) for k, c in enumerate(coords) if c)
-            if cell:
-                rows[i][j] = cell
-            if limbs and cell:
-                bits += cell[1].bit_length()
+                value = dict(enumerate(value))
+            # 2.0 and Fraction(2) are in ``indices`` too, so the types are checked apart.
+            if not (indices.issuperset(value) and {int}.issuperset(map(type, value))):
+                bad = next(k for k in value if type(k) is not int or k not in indices)
+                raise RangeError(f"coordinate index {bad!r} out of range")
+            coords = {k: c for k in sorted(value) if (c := coerce(value[k]))}
+            if coords:
+                rows[i][j] = _pack_cell(coords, limbs) if limbs else tuple(coords.items())
+            if limbs and coords:
+                bits += rows[i][j][1].bit_length()
                 if bits > MAX_TABLE_BITS:
                     raise BudgetExceeded(
                         f"packed GF({mod}) cells of {64 * limbs}-bit slots exceed "
@@ -297,16 +286,19 @@ class Algebra:
         return acc
 
     def multiply(self, u: Sequence[Scalar], v: Sequence[Scalar]) -> Vector:
-        """Bilinear product u*v, exact, as field scalars; over GF(p) any ints."""
-        if len(u) != self.n or len(v) != self.n:
-            raise ShapeError("operand length does not match the algebra dimension")
+        """Bilinear product u*v, exact, as field scalars.
+
+        The operands are coerced as :meth:`coerce_vector` does: any ints or
+        Fractions with an image in the field, n of them.
+        """
+        return self._product(self.coerce_vector(u), self.coerce_vector(v))
+
+    def _product(self, u: Vector, v: Vector) -> Vector:
+        """u*v of two field vectors, as field scalars."""
         mod = self.field.modulus
         if mod is not None:
-            if self._limbs:
-                u, v = [x % mod for x in u], [x % mod for x in v]
             return tuple([x % mod for x in self.scaled_product(u, v)])
-        acc = self.scaled_product(u, v)
-        return tuple([Fraction(x, self.denominator) for x in acc])
+        return tuple([Fraction(x, self.denominator) for x in self.scaled_product(u, v)])
 
     # ----- comparison ----------------------------------------------------
 

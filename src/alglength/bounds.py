@@ -12,19 +12,25 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
 from typing import Iterable, Mapping
 
 from .errors import KOutOfRange, RangeError, WellformednessError
+
+
+def _fibonacci_numbers():
+    """F_1, F_2, F_3, ... without end."""
+    a, b = 1, 1
+    while True:
+        yield a
+        a, b = b, a + b
 
 
 def fibonacci(i: int) -> int:
     """F_1 = F_2 = 1, F_i = F_{i-1} + F_{i-2}; exact for any i >= 1."""
     if i < 1:
         raise RangeError(f"Fibonacci index must be >= 1, got {i}")
-    a, b = 1, 1
-    for _ in range(i - 1):
-        a, b = b, a + b
-    return a
+    return next(islice(_fibonacci_numbers(), i - 1, None))
 
 
 def is_wellformed_sequence(seq) -> bool:
@@ -105,18 +111,26 @@ def check_addition_chain(seq, strict: bool = False) -> ChainCheck:
     )
 
 
+def _pointwise(m, bounds: Iterable[int], first: int = 1) -> BoundCheck:
+    """m_h <= b_h for h >= 1, with b_1, b_2, ... taken from ``bounds`` in turn.
+
+    Every index above its bound is a failure; an index equal to it is an
+    equality when it is at least ``first``.
+    """
+    failures = []
+    equalities = []
+    for h, (value, bound) in enumerate(zip(m[1:], bounds), 1):
+        if value > bound:
+            failures.append((h, value))
+        elif value == bound and h >= first:
+            equalities.append(h)
+    return BoundCheck(ok=not failures, failures=tuple(failures), equalities=tuple(equalities))
+
+
 def check_power_bound(seq) -> BoundCheck:
     """m_h <= 2^(h-1) for all h >= 1."""
     m = ensure_wellformed(seq)
-    failures = []
-    equalities = []
-    for h in range(1, len(m)):
-        bound = 1 << (h - 1)
-        if m[h] > bound:
-            failures.append((h, m[h]))
-        elif m[h] == bound:
-            equalities.append(h)
-    return BoundCheck(ok=not failures, failures=tuple(failures), equalities=tuple(equalities))
+    return _pointwise(m, map((1).__lshift__, range(len(m) - 1)))
 
 
 def check_fibonacci_bound(seq, k: int = 1) -> BoundCheck:
@@ -125,38 +139,16 @@ def check_fibonacci_bound(seq, k: int = 1) -> BoundCheck:
     For k = 1 this is the pointwise bound m_h <= F_h, vacuous on the
     unit-only sequence (0,).  For k >= 2 (a set with k generators
     independent modulo the unit) it requires m_1 = ... = m_k = 1 and
-    m_{k+h} <= F_{h+2} for -1 <= h <= N-k.
+    m_{k+h} <= F_{h+2} for -1 <= h <= N-k.  Every term of a well-formed
+    sequence is >= 1, so both are one pointwise bound: 1 at indices
+    1..k-2, then F_1, F_2, ... from index k-1 on.  Equalities are listed
+    from index k-1 on.
     """
     m = ensure_wellformed(seq)
     N = len(m) - 1
     if k != 1 and not 1 <= k <= N:
         raise KOutOfRange(f"k = {k} outside 1..{N}")
-    failures = []
-    equalities = []
-    if k == 1:
-        fib_prev, fib = 0, 1  # (F_0, F_1); fib tracks F_h below
-        for h in range(1, len(m)):
-            if m[h] > fib:
-                failures.append((h, m[h]))
-            elif m[h] == fib:
-                equalities.append(h)
-            fib_prev, fib = fib, fib_prev + fib
-        return BoundCheck(
-            ok=not failures, failures=tuple(failures), equalities=tuple(equalities)
-        )
-    for t in range(1, k + 1):
-        if m[t] != 1:
-            failures.append((t, m[t]))
-    for h in range(-1, N - k + 1):
-        bound = fibonacci(h + 2)
-        value = m[k + h]
-        if value > bound:
-            failures.append((k + h, value))
-        elif value == bound:
-            equalities.append(k + h)
-    return BoundCheck(
-        ok=not failures, failures=tuple(failures), equalities=tuple(equalities)
-    )
+    return _pointwise(m, chain(repeat(1, k - 2), _fibonacci_numbers()), first=k - 1)
 
 
 def _fibonacci_bound_k(m) -> BoundCheck:

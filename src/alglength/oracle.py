@@ -27,15 +27,10 @@ from .echelon import EchelonSubspace
 from .errors import BudgetExceeded, PrimeFieldRequired, RangeError
 from .length import compute_length
 
-DEFAULT_KMAX_LIMIT = 10
-DEFAULT_GENS_LIMIT = 3
 # Most subspaces brute_force_algebra_length enumerates.
 SUBSPACE_BUDGET = 4096
 # Most candidate words enumerate_words_spans evaluates, over all k <= kmax.
 WORD_BUDGET = 1_000_000
-# Largest kmax for which the candidate words are counted; the count is a sum
-# of kmax big Catalan numbers, too costly for huge kmax.
-COUNT_KMAX_LIMIT = 64
 
 
 def catalan(m: int) -> int:
@@ -60,7 +55,7 @@ def iter_word_values(algebra: Algebra, gens: GenSet, kmax: int):
     """
     gens = coerce_genset(algebra, gens)
     cache: dict[tuple[Vector, Vector], Vector] = {}
-    multiply = algebra.multiply
+    multiply = algebra._product  # the words are field vectors already
     by_len: dict[int, list[Vector]] = {1: list(gens)}
     if kmax >= 1:
         yield 1, by_len[1]
@@ -87,22 +82,24 @@ def enumerate_words_spans(
 ) -> list[int]:
     """Exact dims of L_0..L_kmax by exhaustive bracketed-word evaluation.
 
-    Raises BudgetExceeded for kmax above 10, more than 3 generators, or more
-    than :data:`WORD_BUDGET` candidate words in total.
+    Raises BudgetExceeded when the words of lengths 1..kmax number more than
+    :data:`WORD_BUDGET`.  The count is summed k by k and the refusal comes as
+    soon as the budget is passed, so a huge kmax costs nothing to refuse; the
+    error's ``count`` is the total when the budget is passed at k = kmax,
+    else None.
     """
     if kmax < 0:
         raise RangeError(f"kmax must be >= 0, got {kmax}")
     gens = coerce_genset(algebra, gens)
-    what, total = f"kmax={kmax}, {len(gens)} generators", None
-    if kmax <= COUNT_KMAX_LIMIT:
-        total = sum(bracketed_word_count(len(gens), k) for k in range(1, kmax + 1))
-        what = f"{total} candidate words ({what})"
-    if kmax > DEFAULT_KMAX_LIMIT or len(gens) > DEFAULT_GENS_LIMIT or total > WORD_BUDGET:
-        raise BudgetExceeded(
-            f"{what} exceeds the kmax<={DEFAULT_KMAX_LIMIT}, "
-            f"|S|<={DEFAULT_GENS_LIMIT}, {WORD_BUDGET} words budget",
-            count=total,
-        )
+    total = 0
+    for k in range(1, kmax + 1):
+        total += bracketed_word_count(len(gens), k)
+        if total > WORD_BUDGET:
+            raise BudgetExceeded(
+                f"{total} candidate words of lengths 1..{k} (kmax={kmax}, "
+                f"{len(gens)} generators) exceed the {WORD_BUDGET} words budget",
+                count=total if k == kmax else None,
+            )
     space, _ = EchelonSubspace.empty(algebra.field, algebra.n).insert(algebra.unit())
     dims = [space.dim]
     seen: set[Vector] = set()

@@ -167,11 +167,31 @@ def test_table_coercion_and_equality():
         ({(1, 1): 5}, ShapeError),
         ({(0, 1): {1: 1}}, RangeError),
         ({(1, 0): {1: 1}}, RangeError),
+        ({(1, 1): {2.0: 1}}, RangeError),
+        ({(1, 1): {Fraction(2): 1}}, RangeError),
+        ({(1.0, 1): {2: 1}}, RangeError),
+        ({(1, Fraction(1)): {2: 1}}, RangeError),
     ],
 )
 def test_from_products_rejects_malformed_arguments(products, error):
-    with pytest.raises(error):
-        Algebra.from_products(QQ, 3, products)
+    # Over GF(101), n = 9 packs the cells and n = 5 keeps (k, c) pairs.
+    for field in (QQ, GF(101)):
+        for n in (5, 9):
+            with pytest.raises(error):
+                Algebra.from_products(field, n, products)
+
+
+@pytest.mark.parametrize("n", [5, 9])
+def test_multiply_coerces_its_operands(n):
+    algebra, _ = make_example("power2", n, GF(101))
+    half_e1 = [0] * n
+    half_e1[1] = Fraction(1, 2)
+    # (e1/2)^2 = e2/4, and 4 * 76 = 1 mod 101.
+    assert algebra.multiply(half_e1, half_e1) == tuple(76 if k == 2 else 0 for k in range(n))
+    for field in (QQ, GF(101)):
+        algebra, _ = make_example("power2", n, field)
+        with pytest.raises(FieldMismatch):
+            algebra.multiply(algebra.unit(), [0.5] + [0] * (n - 1))
 
 
 MERSENNE31 = 2**31 - 1

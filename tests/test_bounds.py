@@ -129,6 +129,69 @@ def test_fibonacci_bound_k_variant():
         check_fibonacci_bound(seq, k=7)
 
 
+def test_fibonacci_bound_lists_each_failing_index_once():
+    # m_2 = 2 breaks both m_1 = m_2 = 1 and m_2 <= F_2, and is one failure.
+    check = check_fibonacci_bound((0, 1, 2, 3), k=2)
+    assert check.failures == ((2, 2), (3, 3))
+    assert check.equalities == (1,)
+
+
+def test_fib_k_is_linear_in_the_sequence_length():
+    seq = [0, 1, 1]
+    while len(seq) < 8192:
+        seq.append(seq[-1] + seq[-2])
+    start = time.perf_counter()
+    report = verify_sequence(seq, ("fib-k",))
+    assert time.perf_counter() - start < 0.5
+    assert report.ok()
+    assert report.checks["fib-k"].equalities == tuple(range(1, 8192))
+
+
+def _direct_power_bound(m):
+    """(failures, equalities) of m_h <= 2^(h-1), h >= 1, term by term."""
+    failures = [(h, m[h]) for h in range(1, len(m)) if m[h] > 2 ** (h - 1)]
+    equalities = [h for h in range(1, len(m)) if m[h] == 2 ** (h - 1)]
+    return tuple(failures), tuple(equalities)
+
+
+def _direct_fibonacci_bound(m, k):
+    """(failures, equalities) of the k-generator Fibonacci bound as stated:
+    m_h <= F_h for k = 1; for k >= 2, m_1 = ... = m_k = 1 and
+    m_(k+h) <= F_(h+2) for -1 <= h <= N-k, equalities from index k-1 on."""
+    fib = [0, 1, 1]
+    while len(fib) < len(m) + 3:
+        fib.append(fib[-1] + fib[-2])
+    N = len(m) - 1
+    if k == 1:
+        bound = {h: fib[h] for h in range(1, N + 1)}
+    else:
+        bound = {k + h: fib[h + 2] for h in range(-1, N - k + 1)}
+    failures = [
+        (t, m[t]) for t in range(1, N + 1)
+        if (k >= 2 and t <= k and m[t] != 1) or (t in bound and m[t] > bound[t])
+    ]
+    equalities = [t for t in range(1, N + 1) if t in bound and m[t] == bound[t]]
+    return tuple(failures), tuple(equalities)
+
+
+def test_pointwise_bounds_match_their_statements_on_random_sequences():
+    rng = random.Random(61)
+    for _ in range(600):
+        m = [0] + [1] * rng.randint(0, 5)
+        for _ in range(rng.randint(0, 8)):
+            m.append(max(1, m[-1] + rng.choice((0, 1, 1, 2, 3, m[-1]))))
+        m = tuple(m)
+        check = check_power_bound(m)
+        assert (check.failures, check.equalities) == _direct_power_bound(m), m
+        assert check.ok == (not check.failures)
+        for k in range(1, 5):
+            if k > 1 and k > len(m) - 1:
+                continue
+            check = check_fibonacci_bound(m, k=k)
+            assert (check.failures, check.equalities) == _direct_fibonacci_bound(m, k), (m, k)
+            assert check.ok == (not check.failures)
+
+
 def test_wellformedness_errors():
     for bad in ((), (1,), (0, 2, 1), (0, 0, 1), (0, -1)):
         with pytest.raises(WellformednessError):

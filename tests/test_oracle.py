@@ -65,13 +65,17 @@ def test_words_spans_fib_lc():
 
 
 def test_words_budget_enforced():
+    # The word count is the one limit: one generator runs up to kmax 13
+    # (290,512 words) and four generators run at small kmax.
     algebra, gens = make_example("power2", 4)
+    terms = compute_length(algebra, gens).charseq
+    assert enumerate_words_spans(algebra, gens, 11) == dims_from_charseq(terms, 11)
     with pytest.raises(BudgetExceeded) as info:
-        enumerate_words_spans(algebra, gens, 11)
-    assert info.value.count == sum(bracketed_word_count(1, k) for k in range(1, 12))
-    big = tuple(algebra.basis_vector(1) for _ in range(4))
-    with pytest.raises(BudgetExceeded):
-        enumerate_words_spans(algebra, big, 3)
+        enumerate_words_spans(algebra, gens, 14)
+    assert info.value.count == sum(bracketed_word_count(1, k) for k in range(1, 15))
+    four = tuple(algebra.basis_vector(i) for i in (1, 2, 3, 1))
+    terms = compute_length(algebra, four).charseq
+    assert enumerate_words_spans(algebra, four, 3) == dims_from_charseq(terms, 3)
 
 
 def test_words_budget_bounds_the_total_word_count():
@@ -88,12 +92,13 @@ def test_words_budget_bounds_the_total_word_count():
 
 def test_words_budget_for_huge_kmax_is_immediate():
     algebra, gens = make_example("power2", 4)
-    start = time.perf_counter()
-    with pytest.raises(BudgetExceeded) as info:
-        enumerate_words_spans(algebra, gens, 8000)
-    assert time.perf_counter() - start < 0.5
-    assert info.value.count is None
-    assert "kmax=8000" in str(info.value)
+    for kmax in (8000, 2**20):
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded) as info:
+            enumerate_words_spans(algebra, gens, kmax)
+        assert time.perf_counter() - start < 0.5
+        assert info.value.count is None
+        assert f"kmax={kmax}" in str(info.value)
 
 
 def test_oracle_agrees_with_engine_on_families():

@@ -6,9 +6,10 @@ Usage:
 
 Both trees run the same argument lists: the README examples, the bench
 ``CLI_FAMILIES`` family files, two sparse files shaped like the bench's
-``CLI_SPARSE`` ones (each with non-generating sets too), four seeded dense
-tables (over Q, GF(101) and GF(2^31 - 1) with integer entries, and over Q
-with fractional entries such as 1/2 and -2/3; every non-unit product
+``CLI_SPARSE`` ones (each with non-generating sets too), six seeded dense
+tables (over Q, GF(101) and GF(2^31 - 1) with integer entries, the two
+prime fields at dims 6 and 9, on both sides of ``algebra.PACK_MIN_N``, and
+over Q with fractional entries such as 1/2 and -2/3; every non-unit product
 nonzero, run with two random coordinate rows, so that no fresh row is a
 basis vector) and the dim-1 algebra, where ``fib-k`` has no k, with and
 without ``--lc-shortcut``, through ``length``, ``charseq``, ``dims``,
@@ -61,10 +62,12 @@ SPARSE_CHAIN = 5
 INTEGERS = tuple(Fraction(c) for c in range(-2, 3))
 FRACTIONS = tuple(Fraction(c) for c in ("-2/3", "-1", "0", "0", "1/2", "2", "5/3"))
 # (dim, field line, seed, entries): dense tables with every non-unit product
-# nonzero and generator rows, entries drawn from the given values.
-# GF(2^31 - 1) packs its structure constants in two-limb slots.
+# nonzero and generator rows, entries drawn from the given values.  GF(p)
+# tables of dim 6 keep (k, c) pairs; those of dim 9 are packed, GF(2^31 - 1)
+# in two-limb slots.
 DENSE_FILES = ((5, "rational", 11, INTEGERS), (6, "prime 101", 12, INTEGERS),
-               (5, "rational", 13, FRACTIONS), (6, "prime 2147483647", 14, INTEGERS))
+               (5, "rational", 13, FRACTIONS), (6, "prime 2147483647", 14, INTEGERS),
+               (9, "prime 101", 15, INTEGERS), (9, "prime 2147483647", 16, INTEGERS))
 UNIT_ONLY = "alglength-algebra v1\nfield rational\ndim 1\nbasis 1\n"
 
 
