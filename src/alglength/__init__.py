@@ -62,7 +62,6 @@ from .oracle import (
     catalan,
     enumerate_words_spans,
     gaussian_binomial,
-    iter_word_values,
     subspace_count,
 )
 
@@ -117,7 +116,6 @@ __all__ = [
     "fibonacci",
     "gaussian_binomial",
     "is_wellformed_sequence",
-    "iter_word_values",
     "make_example",
     "parse_algebra",
     "parse_gens",

@@ -43,7 +43,6 @@ from typing import Mapping, Sequence
 from .errors import (
     BudgetExceeded,
     EmptyGeneratingSet,
-    NotLocallyComplex,
     PrimeFieldNotAllowed,
     RangeError,
     ShapeError,
@@ -105,8 +104,8 @@ class Algebra:
         n: dimension (number of basis elements, the unit included).
         field: coefficient field.
         basis_names: n labels; index 0 is always "1".
-        lc_flag: claim that the basis passes :func:`check_lc_basis`, checked
-            at construction.
+        lc_flag: whether the basis passes :func:`check_lc_basis`, read off
+            the table at construction; False over GF(p).
         denominator: D, the least common denominator of the structure
             constants over Q; 1 over GF(p).
 
@@ -127,7 +126,6 @@ class Algebra:
         n: int,
         products: Mapping[tuple[int, int], Mapping[int, Scalar] | Sequence[Scalar]],
         basis_names: Sequence[str] | None = None,
-        lc_flag: bool = False,
     ) -> "Algebra":
         """Build a unital algebra from the non-unit products; the rest is zero.
 
@@ -138,6 +136,8 @@ class Algebra:
         does an index or coordinate index that is not an int below n.  Costs
         O(n) plus the size of ``products`` plus the packed slots, if any;
         more than :data:`MAX_TABLE_BITS` of them raises BudgetExceeded.
+        ``lc_flag`` is :func:`check_lc_basis` over Q, which stops at the
+        first cell that fails, e_1^2 on most tables, and False over GF(p).
         """
         if n < 1:
             raise RangeError(f"dimension must be >= 1, got {n}")
@@ -202,14 +202,10 @@ class Algebra:
         algebra.n = n
         algebra.field = field
         algebra.basis_names = basis_names
-        algebra.lc_flag = bool(lc_flag)
         algebra.denominator = denominator
         algebra._rows = tuple(rows)
         algebra._limbs = limbs
-        if algebra.lc_flag and not check_lc_basis(algebra):
-            raise NotLocallyComplex(
-                "lc flag is set but the basis fails the locally-complex check"
-            )
+        algebra.lc_flag = mod is None and check_lc_basis(algebra)
         return algebra
 
     def terms(self, i: int, j: int) -> list[tuple[int, Scalar]]:
@@ -309,7 +305,6 @@ class Algebra:
             and self.denominator == other.denominator
             and self._rows == other._rows
             and self.basis_names == other.basis_names
-            and self.lc_flag == other.lc_flag
         )
 
     def __hash__(self):

@@ -207,14 +207,14 @@ def _cmd_length(args, algebra, gens):
     else:
         print(f"l(S) = not generating (stop: {report.stop_reason})")
         print(f"partial sequence: {_seq_str(report.charseq)}")
-    return reporting.length_report_payload(report, algebra.field), None
+    return reporting.length_report_payload(report), None
 
 
 def _cmd_charseq(args, algebra, gens):
     report = _engine_report(algebra, gens, args)
     marker = "" if report.is_generating else " (partial: set does not generate)"
     print(f"characteristic sequence: {_seq_str(report.charseq)}{marker}")
-    return reporting.length_report_payload(report, algebra.field), None
+    return reporting.length_report_payload(report), None
 
 
 def _cmd_dims(args, algebra, gens):

@@ -1,11 +1,11 @@
 """Subspaces held as integer row-echelon bases, grown by fraction-free elimination.
 
-An :class:`EchelonSubspace` stores a basis as rows with strictly increasing
-pivot columns.  Each row is 0 left of its pivot and 0 at the pivot of every
-row inserted before it; the rows are not back-substituted, so equal spans
-may have different rows.  Rows hold ints: over Q each row is primitive (the
-gcd of its entries is 1) with a positive pivot entry, over GF(p) each row is
-1 at its pivot.
+An :class:`EchelonSubspace` stores a basis as rows in insertion order.  Each
+row is 0 left of its pivot and 0 at the pivot of every older row, so
+reducing against the rows in that order clears every pivot; the rows are
+not back-substituted, so equal spans may have different rows.  Rows hold
+ints: over Q each row is primitive (the gcd of its entries is 1) with a
+positive pivot entry, over GF(p) each row is 1 at its pivot.
 
 A span does not change when a vector is scaled, so reduction never divides
 (Bareiss, Math. Comp. 1968): against a row with pivot entry r, a vector with
@@ -15,12 +15,11 @@ the residues and reduced mod p once per vector.  The residue is a nonzero
 multiple of the one vector of v + span(rows) that is 0 at every pivot, so
 up to a scalar it depends only on the span and not on which echelon basis
 of it is stored.  Insertion makes the residue primitive (over Q) or 1 at its
-pivot (over GF(p)) and slots it in by pivot; no older row changes.
+pivot (over GF(p)) and appends it; no older row changes.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from math import gcd, lcm
 from typing import Optional, Sequence
 
@@ -31,7 +30,7 @@ Vector = tuple  # tuple[Scalar, ...]
 
 
 class EchelonSubspace:
-    """Immutable subspace of F^ambient held as an integer row-echelon basis."""
+    """Immutable subspace of F^ambient held as integer echelon rows, in insertion order."""
 
     __slots__ = ("field", "ambient", "rows", "pivots")
 
@@ -115,9 +114,7 @@ class EchelonSubspace:
         else:
             lead_inv = self.field.inv(residue[pivot])
             newrow = tuple((x * lead_inv) % mod for x in residue)
-        at = bisect_left(self.pivots, pivot)
-        rows = self.rows[:at] + (newrow,) + self.rows[at:]
-        pivots = self.pivots[:at] + (pivot,) + self.pivots[at:]
+        rows, pivots = self.rows + (newrow,), self.pivots + (pivot,)
         return EchelonSubspace(self.field, self.ambient, rows, pivots), newrow
 
     def __repr__(self) -> str:

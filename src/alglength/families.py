@@ -21,9 +21,9 @@ results that this package verifies:
   product of the two step-n newcomers; S = {e_1, e_2}.  dims plateau at
   n+3 over steps n..2n-1 and reach n+4 at step 2n.
 
-The three ``lc-*``/``fib-lc`` families pass the locally-complex basis check
-when built over the rationals (the default).  Over a prime field the tables
-are still valid (signs reduce mod p) but carry ``lc_flag = False``.
+The three ``lc-*``/``fib-lc`` families pass the locally-complex basis check,
+so ``lc_flag`` is set, when built over the rationals (the default).  Over a
+prime field the tables are still valid (signs reduce mod p), and unflagged.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .fields import QQ, Field
 
 FAMILY_NAMES = ("power2", "stall-chain", "fib-lc", "lc-gap7", "lc-gap-family")
 
-_LC_FAMILIES = {"fib-lc", "lc-gap7", "lc-gap-family"}
 # Largest size parameter n accepted: time and memory of an instance grow with n.
 MAX_N = 4096
 
@@ -115,7 +114,6 @@ def make_example(family: str, n: int | None = None, field: Field = QQ) -> tuple[
             dim, products, gen_indices = _lc_gap_family(n, field)
         else:
             raise RangeError(f"unknown family {family!r}; choose from {FAMILY_NAMES}")
-    lc = family in _LC_FAMILIES and field.modulus is None
-    algebra = Algebra.from_products(field, dim, products, lc_flag=lc)
+    algebra = Algebra.from_products(field, dim, products)
     gens = tuple(algebra.basis_vector(i) for i in gen_indices)
     return algebra, gens

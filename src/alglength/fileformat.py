@@ -7,12 +7,14 @@ Format (UTF-8, line oriented, ``#`` starts a comment):
     dim <n>
     basis 1 <name_1> ... <name_{n-1}>
     prod <name_i> <name_j> = <term> (+ <term>)*
-    lc true|false             # optional claim, default false
+    lc true|false             # optional claim; lc true is checked
 
 A term is ``<scalar>*<name_k>``, a bare ``<name_k>``, or ``<scalar>*1`` for
 the unit component; scalars match ``-?[0-9]+(/[0-9]+)?`` and fractions must
 be in lowest terms.  Unlisted non-unit products are zero; products involving
-the unit are implied by the unit law and must not be listed.
+the unit are implied by the unit law and must not be listed.  Parsing checks
+an ``lc true`` claim; ``lc_flag`` is read off the table, whatever the file
+says, and :func:`serialize_algebra` writes ``lc true`` when it is set.
 
 Generator specs (the CLI ``--gens`` argument) are ``;``-separated: either a
 comma-separated list of basis names (sugar for the corresponding unit
@@ -23,10 +25,11 @@ from __future__ import annotations
 
 import re
 
-from .algebra import Algebra, GenSet
+from .algebra import Algebra, GenSet, check_lc_basis
 from .errors import (
     BadScalar,
     DuplicateProduct,
+    NotLocallyComplex,
     ParseError,
     UnknownBasisName,
 )
@@ -126,16 +129,16 @@ def parse_algebra(text: str) -> Algebra:
         names[name] = idx - 1
 
     products: dict[tuple[int, int], dict[int, Scalar]] = {}
-    lc_flag = None
+    lc_claim = None
     for lineno, line in lines:
         parts = line.split(None, 1)
         if parts[0] == "lc":
-            if lc_flag is not None:
+            if lc_claim is not None:
                 raise ParseError("duplicate lc line", lineno)
             claim = parts[1].strip() if len(parts) == 2 else ""
             if claim not in ("true", "false"):
                 raise ParseError("expected 'lc true' or 'lc false'", lineno)
-            lc_flag = claim == "true"
+            lc_claim = claim == "true"
             continue
         if parts[0] != "prod":
             raise ParseError(f"unexpected directive {parts[0]!r}", lineno)
@@ -162,9 +165,10 @@ def parse_algebra(text: str) -> Algebra:
         products[key] = vec
 
     ordered = ["1"] + sorted(names, key=names.get)
-    return Algebra.from_products(
-        field, n, products, basis_names=ordered, lc_flag=bool(lc_flag)
-    )
+    algebra = Algebra.from_products(field, n, products, basis_names=ordered)
+    if lc_claim and not (algebra.lc_flag or check_lc_basis(algebra)):
+        raise NotLocallyComplex("lc flag is set but the basis fails the locally-complex check")
+    return algebra
 
 
 def _format_term(field: Field, k: int, coeff, names) -> str:
@@ -216,6 +220,4 @@ def parse_gens(text: str, algebra: Algebra) -> GenSet:
                 if name not in algebra.basis_names:
                     raise UnknownBasisName(f"unknown basis name {name!r}")
                 vectors.append(algebra.basis_vector(algebra.basis_names.index(name)))
-    if not vectors:
-        raise ParseError("no generators given")
     return tuple(vectors)

@@ -1,12 +1,13 @@
 """Independent brute-force checkers for the length engine.
 
 ``enumerate_words_spans`` evaluates every fully bracketed word over every
-letter assignment, level by level, and records the span dimensions.  It is
-deliberately naive (no word is skipped or merged with an equal one), so it
-serves as an oracle for the engine's fresh-pair candidate restriction.  Two
-caches keep it affordable without changing what gets enumerated: word values
-of each length are stored so a word of length k costs exactly one product of
-its two child values, and products are memoized on operand values.
+letter assignment, level by level, and records the span dimensions.  It
+never applies the engine's fresh-pair candidate restriction, so it serves as
+an oracle for it.  A span depends only on the values spanned, so each length
+keeps the set of its words' values: a word of length k is the product of a
+value of length a and one of length k - a, so words with equal values add
+one product, not one each.  Products are memoized on operand values, since
+a value can occur at several lengths.
 
 ``brute_force_algebra_length`` computes l(A) over a prime field by exhausting
 subspaces.  Since the length of S depends on S only through span(unit, S),
@@ -46,41 +47,12 @@ def bracketed_word_count(num_letters: int, k: int) -> int:
     return catalan(k - 1) * num_letters**k
 
 
-def iter_word_values(algebra: Algebra, gens: GenSet, kmax: int):
-    """Yield (k, values) where values lists every word of length k, in order.
-
-    Each bracketed word appears as its own entry: words of length k are the
-    concatenation over splits a + b = k (a ascending) of the products of
-    every length-a word with every length-b word.
-    """
-    gens = coerce_genset(algebra, gens)
-    cache: dict[tuple[Vector, Vector], Vector] = {}
-    multiply = algebra._product  # the words are field vectors already
-    by_len: dict[int, list[Vector]] = {1: list(gens)}
-    if kmax >= 1:
-        yield 1, by_len[1]
-    for k in range(2, kmax + 1):
-        out: list[Vector] = []
-        for a in range(1, k):
-            right = by_len[k - a]
-            for u in by_len[a]:
-                for v in right:
-                    key = (u, v)
-                    w = cache.get(key)
-                    if w is None:
-                        w = multiply(u, v)
-                        cache[key] = w
-                    out.append(w)
-        by_len[k] = out
-        yield k, out
-
-
-def enumerate_words_spans(
-    algebra: Algebra,
-    gens,
-    kmax: int,
-) -> list[int]:
+def enumerate_words_spans(algebra: Algebra, gens, kmax: int) -> list[int]:
     """Exact dims of L_0..L_kmax by exhaustive bracketed-word evaluation.
+
+    V_1 is the set of generators and V_k = {u*v : u in V_a, v in V_(k-a),
+    1 <= a < k} is the set of values of the words of length k; L_k is the
+    span of the unit and V_1, ..., V_k.  Every value of V_k is inserted.
 
     Raises BudgetExceeded when the words of lengths 1..kmax number more than
     :data:`WORD_BUDGET`.  The count is summed k by k and the refusal comes as
@@ -102,12 +74,22 @@ def enumerate_words_spans(
             )
     space, _ = EchelonSubspace.empty(algebra.field, algebra.n).insert(algebra.unit())
     dims = [space.dim]
-    seen: set[Vector] = set()
-    for _, values in iter_word_values(algebra, gens, kmax):
-        for w in values:
-            if w not in seen:
-                seen.add(w)
-                space, _ = space.insert(w)
+    multiply = algebra._product  # the values are field vectors already
+    memo: dict[tuple[Vector, Vector], Vector] = {}
+    values: dict[int, set[Vector]] = {}
+    for k in range(1, kmax + 1):
+        level = set(gens) if k == 1 else set()
+        for a in range(1, k):
+            right = values[k - a]
+            for u in values[a]:
+                for v in right:
+                    w = memo.get((u, v))
+                    if w is None:
+                        w = memo[u, v] = multiply(u, v)
+                    level.add(w)
+        values[k] = level
+        for w in level:
+            space, _ = space.insert(w)
         dims.append(space.dim)
     return dims
 
@@ -130,9 +112,6 @@ def subspace_count(m: int, q: int) -> int:
 
 def iter_rref_bases(p: int, m: int, rank: int):
     """Yield every rank-``rank`` reduced-echelon basis over GF(p)^m, once each."""
-    if rank == 0:
-        yield ()
-        return
     cols = range(m)
     for pivots in combinations(cols, rank):
         pivot_set = set(pivots)

@@ -28,7 +28,7 @@ def vector_payload(field: Field, vector) -> list[str]:
     return [field.format(x) for x in vector]
 
 
-def length_report_payload(report: LengthReport, field: Field) -> dict:
+def length_report_payload(report: LengthReport) -> dict:
     return {
         "charseq": list(report.charseq),
         "charseq_partial": not report.is_generating,
@@ -38,7 +38,7 @@ def length_report_payload(report: LengthReport, field: Field) -> dict:
         "fresh_basis": [
             {
                 "length": length,
-                "vectors": [vector_payload(field, v) for v in vectors],
+                "vectors": [vector_payload(report.field, v) for v in vectors],
             }
             for length, vectors in report.fresh_basis
         ],

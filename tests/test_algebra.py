@@ -10,7 +10,6 @@ from alglength import (
     GF,
     QQ,
     FieldMismatch,
-    NotLocallyComplex,
     PrimeFieldNotAllowed,
     RangeError,
     ShapeError,
@@ -56,6 +55,16 @@ def test_multiply_shape_error():
     algebra, _ = make_example("power2", 4)
     with pytest.raises(ShapeError):
         algebra.multiply((Fraction(1),), algebra.unit())
+
+
+def test_dimension_names_and_basis_index_errors():
+    with pytest.raises(RangeError):
+        Algebra.from_products(QQ, 0, {})
+    with pytest.raises(ShapeError):
+        Algebra.from_products(QQ, 3, {}, basis_names=("1", "a"))
+    algebra, _ = make_example("power2", 4)
+    with pytest.raises(RangeError):
+        algebra.basis_vector(4)
 
 
 def test_bilinearity_random():
@@ -129,9 +138,12 @@ def test_check_lc_basis_rejects_prime_fields():
         check_lc_basis(algebra)
 
 
-def test_lc_flag_is_verified_at_construction():
-    with pytest.raises(NotLocallyComplex):
-        Algebra.from_products(QQ, 3, {(1, 1): {2: 1}}, lc_flag=True)
+def test_lc_flag_is_derived():
+    complexes = Algebra.from_products(QQ, 2, {(1, 1): {0: -1}})
+    assert complexes.lc_flag
+    power2, _ = make_example("power2", 4)
+    assert not power2.lc_flag
+    assert not Algebra.from_products(GF(3), 2, {(1, 1): {0: -1}}).lc_flag
 
 
 def test_lc_quadraticity_on_pure_imaginaries():

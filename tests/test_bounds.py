@@ -193,7 +193,7 @@ def test_pointwise_bounds_match_their_statements_on_random_sequences():
 
 
 def test_wellformedness_errors():
-    for bad in ((), (1,), (0, 2, 1), (0, 0, 1), (0, -1)):
+    for bad in ((), (1,), (0, 2, 1), (0, 0, 1), (0, -1), (0, 1.5)):
         with pytest.raises(WellformednessError):
             check_power_bound(bad)
     report = verify_sequence((0, 2, 1), ("chain", "power"))

@@ -102,6 +102,10 @@ def test_missing_file_exit_code(capsys):
 def test_usage_error_exit_code(capsys):
     assert main(["length"]) == 2  # --gens missing
     assert main(["no-such-command"]) == 2
+    assert main(["length", "--gens", "e1"]) == 2  # --algebra missing
+    assert capsys.readouterr().err.endswith(
+        "error[ParseError]: --algebra PATH is required for this subcommand\n"
+    )
 
 
 def test_oracle_check_command(pow2_file, capsys):
@@ -123,6 +127,14 @@ def test_brute_force_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "l(A) = 2" in out
+
+
+def test_brute_force_on_the_unit_only_algebra(tmp_path, capsys):
+    path = tmp_path / "d1.alg"
+    path.write_text("alglength-algebra v1\nfield prime 2\ndim 1\nbasis 1\n")
+    assert main(["brute-force", "--algebra", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "l(A) = 0\nwitness: [1]\nsubspaces tested: 1, generating: 1\n" in out
 
 
 def test_brute_force_rejects_rational(pow2_file, capsys):
@@ -400,6 +412,28 @@ def test_flag_a_subcommand_does_not_take_is_a_usage_error(pow2_file, tmp_path, c
     assert code == 2
     assert captured.out == ""
     assert f"unrecognized arguments: {flag}" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dims", "--gens", "e1", "--kmax", "-1"],
+        ["oracle-check", "--gens", "e1", "--kmax", "-1"],
+        ["verify", "--gens", "e1", "--checks", "chain,bogus"],
+        ["gen-example", "--family", "power2", "--n", "4", "--field", "real"],
+    ],
+    ids=["dims-kmax", "oracle-check-kmax", "verify-checks", "gen-example-field"],
+)
+def test_bad_option_values_are_one_error_line(pow2_file, tmp_path, capsys, argv):
+    out = tmp_path / "out.alg"
+    where = ["--out", str(out)] if argv[0] == "gen-example" else ["--algebra", str(pow2_file)]
+    code = main(argv + where)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error[ParseError]:")
+    assert captured.err.count("\n") == 1
     assert not out.exists()
 
 

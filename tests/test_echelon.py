@@ -62,6 +62,8 @@ def test_shape_error():
     space = EchelonSubspace.empty(QQ, 3)
     with pytest.raises(ShapeError):
         space.insert((F(1), F(0)))
+    with pytest.raises(ShapeError):
+        EchelonSubspace.empty(QQ, -1)
 
 
 def test_idempotent_insert_bitwise_identical():
@@ -155,8 +157,10 @@ def test_insert_is_plain_echelon_and_keeps_older_rows():
             if row is None:
                 assert grown is space
                 continue
-            at = grown.rows.index(row)
-            pivot = grown.pivots[at]
+            # Older rows are untouched: the new row is appended.
+            assert grown.rows == space.rows + (row,)
+            pivot = grown.pivots[-1]
+            assert grown.pivots[:-1] == space.pivots
             added.append((row, pivot))
             if field.modulus is None:
                 # Over Q the row is a primitive integer vector with a
@@ -166,11 +170,8 @@ def test_insert_is_plain_echelon_and_keeps_older_rows():
                 row = tuple(Fraction(x, row[pivot]) for x in row)
             assert not any(row[:pivot]) and row[pivot] == 1
             assert all(row[p] == 0 for _, p in added[:-1])
-            # Older rows are untouched: the new row is slotted in by pivot.
-            assert grown.rows[:at] + grown.rows[at + 1:] == space.rows
             space = grown
-        assert list(space.pivots) == sorted(space.pivots)
-        assert sorted(added, key=lambda rp: rp[1]) == list(zip(space.rows, space.pivots))
+        assert added == list(zip(space.rows, space.pivots))
 
 
 def test_span_matches_reduced_reference():

@@ -56,6 +56,18 @@ def test_parse_fib_lc_file_passes_lc_check():
     assert algebra == family
 
 
+def test_lc_flag_is_read_off_the_table():
+    # Without a claim, or with "lc false", a passing table is flagged and
+    # serializes with "lc true"; so does the unit-only algebra over Q.
+    unclaimed = FIB_LC_4.replace("lc true\n", "")
+    for text in (unclaimed, unclaimed + "lc false\n"):
+        algebra = parse_algebra(text)
+        assert algebra.lc_flag
+        assert serialize_algebra(algebra) == serialize_algebra(parse_algebra(FIB_LC_4))
+    unit_only = parse_algebra("alglength-algebra v1\nfield rational\ndim 1\nbasis 1\n")
+    assert serialize_algebra(unit_only).endswith("basis 1\nlc true\n")
+
+
 def test_unit_products_must_not_be_listed():
     text = POWER2_4 + "prod 1 e1 = e1\n"
     with pytest.raises(ParseError) as info:
@@ -93,11 +105,21 @@ def test_bad_scalar_has_line_number():
         (lambda t: t.replace("basis 1 e1 e2 e3", "basis 1 e1 e1 e3"), "duplicate"),
         (lambda t: t + "lc true\nlc false\n", "duplicate lc"),
         (lambda t: t + "unknown directive\n", "directive"),
+        (lambda t: t.replace("= e3", "= e3 +"), "empty term"),
+        (lambda t: t.replace("= e3", "= 1"), "explicit scalar"),
+        (lambda t: t.replace("= e3", "= e1 + e9"), "unknown basis name 'e9'"),
+        (lambda t: t.split("\n")[0] + "\n", "end of file"),
+        (lambda t: t.replace("dim 4", "dim 0"), "dimension must be >= 1"),
+        (lambda t: t.replace("basis 1 e1 e2 e3", "basis 1 e1 e2 3x"), "invalid basis name"),
+        (lambda t: t + "lc maybe\n", "expected 'lc true' or 'lc false'"),
+        (lambda t: t + "prod e1 e2 e3\n", "expected 'prod <name> <name> = <terms>'"),
+        (lambda t: t + "prod e9 e1 = e2\n", "unknown basis name 'e9'"),
     ],
 )
 def test_malformed_files(mutation, fragment):
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as info:
         parse_algebra(mutation(POWER2_4))
+    assert fragment in str(info.value)
 
 
 def test_false_lc_claim_rejected():
@@ -181,6 +203,8 @@ def test_parse_gens_errors():
         parse_gens("[1, 0, 0, 0", algebra)
     with pytest.raises(ParseError):
         parse_gens("", algebra)
+    with pytest.raises(ParseError, match="empty coordinate row"):
+        parse_gens("[]", algebra)
     with pytest.raises(BadScalar):
         parse_gens("[1, 0, 2/4, 0]", algebra)
 

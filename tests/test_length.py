@@ -182,16 +182,12 @@ def test_lc_shortcut_trusts_the_checked_flag(monkeypatch):
 
 
 def test_lc_shortcut_checks_an_unflagged_basis(monkeypatch):
-    complexes = Algebra.from_products(QQ, 2, {(1, 1): {0: -1}})
-    assert not complexes.lc_flag
-    calls = _count_lc_checks(monkeypatch)
-    report = compute_length(complexes, (complexes.basis_vector(1),), lc_shortcut=True)
-    assert report.length == 1
-    assert len(calls) == 1
     power2, gens = make_example("power2", 4)
+    assert not power2.lc_flag
+    calls = _count_lc_checks(monkeypatch)
     with pytest.raises(NotLocallyComplex):
         compute_length(power2, gens, lc_shortcut=True)
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_lc_shortcut_single_generator_stops_early():

@@ -5,9 +5,11 @@ import pytest
 
 from alglength import (
     Algebra,
+    BruteForceResult,
     BudgetExceeded,
     GF,
     PrimeFieldRequired,
+    RangeError,
     bracketed_word_count,
     brute_force_algebra_length,
     catalan,
@@ -15,11 +17,10 @@ from alglength import (
     dims_from_charseq,
     enumerate_words_spans,
     gaussian_binomial,
-    iter_word_values,
     make_example,
     subspace_count,
 )
-from alglength.oracle import SUBSPACE_BUDGET, WORD_BUDGET
+from alglength.oracle import SUBSPACE_BUDGET, WORD_BUDGET, iter_rref_bases
 
 from helpers import random_genset, random_unital_algebra
 
@@ -41,10 +42,15 @@ def test_bracketed_word_count_against_recursive_oracle():
             assert bracketed_word_count(letters, k) == _count_trees(k) * letters**k
 
 
-def test_iter_word_values_counts():
-    algebra, gens = make_example("fib-lc", 5)
-    for k, values in iter_word_values(algebra, gens, 6):
-        assert len(values) == bracketed_word_count(len(gens), k)
+def test_negative_indices_are_range_errors():
+    algebra, gens = make_example("power2", 4)
+    for call in (
+        lambda: catalan(-1),
+        lambda: bracketed_word_count(2, 0),
+        lambda: enumerate_words_spans(algebra, gens, -1),
+    ):
+        with pytest.raises(RangeError):
+            call()
 
 
 def test_words_spans_power2():
@@ -76,6 +82,16 @@ def test_words_budget_enforced():
     four = tuple(algebra.basis_vector(i) for i in (1, 2, 3, 1))
     terms = compute_length(algebra, four).charseq
     assert enumerate_words_spans(algebra, four, 3) == dims_from_charseq(terms, 3)
+
+
+def test_words_spans_one_generator_at_the_largest_kmax():
+    # 290,512 words of lengths 1..13, but power2 has few distinct word
+    # values, and the oracle spans value sets.
+    algebra, gens = make_example("power2", 7)
+    start = time.perf_counter()
+    dims = enumerate_words_spans(algebra, gens, 13)
+    assert time.perf_counter() - start < 1.0
+    assert dims == dims_from_charseq(compute_length(algebra, gens).charseq, 13)
 
 
 def test_words_budget_bounds_the_total_word_count():
@@ -139,6 +155,15 @@ def test_gaussian_binomials():
     assert subspace_count(3, 3) == 28
 
 
+def test_iter_rref_bases_lists_each_subspace_once():
+    for p in (2, 3):
+        for m in range(4):
+            for r in range(m + 1):
+                bases = list(iter_rref_bases(p, m, r))
+                assert len(set(bases)) == len(bases) == gaussian_binomial(m, r, p)
+                assert all(len(basis) == r for basis in bases)
+
+
 def test_brute_force_power2_gf2():
     algebra, _ = make_example("power2", 3, GF(2))
     result = brute_force_algebra_length(algebra)
@@ -152,6 +177,12 @@ def test_brute_force_zero_products_dim3():
     algebra = Algebra.from_products(GF(2), 3, {})
     result = brute_force_algebra_length(algebra)
     assert result.length == 1
+
+
+def test_brute_force_dim1():
+    algebra = Algebra.from_products(GF(2), 1, {})
+    result = brute_force_algebra_length(algebra)
+    assert result == BruteForceResult(0, (algebra.unit(),), 1, 1)
 
 
 def test_brute_force_dim2_always_length_one():
