@@ -34,6 +34,7 @@ entries, and ranks over Q and R agree for rational data).
 
 from __future__ import annotations
 
+import re
 import sys
 from array import array
 from fractions import Fraction
@@ -66,6 +67,8 @@ PACK_MIN_N = 8
 # Slots of one 64-bit limb are read as machine words where the byte order
 # allows it; wider slots, or a big-endian host, go through int.from_bytes.
 _WORDS = sys.byteorder == "little"
+# A non-unit basis name: what the file format's basis line can hold.
+NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 
 def slot_limbs(n: int, p: int) -> int:
@@ -103,7 +106,7 @@ class Algebra:
     Attributes:
         n: dimension (number of basis elements, the unit included).
         field: coefficient field.
-        basis_names: n labels; index 0 is always "1".
+        basis_names: n labels, "1" and then distinct :data:`NAME_RE` names.
         lc_flag: whether the basis passes :func:`check_lc_basis`, read off
             the table at construction; False over GF(p).
         denominator: D, the least common denominator of the structure
@@ -138,6 +141,8 @@ class Algebra:
         more than :data:`MAX_TABLE_BITS` of them raises BudgetExceeded.
         ``lc_flag`` is :func:`check_lc_basis` over Q, which stops at the
         first cell that fails, e_1^2 on most tables, and False over GF(p).
+        Other ``basis_names`` than that attribute allows raise ShapeError,
+        since no file could hold them.
         """
         if n < 1:
             raise RangeError(f"dimension must be >= 1, got {n}")
@@ -198,6 +203,10 @@ class Algebra:
             basis_names = tuple(basis_names)
             if len(basis_names) != n:
                 raise ShapeError("basis_names length must equal the dimension")
+            rest = basis_names[1:]
+            valid = all(isinstance(s, str) and NAME_RE.fullmatch(s) for s in rest)
+            if not (basis_names[0] == "1" and valid and len(set(rest)) == len(rest)):
+                raise ShapeError(f"basis names must be '1', then distinct {NAME_RE.pattern}")
         algebra = cls.__new__(cls)
         algebra.n = n
         algebra.field = field
@@ -241,15 +250,14 @@ class Algebra:
     def scaled_product(self, u: Sequence[Scalar], v: Sequence[Scalar]) -> list:
         """D * (u*v) with no field step: not divided by D, not reduced mod p.
 
-        ``(u*v)_k = sum_{i,j} u_i v_j c[i][j][k]``: the unit law's share
-        ``u_0 v + v_0 u - u_0 v_0 e_0`` (zero, and not formed, when
-        u_0 = v_0 = 0) plus the stored products e_i * e_j with u_i and v_j
-        nonzero.  Integer operands give an integer product.  With packed
-        cells the operands must be residues in [0, p), and each coordinate
-        is a nonnegative int congruent to the product's mod p: one
-        multiply-add of the packed cell per stored pair, unpacked once.
+        ``(u*v)_k = sum_{i,j} u_i v_j c[i][j][k]``: the stored products
+        e_i * e_j with u_i and v_j nonzero, plus the unit law's share
+        ``D (u_0 v + v_0 u - u_0 v_0 e_0)`` (zero, and not formed, when
+        u_0 = v_0 = 0).  Integer operands give an integer product.  With
+        packed cells the operands must be residues in [0, p), and each
+        coordinate is a nonnegative int congruent to the product's mod p:
+        one multiply-add of the packed cell per stored pair, unpacked once.
         """
-        u0, v0 = u[0], v[0]
         rows = self._rows
         if self._limbs:
             acc = 0
@@ -260,26 +268,22 @@ class Algebra:
                         if vj:
                             acc += (ui * vj * cell[1]) << cell[0]
             out = _unpack(acc, self.n, self._limbs) if acc else [0] * self.n
-            if u0 or v0:
-                out = [x + u0 * y + v0 * z for x, y, z in zip(out, v, u)]
-                out[0] -= u0 * v0
-            return out
-        if u0 or v0:
-            d = self.denominator
-            acc = [d * (u0 * y + v0 * z) for y, z in zip(v, u)]
-            acc[0] -= d * u0 * v0
         else:
-            acc = [0] * self.n
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            for j, cell in rows[i].items():
-                vj = v[j]
-                if vj:
-                    coef = ui * vj
-                    for k, c in cell:
-                        acc[k] += coef * c
-        return acc
+            out = [0] * self.n
+            for i, ui in enumerate(u):
+                if ui:
+                    for j, cell in rows[i].items():
+                        vj = v[j]
+                        if vj:
+                            coef = ui * vj
+                            for k, c in cell:
+                                out[k] += coef * c
+        u0, v0 = u[0], v[0]
+        if u0 or v0:
+            du0, dv0 = self.denominator * u0, self.denominator * v0
+            out = [x + du0 * y + dv0 * z for x, y, z in zip(out, v, u)]
+            out[0] -= du0 * v0
+        return out
 
     def multiply(self, u: Sequence[Scalar], v: Sequence[Scalar]) -> Vector:
         """Bilinear product u*v, exact, as field scalars.

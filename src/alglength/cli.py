@@ -275,12 +275,12 @@ def _cmd_brute_force(args, algebra, gens):
     _print_run_header(algebra, args)
     print(f"l(A) = {result.length}")
     for v in result.witness:
-        print(f"witness: [{', '.join(algebra.field.format(x) for x in v)}]")
+        print(f"witness: [{', '.join(reporting.vector_payload(v))}]")
     print(
         f"subspaces tested: {result.subspaces_tested}, "
         f"generating: {result.generating_count}"
     )
-    return reporting.brute_force_payload(result, algebra.field), None
+    return reporting.brute_force_payload(result), None
 
 
 def _run(args) -> int:

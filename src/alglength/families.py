@@ -32,20 +32,18 @@ from .algebra import Algebra, GenSet
 from .errors import BudgetExceeded, RangeError
 from .fields import QQ, Field
 
-FAMILY_NAMES = ("power2", "stall-chain", "fib-lc", "lc-gap7", "lc-gap-family")
-
 # Largest size parameter n accepted: time and memory of an instance grow with n.
 MAX_N = 4096
 
 
-def _power2(n: int, field: Field):
+def _power2(n: int):
     if n < 3:
         raise RangeError(f"power2 needs n >= 3, got {n}")
     products = {(k, k): {k + 1: 1} for k in range(1, n - 1)}
     return n, products, (1,)
 
 
-def _stall_chain(n: int, field: Field):
+def _stall_chain(n: int):
     if n < 2:
         raise RangeError(f"stall-chain needs n >= 2, got {n}")
     dim = n + 2
@@ -55,7 +53,7 @@ def _stall_chain(n: int, field: Field):
     return dim, products, (1,)
 
 
-def _fib_lc(n: int, field: Field):
+def _fib_lc(n: int):
     if n < 3:
         raise RangeError(f"fib-lc needs n >= 3, got {n}")
     products = {(m, m): {0: -1} for m in range(1, n)}
@@ -65,7 +63,7 @@ def _fib_lc(n: int, field: Field):
     return n, products, (1, 2)
 
 
-def _lc_gap7(n: int | None, field: Field):
+def _lc_gap7(n: int | None):
     if n is not None and n != 7:
         raise RangeError("lc-gap7 is the fixed dimension-7 instance")
     products = {(m, m): {0: -1} for m in range(1, 7)}
@@ -75,7 +73,7 @@ def _lc_gap7(n: int | None, field: Field):
     return 7, products, (1, 2, 3)
 
 
-def _lc_gap_family(n: int, field: Field):
+def _lc_gap_family(n: int):
     if n < 3:
         raise RangeError(f"lc-gap-family needs n >= 3, got {n}")
     dim = n + 4
@@ -89,6 +87,16 @@ def _lc_gap_family(n: int, field: Field):
     return dim, products, (1, 2)
 
 
+_BUILDERS = {
+    "power2": _power2,
+    "stall-chain": _stall_chain,
+    "fib-lc": _fib_lc,
+    "lc-gap7": _lc_gap7,
+    "lc-gap-family": _lc_gap_family,
+}
+FAMILY_NAMES = tuple(_BUILDERS)
+
+
 def make_example(family: str, n: int | None = None, field: Field = QQ) -> tuple[Algebra, GenSet]:
     """Build one family instance and its canonical generating set.
 
@@ -99,21 +107,11 @@ def make_example(family: str, n: int | None = None, field: Field = QQ) -> tuple[
     """
     if n is not None and n > MAX_N:
         raise BudgetExceeded(f"size parameter {n} exceeds the limit {MAX_N}", count=None)
-    if family == "lc-gap7":
-        dim, products, gen_indices = _lc_gap7(n, field)
-    else:
-        if n is None:
-            raise RangeError(f"family {family!r} needs the size parameter n")
-        if family == "power2":
-            dim, products, gen_indices = _power2(n, field)
-        elif family == "stall-chain":
-            dim, products, gen_indices = _stall_chain(n, field)
-        elif family == "fib-lc":
-            dim, products, gen_indices = _fib_lc(n, field)
-        elif family == "lc-gap-family":
-            dim, products, gen_indices = _lc_gap_family(n, field)
-        else:
-            raise RangeError(f"unknown family {family!r}; choose from {FAMILY_NAMES}")
+    if n is None and family != "lc-gap7":
+        raise RangeError(f"family {family!r} needs the size parameter n")
+    if family not in _BUILDERS:
+        raise RangeError(f"unknown family {family!r}; choose from {FAMILY_NAMES}")
+    dim, products, gen_indices = _BUILDERS[family](n)
     algebra = Algebra.from_products(field, dim, products)
     gens = tuple(algebra.basis_vector(i) for i in gen_indices)
     return algebra, gens

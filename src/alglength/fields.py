@@ -9,8 +9,8 @@ canonical form:
 
 A :class:`Field` object supplies the operations that depend on the field
 (inversion, parsing, canonical reduction); addition and multiplication of
-in-field values use the native ``+``/``*`` operators, reducing with
-:meth:`Field.coerce` at the end.
+in-field values use the native ``+``/``*`` operators, reducing with the
+field's ``coerce`` at the end.
 """
 
 from __future__ import annotations
@@ -60,34 +60,22 @@ def _split_literal(token: str) -> tuple[int, int]:
 
 
 class Field:
-    """Common interface of the two concrete fields."""
+    """What the two fields share: a field is its type and its modulus.
 
-    modulus: int | None  # None for the rationals, p for GF(p)
+    A subclass supplies the class attributes ``zero`` and ``one`` and four
+    operations: ``coerce(x)`` brings a Python number into the field or
+    raises FieldMismatch, ``inv(a)`` inverts or raises DivisionByZero,
+    ``parse(token)`` reads a scalar literal (``-?[0-9]+(/[0-9]+)?``), and
+    ``descriptor()`` names the field as the file format's field line does.
+    """
 
-    @property
-    def zero(self) -> Scalar:
-        raise NotImplementedError
+    modulus: int | None = None  # p for GF(p)
 
-    @property
-    def one(self) -> Scalar:
-        raise NotImplementedError
+    def __eq__(self, other):
+        return type(other) is type(self) and other.modulus == self.modulus
 
-    def coerce(self, x) -> Scalar:
-        """Bring a Python number into this field, or raise FieldMismatch."""
-        raise NotImplementedError
-
-    def inv(self, a: Scalar) -> Scalar:
-        raise NotImplementedError
-
-    def parse(self, token: str) -> Scalar:
-        """Parse a scalar literal (``-?[0-9]+(/[0-9]+)?``) into this field."""
-        raise NotImplementedError
-
-    def format(self, x: Scalar) -> str:
-        return str(x)
-
-    def descriptor(self) -> str:
-        raise NotImplementedError
+    def __hash__(self):
+        return hash(self.modulus)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<field {self.descriptor()}>"
@@ -96,15 +84,7 @@ class Field:
 class RationalField(Field):
     """The field of arbitrary-precision rationals."""
 
-    modulus = None
-
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
+    zero, one = Fraction(0), Fraction(1)
 
     def coerce(self, x) -> Fraction:
         if isinstance(x, Fraction):
@@ -125,15 +105,11 @@ class RationalField(Field):
     def descriptor(self) -> str:
         return "rational"
 
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("rational")
-
 
 class PrimeField(Field):
     """GF(p) with residues stored as ints in [0, p)."""
+
+    zero, one = 0, 1
 
     def __init__(self, p: int):
         if p > MAX_MODULUS:
@@ -142,51 +118,36 @@ class PrimeField(Field):
             )
         if not is_prime(p):
             raise RangeError(f"modulus {p} is not prime")
-        self.p = p
         self.modulus = p
-
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1 % self.p
 
     def coerce(self, x) -> int:
         if isinstance(x, int):
-            return x % self.p
+            return x % self.modulus
+        p = self.modulus
         if isinstance(x, Fraction):
-            if x.denominator % self.p == 0:
-                raise FieldMismatch(
-                    f"{x} has no image in GF({self.p}) (denominator divisible by p)"
-                )
-            return (x.numerator * self.inv(x.denominator % self.p)) % self.p
-        raise FieldMismatch(f"cannot interpret {x!r} as a GF({self.p}) scalar")
+            if x.denominator % p == 0:
+                raise FieldMismatch(f"{x} has no image in GF({p}) (denominator divisible by p)")
+            return x.numerator * self.inv(x.denominator) % p
+        raise FieldMismatch(f"cannot interpret {x!r} as a GF({p}) scalar")
 
     def inv(self, a: int) -> int:
-        a %= self.p
+        p = self.modulus
+        a %= p
         if a == 0:
-            raise DivisionByZero(f"inverse of 0 in GF({self.p})")
-        return pow(a, -1, self.p)
+            raise DivisionByZero(f"inverse of 0 in GF({p})")
+        return pow(a, -1, p)
 
     def parse(self, token: str) -> int:
         num, den = _split_literal(token)
-        if den % self.p == 0:
-            raise BadScalar(f"denominator of {token!r} is 0 mod {self.p}")
-        val = num % self.p
-        if den != 1:
-            val = (val * self.inv(den % self.p)) % self.p
-        return val
+        p = self.modulus
+        if den % p == 0:
+            raise BadScalar(f"denominator of {token!r} is 0 mod {p}")
+        if den == 1:
+            return num % p
+        return num * self.inv(den) % p
 
     def descriptor(self) -> str:
-        return f"prime {self.p}"
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("prime", self.p))
+        return f"prime {self.modulus}"
 
 
 QQ = RationalField()

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 
-from .algebra import Algebra, GenSet, check_lc_basis
+from .algebra import NAME_RE, Algebra, GenSet, check_lc_basis
 from .errors import (
     BadScalar,
     DuplicateProduct,
@@ -36,8 +36,6 @@ from .errors import (
 from .fields import GF, QQ, Field, RangeError, Scalar
 
 MAGIC = "alglength-algebra v1"
-
-_NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 
 
 def _meaningful_lines(text: str):
@@ -122,7 +120,7 @@ def parse_algebra(text: str) -> Algebra:
         )
     names: dict[str, int] = {}
     for idx, name in enumerate(parts[2:], 2):
-        if not _NAME_RE.match(name):
+        if not NAME_RE.fullmatch(name):
             raise ParseError(f"invalid basis name {name!r}", lineno)
         if name in names or name == "1":
             raise ParseError(f"duplicate basis name {name!r}", lineno)
@@ -171,22 +169,22 @@ def parse_algebra(text: str) -> Algebra:
     return algebra
 
 
-def _format_term(field: Field, k: int, coeff, names) -> str:
+def _format_term(k: int, coeff, names) -> str:
     if k == 0:
-        return f"{field.format(coeff)}*1"
-    if coeff == field.one:
+        return f"{coeff}*1"
+    if coeff == 1:
         return names[k]
-    return f"{field.format(coeff)}*{names[k]}"
+    return f"{coeff}*{names[k]}"
 
 
 def serialize_algebra(algebra: Algebra) -> str:
     """Canonical v1 text; ``parse_algebra(serialize_algebra(A))`` equals A."""
     out = [MAGIC, f"field {algebra.field.descriptor()}", f"dim {algebra.n}"]
     out.append("basis " + " ".join(algebra.basis_names))
-    names, field = algebra.basis_names, algebra.field
+    names = algebra.basis_names
     for i in range(1, algebra.n):
         for j in sorted(algebra._rows[i]):
-            terms = [_format_term(field, k, c, names) for k, c in algebra.terms(i, j)]
+            terms = [_format_term(k, c, names) for k, c in algebra.terms(i, j)]
             out.append(f"prod {names[i]} {names[j]} = " + " + ".join(terms))
     if algebra.lc_flag:
         out.append("lc true")

@@ -8,7 +8,6 @@ from dataclasses import asdict
 
 from .algebra import Algebra
 from .bounds import CHECKS, BoundReport
-from .fields import Field
 from .length import LengthReport
 from .oracle import BruteForceResult
 
@@ -24,8 +23,8 @@ def sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def vector_payload(field: Field, vector) -> list[str]:
-    return [field.format(x) for x in vector]
+def vector_payload(vector) -> list[str]:
+    return [str(x) for x in vector]
 
 
 def length_report_payload(report: LengthReport) -> dict:
@@ -38,7 +37,7 @@ def length_report_payload(report: LengthReport) -> dict:
         "fresh_basis": [
             {
                 "length": length,
-                "vectors": [vector_payload(report.field, v) for v in vectors],
+                "vectors": [vector_payload(v) for v in vectors],
             }
             for length, vectors in report.fresh_basis
         ],
@@ -52,10 +51,10 @@ def bound_report_payload(report: BoundReport) -> dict:
     return payload
 
 
-def brute_force_payload(result: BruteForceResult, field: Field) -> dict:
+def brute_force_payload(result: BruteForceResult) -> dict:
     return {
         "length": result.length,
-        "witness": [vector_payload(field, v) for v in result.witness],
+        "witness": [vector_payload(v) for v in result.witness],
         "subspaces_tested": result.subspaces_tested,
         "generating_count": result.generating_count,
     }

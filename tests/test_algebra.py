@@ -183,14 +183,32 @@ def test_table_coercion_and_equality():
         ({(1, 1): {Fraction(2): 1}}, RangeError),
         ({(1.0, 1): {2: 1}}, RangeError),
         ({(1, Fraction(1)): {2: 1}}, RangeError),
+        # A tuple stands for basis names that no file can hold, given with no
+        # products and padded to the dimension with e3, e4, ...
+        (("x", "a", "b"), ShapeError),
+        (("1", "a", "a"), ShapeError),
+        (("1", "a b", "c"), ShapeError),
+        (("1", "a", "1"), ShapeError),
     ],
 )
 def test_from_products_rejects_malformed_arguments(products, error):
+    names = products if isinstance(products, tuple) else None
     # Over GF(101), n = 9 packs the cells and n = 5 keeps (k, c) pairs.
     for field in (QQ, GF(101)):
         for n in (5, 9):
             with pytest.raises(error):
-                Algebra.from_products(field, n, products)
+                if names is None:
+                    Algebra.from_products(field, n, products)
+                else:
+                    padded = names + tuple(f"e{i}" for i in range(3, n))
+                    Algebra.from_products(field, n, {}, basis_names=padded)
+
+
+def test_basis_names_round_trip_through_a_file():
+    products = {(1, 1): {2: 1}, (2, 1): {0: Fraction(-1, 2), 1: 3}}
+    for field in (QQ, GF(7)):
+        algebra = Algebra.from_products(field, 3, products, basis_names=("1", "x_1", "Y2"))
+        assert parse_algebra(serialize_algebra(algebra)) == algebra
 
 
 @pytest.mark.parametrize("n", [5, 9])

@@ -53,10 +53,11 @@ def test_size_parameter_budget():
 
 
 def test_unknown_family():
-    with pytest.raises(RangeError):
+    with pytest.raises(RangeError, match="unknown family 'octonions'"):
         make_example("octonions", 8)
-    with pytest.raises(RangeError):
-        make_example("power2")  # missing n
+    for family in ("power2", "octonions"):  # a missing n is reported first
+        with pytest.raises(RangeError, match="needs the size parameter n"):
+            make_example(family)
 
 
 def test_power2_lengths_attain_power_bound():

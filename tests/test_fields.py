@@ -11,7 +11,9 @@ from alglength import (
     DivisionByZero,
     FieldMismatch,
     ParseError,
+    PrimeField,
     RangeError,
+    RationalField,
     parse_algebra,
     serialize_algebra,
 )
@@ -96,3 +98,28 @@ def test_descriptor_round_trip():
         assert parse_algebra(text).field == field
     with pytest.raises(ParseError):
         parse_algebra(text.replace(GF(11).descriptor(), "complex"))
+
+
+def test_a_field_is_its_type_and_modulus():
+    assert RationalField() == QQ and hash(RationalField()) == hash(QQ)
+    assert PrimeField(7) == GF(7) and hash(PrimeField(7)) == hash(GF(7))
+    assert QQ != GF(2)
+    assert GF(2) != GF(3)
+    assert type(QQ.zero) is type(QQ.one) is Fraction
+    assert type(GF(5).zero) is type(GF(5).one) is int
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 2**31 - 1])
+def test_prime_parse_agrees_with_coerce(p):
+    field = GF(p)
+    rng = random.Random(p)
+    for _ in range(300):
+        num = rng.randint(-(10**12), 10**12)
+        den = rng.choice((1, rng.randint(1, 10**12)))
+        x = Fraction(num, den)
+        if x.denominator % p == 0:
+            continue
+        token = str(x)
+        assert field.parse(token) == field.coerce(x), token
+    with pytest.raises(BadScalar):
+        field.parse(f"1/{p}")
