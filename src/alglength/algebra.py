@@ -144,6 +144,8 @@ class Algebra:
         Other ``basis_names`` than that attribute allows raise ShapeError,
         since no file could hold them.
         """
+        if type(n) is not int:
+            raise RangeError(f"dimension must be an int, got {n!r}")
         if n < 1:
             raise RangeError(f"dimension must be >= 1, got {n}")
         mod = field.modulus
@@ -179,8 +181,7 @@ class Algebra:
                 if bits > MAX_TABLE_BITS:
                     raise BudgetExceeded(
                         f"packed GF({mod}) cells of {64 * limbs}-bit slots exceed "
-                        f"{MAX_TABLE_BITS} bits",
-                        count=None,
+                        f"{MAX_TABLE_BITS} bits"
                     )
         denominator = 1
         if mod is None:
@@ -189,8 +190,7 @@ class Algebra:
             if denominator.bit_length() * len(constants) > MAX_TABLE_BITS:
                 raise BudgetExceeded(
                     f"{len(constants)} structure constants over a common denominator "
-                    f"of {denominator.bit_length()} bits exceed {MAX_TABLE_BITS} bits",
-                    count=None,
+                    f"of {denominator.bit_length()} bits exceed {MAX_TABLE_BITS} bits"
                 )
             for row in rows:
                 for j, cell in row.items():
@@ -310,10 +310,6 @@ class Algebra:
             and self._rows == other._rows
             and self.basis_names == other.basis_names
         )
-
-    def __hash__(self):
-        rows = tuple(frozenset(row.items()) for row in self._rows)
-        return hash((self.field, self.denominator, rows))
 
     def __repr__(self) -> str:
         return f"Algebra(dim={self.n}, field={self.field.descriptor()})"

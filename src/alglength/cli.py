@@ -183,9 +183,7 @@ def _check_kmax(kmax: int) -> None:
     if kmax < 0:
         raise ParseError("--kmax must be >= 0")
     if kmax > MAX_KMAX:
-        raise BudgetExceeded(
-            f"--kmax {kmax} exceeds the limit {MAX_KMAX}", count=kmax + 1
-        )
+        raise BudgetExceeded(f"--kmax {kmax} exceeds the limit {MAX_KMAX}")
 
 
 def _print_run_header(algebra, args) -> None:

@@ -52,16 +52,7 @@ class KOutOfRange(AlgLengthError):
 
 
 class BudgetExceeded(AlgLengthError):
-    """An enumeration would exceed its combinatorial budget.
-
-    Attributes:
-        count: the number of candidates the enumeration would have produced,
-            or None where counting them would itself be too costly.
-    """
-
-    def __init__(self, message: str, count: int | None):
-        super().__init__(message)
-        self.count = count
+    """An input would exceed a size limit or a combinatorial budget."""
 
 
 class NotGenerating(AlgLengthError):

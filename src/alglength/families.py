@@ -53,38 +53,34 @@ def _stall_chain(n: int):
     return dim, products, (1,)
 
 
+def _lc_table(dim: int, pairs) -> dict:
+    """A locally-complex table: every e_m^2 = -1, and e_i e_j = e_k = -e_j e_i
+    for each ``((i, j), k)`` in ``pairs``."""
+    products = {(m, m): {0: -1} for m in range(1, dim)}
+    for (i, j), k in pairs:
+        products[(i, j)] = {k: 1}
+        products[(j, i)] = {k: -1}
+    return products
+
+
 def _fib_lc(n: int):
     if n < 3:
         raise RangeError(f"fib-lc needs n >= 3, got {n}")
-    products = {(m, m): {0: -1} for m in range(1, n)}
-    for k in range(1, n - 2):
-        products[(k, k + 1)] = {k + 2: 1}
-        products[(k + 1, k)] = {k + 2: -1}
-    return n, products, (1, 2)
+    return n, _lc_table(n, [((k, k + 1), k + 2) for k in range(1, n - 2)]), (1, 2)
 
 
 def _lc_gap7(n: int | None):
     if n is not None and n != 7:
         raise RangeError("lc-gap7 is the fixed dimension-7 instance")
-    products = {(m, m): {0: -1} for m in range(1, 7)}
-    for (i, j), k in (((1, 2), 4), ((1, 3), 5), ((4, 5), 6)):
-        products[(i, j)] = {k: 1}
-        products[(j, i)] = {k: -1}
-    return 7, products, (1, 2, 3)
+    return 7, _lc_table(7, [((1, 2), 4), ((1, 3), 5), ((4, 5), 6)]), (1, 2, 3)
 
 
 def _lc_gap_family(n: int):
     if n < 3:
         raise RangeError(f"lc-gap-family needs n >= 3, got {n}")
-    dim = n + 4
-    products = {(m, m): {0: -1} for m in range(1, dim)}
     pairs = [((1, i), i + 1) for i in range(2, n + 1)]
-    pairs.append(((2, n), n + 2))
-    pairs.append(((n + 1, n + 2), n + 3))
-    for (i, j), k in pairs:
-        products[(i, j)] = {k: 1}
-        products[(j, i)] = {k: -1}
-    return dim, products, (1, 2)
+    pairs += [((2, n), n + 2), ((n + 1, n + 2), n + 3)]
+    return n + 4, _lc_table(n + 4, pairs), (1, 2)
 
 
 _BUILDERS = {
@@ -105,9 +101,12 @@ def make_example(family: str, n: int | None = None, field: Field = QQ) -> tuple[
     lc-gap7 takes none).  Raises RangeError on out-of-range parameters and
     BudgetExceeded for n above :data:`MAX_N`.
     """
-    if n is not None and n > MAX_N:
-        raise BudgetExceeded(f"size parameter {n} exceeds the limit {MAX_N}", count=None)
-    if n is None and family != "lc-gap7":
+    if n is not None:
+        if type(n) is not int:
+            raise RangeError(f"size parameter must be an int, got {n!r}")
+        if n > MAX_N:
+            raise BudgetExceeded(f"size parameter {n} exceeds the limit {MAX_N}")
+    elif family != "lc-gap7":
         raise RangeError(f"family {family!r} needs the size parameter n")
     if family not in _BUILDERS:
         raise RangeError(f"unknown family {family!r}; choose from {FAMILY_NAMES}")

@@ -112,10 +112,10 @@ class PrimeField(Field):
     zero, one = 0, 1
 
     def __init__(self, p: int):
+        if type(p) is not int:
+            raise RangeError(f"modulus must be an int, got {p!r}")
         if p > MAX_MODULUS:
-            raise BudgetExceeded(
-                f"a {p.bit_length()}-bit modulus exceeds the limit {MAX_MODULUS}", count=None
-            )
+            raise BudgetExceeded(f"a {p.bit_length()}-bit modulus exceeds the limit {MAX_MODULUS}")
         if not is_prime(p):
             raise RangeError(f"modulus {p} is not prime")
         self.modulus = p
@@ -153,6 +153,6 @@ class PrimeField(Field):
 QQ = RationalField()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: GF(3.0) must not return GF(3)
 def GF(p: int) -> PrimeField:
     return PrimeField(p)

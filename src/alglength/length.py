@@ -61,23 +61,25 @@ def dims_from_charseq(terms: Sequence[int], kmax: int) -> list[int]:
 class LengthReport:
     """Result of a length computation.
 
-    ``length`` is None when S does not generate; ``stop_reason`` says why the
-    run ended.  ``charseq`` holds the terms of the characteristic sequence,
-    partial in the non-generating case.  ``fresh_rows`` holds the engine's
-    integer echelon rows by word length, which :attr:`fresh_basis` scales to
-    field scalars.
+    ``charseq`` holds the terms of the characteristic sequence, partial in
+    the non-generating case; ``stop_reason`` says why the run ended.
+    ``fresh_rows`` holds the engine's integer echelon rows by word length,
+    which :attr:`fresh_basis` scales to field scalars.
     """
 
-    n: int
     charseq: tuple[int, ...]
-    length: Optional[int]
     stop_reason: str
     field: Field
     fresh_rows: tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]
 
     @property
     def is_generating(self) -> bool:
-        return self.length is not None
+        return self.stop_reason == STOP_FULL_DIM
+
+    @property
+    def length(self) -> Optional[int]:
+        """l(S), the last term of the sequence; None when S does not generate."""
+        return self.charseq[-1] if self.is_generating else None
 
     @property
     def fresh_basis(self) -> tuple[tuple[int, tuple[Vector, ...]], ...]:
@@ -99,10 +101,9 @@ class LengthReport:
         2g, or 2g-1 for the locally-complex window (1 when S never leaves
         the unit span).
         """
-        kmax = self.length
-        if kmax is None:
-            g = self.charseq[-1]
-            kmax = max(2 * g - (self.stop_reason == STOP_LC_WINDOW), 1)
+        kmax = self.charseq[-1]
+        if not self.is_generating:
+            kmax = max(2 * kmax - (self.stop_reason == STOP_LC_WINDOW), 1)
         return tuple(dims_from_charseq(self.charseq, kmax))
 
 
@@ -162,7 +163,6 @@ def compute_length(
         k = 1
         acc, group = _insert_all(acc, gens)
     g, by_one = 0, False  # step and +1-ness of the last growth
-    length: Optional[int] = None
     while True:
         if group:
             fresh[k] = group
@@ -171,7 +171,7 @@ def compute_length(
                     heappush(pending, k + b)
             g, by_one = k, len(group) == 1
         if acc.dim == n:
-            length, stop = k, STOP_FULL_DIM
+            stop = STOP_FULL_DIM
             break
         if lc_shortcut and by_one and (not pending or pending[0] >= 2 * g):
             stop = STOP_LC_WINDOW
@@ -194,9 +194,7 @@ def compute_length(
         )
 
     return LengthReport(
-        n=n,
         charseq=tuple(a for a, rows in fresh.items() for _ in rows),
-        length=length,
         stop_reason=stop,
         field=algebra.field,
         fresh_rows=tuple(fresh.items()),

@@ -56,9 +56,7 @@ def enumerate_words_spans(algebra: Algebra, gens, kmax: int) -> list[int]:
 
     Raises BudgetExceeded when the words of lengths 1..kmax number more than
     :data:`WORD_BUDGET`.  The count is summed k by k and the refusal comes as
-    soon as the budget is passed, so a huge kmax costs nothing to refuse; the
-    error's ``count`` is the total when the budget is passed at k = kmax,
-    else None.
+    soon as the budget is passed, so a huge kmax costs nothing to refuse.
     """
     if kmax < 0:
         raise RangeError(f"kmax must be >= 0, got {kmax}")
@@ -69,8 +67,7 @@ def enumerate_words_spans(algebra: Algebra, gens, kmax: int) -> list[int]:
         if total > WORD_BUDGET:
             raise BudgetExceeded(
                 f"{total} candidate words of lengths 1..{k} (kmax={kmax}, "
-                f"{len(gens)} generators) exceed the {WORD_BUDGET} words budget",
-                count=total if k == kmax else None,
+                f"{len(gens)} generators) exceed the {WORD_BUDGET} words budget"
             )
     space, _ = EchelonSubspace.empty(algebra.field, algebra.n).insert(algebra.unit())
     dims = [space.dim]
@@ -157,8 +154,7 @@ def brute_force_algebra_length(algebra: Algebra) -> BruteForceResult:
     if count > SUBSPACE_BUDGET:
         raise BudgetExceeded(
             f"{count} subspaces contain the unit in GF({p})^{n}, budget is "
-            f"{SUBSPACE_BUDGET}",
-            count=count,
+            f"{SUBSPACE_BUDGET}"
         )
     # The whole quotient (rank n-1) generates, since with the unit it spans
     # A, so some subspace beats this placeholder.
@@ -169,13 +165,10 @@ def brute_force_algebra_length(algebra: Algebra) -> BruteForceResult:
         for rows in iter_rref_bases(p, n - 1, rank):
             gens = tuple((0,) + row for row in rows)
             tested += 1
-            report = compute_length(algebra, gens)
-            if report.length is None:
+            length = compute_length(algebra, gens).length
+            if length is None:
                 continue
             generating += 1
-            if (
-                report.length > best[0]
-                or (report.length == best[0] and gens < best[1])
-            ):
-                best = (report.length, gens)
+            if length > best[0] or (length == best[0] and gens < best[1]):
+                best = (length, gens)
     return BruteForceResult(best[0], best[1], tested, generating)

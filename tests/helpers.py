@@ -274,7 +274,8 @@ def assert_filtration_identity(report) -> None:
     m = report.charseq
     dims = report.dims
     assert all(a <= b for a, b in zip(dims, dims[1:]))
-    assert dims[0] == 1 and dims[-1] <= report.n
+    n = len(report.fresh_rows[0][1][0])  # the unit's row has dim A coordinates
+    assert dims[0] == 1 and dims[-1] <= n
     for k, d in enumerate(dims):
         expected = max(t for t, value in enumerate(m) if value <= k) + 1
         assert d == expected, (dims, m, k)

@@ -58,8 +58,9 @@ def test_multiply_shape_error():
 
 
 def test_dimension_names_and_basis_index_errors():
-    with pytest.raises(RangeError):
-        Algebra.from_products(QQ, 0, {})
+    for n in (0, 2.0):
+        with pytest.raises(RangeError):
+            Algebra.from_products(QQ, n, {})
     with pytest.raises(ShapeError):
         Algebra.from_products(QQ, 3, {}, basis_names=("1", "a"))
     algebra, _ = make_example("power2", 4)
@@ -312,7 +313,6 @@ def test_dense_and_sparse_constructors_agree():
         dense = Algebra.from_products(field, n, rows)
         sparse = Algebra.from_products(field, n, sparse_rows)
         assert dense == sparse
-        assert hash(dense) == hash(sparse)
         text = serialize_algebra(dense)
         assert serialize_algebra(sparse) == text
         assert parse_algebra(text) == dense

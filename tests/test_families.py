@@ -38,7 +38,8 @@ def test_families_build_unital(family, n, dim):
 
 @pytest.mark.parametrize(
     "family,n",
-    [("power2", 2), ("stall-chain", 1), ("fib-lc", 2), ("lc-gap-family", 2), ("lc-gap7", 5)],
+    [("power2", 2), ("stall-chain", 1), ("fib-lc", 2), ("lc-gap-family", 2), ("lc-gap7", 5),
+     ("power2", 3.5), ("lc-gap7", 7.0)],
 )
 def test_out_of_range_parameters(family, n):
     with pytest.raises(RangeError):

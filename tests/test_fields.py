@@ -66,7 +66,8 @@ def test_coerce_field_mismatch():
 
 
 def test_non_prime_modulus_rejected():
-    for bad in (0, 1, 4, 9, 15):
+    GF(3)  # cached, so GF(3.0) checks that the cache tells 3.0 from 3
+    for bad in (0, 1, 4, 9, 15, 3.0, 7.0, "7"):
         with pytest.raises(RangeError):
             GF(bad)
 

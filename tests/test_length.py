@@ -225,6 +225,24 @@ def test_dim_one_algebra_has_length_zero():
     assert report.charseq == (0,)
 
 
+def test_length_and_is_generating_for_each_stop_reason():
+    power2, _ = make_example("power2", 4)
+    fib, _ = make_example("fib-lc", 5)
+    unit_only = Algebra.from_products(QQ, 1, {})
+    # (algebra, generator index, lc_shortcut, stop reason, generating, length)
+    cases = (
+        (power2, 1, False, STOP_FULL_DIM, True, 4),
+        (power2, 2, False, STOP_WINDOW, False, None),
+        (fib, 1, True, STOP_LC_WINDOW, False, None),
+        (unit_only, 0, False, STOP_FULL_DIM, True, 0),
+    )
+    for algebra, i, lc, stop, generating, length in cases:
+        report = compute_length(algebra, (algebra.basis_vector(i),), lc_shortcut=lc)
+        assert report.stop_reason == stop
+        assert report.is_generating is generating
+        assert report.length == length
+
+
 def test_sequence_has_n_terms_and_ends_at_length():
     rng = random.Random(101)
     for _ in range(40):

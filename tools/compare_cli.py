@@ -16,9 +16,16 @@ without ``--lc-shortcut``, through ``length``, ``charseq``, ``dims``,
 ``verify`` and ``oracle-check``, the last also with
 ``--require-generating``.  ``verify`` also runs with reordered and repeated
 check tokens, ``lc`` and an unknown token.  For every run the exit code,
-stdout, stderr and the ``--json`` bytes must be equal.  Each tree runs in
-its own interpreter, so the two packages never share a process.  Exit
-status 0 means every run agreed.
+stdout, stderr and the ``--json`` bytes must be equal.
+
+The family files come from ``gen-example`` runs, which are compared too:
+each runs in the old tree first, then in the new tree on the same paths,
+and the bytes each writes to ``--out`` must also be equal.  The engine runs
+then read the new tree's files.  Four more ``gen-example`` runs write
+``power2``, ``stall-chain``, ``fib-lc`` and ``lc-gap-family`` at the
+largest n, 4096, and are not run through the engine, which would take hours
+on ``stall-chain``.  Each tree runs in its own interpreter, so the two
+packages never share a process.  Exit status 0 means every run agreed.
 """
 
 from __future__ import annotations
@@ -55,6 +62,9 @@ FAMILY_FILES = (
 # Sets that do not generate, so that the stabilization windows end the run.
 EXTRA_GENS = {"power2": ["e2"], "fib-lc": ["e1", "e3"], "stall-chain": ["e2"],
               "lc-gap-family": ["e1"], "lc-gap7": ["e1,e2"]}
+# Families written by gen-example alone, at families.MAX_N.
+LARGE_FAMILIES = ("power2", "stall-chain", "fib-lc", "lc-gap-family")
+LARGE_N = 4096
 
 # (dim, field line, coefficient): sparse files like the bench's CLI_SPARSE.
 SPARSE_FILES = ((100, "rational", "-2/5"), (150, "prime 10007", "5000"))
@@ -115,8 +125,10 @@ def _dense_text(dim: int, field: str, seed: int, entries) -> tuple[str, list[str
     return "\n".join(lines) + "\n", [gens]
 
 
-def _cases(workdir: Path) -> list[list[str]]:
-    gen = []  # gen-example runs, made once by the new tree
+def _cases(workdir: Path) -> tuple[list[list[str]], list[list[str]]]:
+    """The gen-example argument lists, and the runs that read their files."""
+    gen = [["gen-example", "--family", family, "--n", str(LARGE_N),
+            "--out", str(workdir / f"{family}_{LARGE_N}.alg")] for family in LARGE_FAMILIES]
     runs = []
     files = [("pow2_4.alg", "power2", 4, "rational", ["e1", "e2"])]
     for family, n, field, gens in FAMILY_FILES:
@@ -167,19 +179,28 @@ def _cases(workdir: Path) -> list[list[str]]:
 
 
 def _worker(src: str, workdir: str) -> None:
-    """Run each argument list read from stdin; print one JSON result each."""
+    """Run each argument list read from stdin; print one JSON result each.
+
+    A result is the exit code, stdout, stderr, the ``--json`` report and the
+    bytes written to ``--out`` (None for a file not written), the last as
+    latin-1 text, which maps each byte to one character.
+    """
     sys.path.insert(0, src)
     from alglength.cli import main
 
     report = Path(workdir) / "report.json"
     results = []
     for argv in json.load(sys.stdin):
+        written = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
         report.unlink(missing_ok=True)
+        if written:
+            written.unlink(missing_ok=True)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv + ["--json", str(report)])
         body = report.read_text(encoding="utf-8") if report.exists() else None
-        results.append([code, out.getvalue(), err.getvalue(), body])
+        data = written.read_bytes().decode("latin-1") if written and written.exists() else None
+        results.append([code, out.getvalue(), err.getvalue(), body, data])
     json.dump(results, sys.stdout)
 
 
@@ -200,10 +221,12 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         gen, runs = _cases(workdir)
-        _run_tree(new, workdir, gen)
-        old_results = _run_tree(old, workdir, runs)
-        new_results = _run_tree(new, workdir, runs)
-    fields = ("exit code", "stdout", "stderr", "json")
+        old_results = _run_tree(old, workdir, gen)
+        new_results = _run_tree(new, workdir, gen)  # overwrites the old tree's files
+        old_results += _run_tree(old, workdir, runs)
+        new_results += _run_tree(new, workdir, runs)
+    runs = gen + runs
+    fields = ("exit code", "stdout", "stderr", "json", "written file")
     bad = 0
     for argv_, a, b in zip(runs, old_results, new_results):
         diff = [f for f, x, y in zip(fields, a, b) if x != y]
