@@ -18,12 +18,16 @@ and only :meth:`Algebra.multiply` divides by D or reduces mod p.
 Over GF(p), from dimension :data:`PACK_MIN_N` on, each cell e_i * e_j is
 packed into one big integer (Kronecker substitution): coordinate k sits in a
 slot of w bits at bit w * k, where w is 64 * m bits with m the fewest limbs
-for which (n-1)^2 (p-1)^3 < 2^w.  A product of residue vectors sums at most
-(n-1)^2 terms u_i v_j c, each below p^3, into every slot, so no slot carries
-into the next, and one big-int multiply-add per stored cell replaces a loop
-over its coordinates.  Other tables keep each cell's ``(k, c)`` pairs: over Q
-the operands are unbounded integers, so no slot width fits them, and in a
-smaller GF(p) table a product has too few coordinates to repay the unpack.
+for which (n-1)^2 (p-1)^3 + n (p-1)^2 < 2^w.  A product of residue vectors
+sums at most (n-1)^2 terms u_i v_j c, each at most (p-1)^3, into every slot,
+and one big-int multiply-add per stored cell replaces a loop over its
+coordinates.  :meth:`Algebra.packed_product` returns that sum still packed,
+and :class:`~alglength.echelon.EchelonSubspace` reduces it in the same
+layout: each of its at most n row ops adds at most (p-1)^2 to a slot, so no
+slot carries into the next.  Other tables keep each cell's ``(k, c)`` pairs:
+over Q the operands are unbounded integers, so no slot width fits them, and
+in a smaller GF(p) table a product has too few coordinates to repay the
+unpack.
 
 The "locally complex" basis predicate checks the multiplication-table face of
 that class of real algebras: every non-unit basis element squares to -1 and
@@ -44,6 +48,7 @@ from typing import Mapping, Sequence
 from .errors import (
     BudgetExceeded,
     EmptyGeneratingSet,
+    FieldMismatch,
     PrimeFieldNotAllowed,
     RangeError,
     ShapeError,
@@ -63,6 +68,9 @@ MAX_TABLE_BITS = 1 << 27
 # pairs.  Measured on dense random tables, packed against pairs: GF(2) and
 # GF(3) +28-30 % at n = 4, +3-22 % at n = 6, -1 to -22 % at n = 8 and
 # -26-31 % at n = 10.  Larger primes gain earlier (GF(101): -25 % at n = 4).
+# Echelon rows share the threshold; packing cells and rows from n = 4 on
+# instead made the bench's oracle-sweep (GF(2) and GF(3) at n = 4-7) slower
+# in 5 of 5 pairs of 12 s runs: median wall_s +12 %, op_p50_ms +22 %.
 PACK_MIN_N = 8
 # Slots of one 64-bit limb are read as machine words where the byte order
 # allows it; wider slots, or a big-endian host, go through int.from_bytes.
@@ -72,8 +80,22 @@ NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 
 def slot_limbs(n: int, p: int) -> int:
-    """m, the fewest 64-bit limbs with (n-1)^2 (p-1)^3 < 2^(64 m)."""
-    return max(1, -(-((n - 1) ** 2 * (p - 1) ** 3).bit_length() // 64))
+    """m, the fewest 64-bit limbs with (n-1)^2 (p-1)^3 + n (p-1)^2 < 2^(64 m)."""
+    return max(1, -(-((n - 1) ** 2 * (p - 1) ** 3 + n * (p - 1) ** 2).bit_length() // 64))
+
+
+def pack_limbs(field: Field, n: int) -> int:
+    """Limbs per slot of the packed vectors of dimension n over ``field``; 0
+    where vectors are not packed (over Q, or below :data:`PACK_MIN_N`)."""
+    mod = field.modulus
+    return slot_limbs(n, mod) if mod is not None and n >= PACK_MIN_N else 0
+
+
+def pack_slots(slots: Sequence[int], limbs: int) -> int:
+    """Nonnegative ints, each below 2^(64 limbs), as one integer, slot 0 lowest."""
+    if limbs == 1 and _WORDS:
+        return int.from_bytes(array("Q", slots), "little")
+    return int.from_bytes(b"".join(c.to_bytes(8 * limbs, "little") for c in slots), "little")
 
 
 def _pack_cell(coords: dict, limbs: int) -> tuple:
@@ -84,14 +106,10 @@ def _pack_cell(coords: dict, limbs: int) -> tuple:
     slots = [0] * (keys[-1] + 1 - k0)
     for k, c in coords.items():
         slots[k - k0] = c
-    if limbs == 1 and _WORDS:
-        packed = int.from_bytes(array("Q", slots), "little")
-    else:
-        packed = int.from_bytes(b"".join(c.to_bytes(8 * limbs, "little") for c in slots), "little")
-    return 64 * limbs * k0, packed
+    return 64 * limbs * k0, pack_slots(slots, limbs)
 
 
-def _unpack(x: int, count: int, limbs: int) -> list:
+def unpack_slots(x: int, count: int, limbs: int) -> list:
     """The first ``count`` slots of a packed nonnegative integer."""
     raw = x.to_bytes(8 * limbs * count, "little")
     if limbs == 1 and _WORDS:
@@ -142,14 +160,24 @@ class Algebra:
         ``lc_flag`` is :func:`check_lc_basis` over Q, which stops at the
         first cell that fails, e_1^2 on most tables, and False over GF(p).
         Other ``basis_names`` than that attribute allows raise ShapeError,
-        since no file could hold them.
+        since no file could hold them, as does a ``products`` that is not a
+        mapping; a ``field`` that is not a :class:`Field` raises
+        FieldMismatch.
         """
+        if not isinstance(field, Field):
+            raise FieldMismatch(
+                f"coefficient field must be QQ or GF(p), got a {type(field).__name__}"
+            )
         if type(n) is not int:
             raise RangeError(f"dimension must be an int, got {n!r}")
         if n < 1:
             raise RangeError(f"dimension must be >= 1, got {n}")
+        if not isinstance(products, Mapping):
+            raise ShapeError(
+                f"products must map index pairs (i, j) to cells, got a {type(products).__name__}"
+            )
         mod = field.modulus
-        limbs = slot_limbs(n, mod) if mod is not None and n >= PACK_MIN_N else 0
+        limbs = pack_limbs(field, n)
         bits = 0
         rows = [{} for _ in range(n)]
         indices = set(range(n))
@@ -226,14 +254,20 @@ class Algebra:
             return [(k, Fraction(c, self.denominator)) for k, c in cell]
         shift, packed = cell
         width = 64 * self._limbs
-        slots = _unpack(packed, -(-packed.bit_length() // width), self._limbs)
+        slots = unpack_slots(packed, -(-packed.bit_length() // width), self._limbs)
         return [(shift // width + t, c) for t, c in enumerate(slots) if c]
+
+    @property
+    def packed(self) -> bool:
+        """Whether the cells are packed, in the slots :func:`pack_limbs`
+        gives this field and dimension, so :meth:`packed_product` applies."""
+        return self._limbs > 0
 
     # ----- vectors -------------------------------------------------------
 
     def basis_vector(self, i: int) -> Vector:
-        if not 0 <= i < self.n:
-            raise RangeError(f"basis index {i} out of range for dimension {self.n}")
+        if not (type(i) is int and 0 <= i < self.n):
+            raise RangeError(f"basis index {i!r} out of range for dimension {self.n}")
         z, o = self.field.zero, self.field.one
         return tuple(o if j == i else z for j in range(self.n))
 
@@ -256,18 +290,12 @@ class Algebra:
         u_0 = v_0 = 0).  Integer operands give an integer product.  With
         packed cells the operands must be residues in [0, p), and each
         coordinate is a nonnegative int congruent to the product's mod p:
-        one multiply-add of the packed cell per stored pair, unpacked once.
+        :meth:`packed_product`, unpacked.
         """
         rows = self._rows
         if self._limbs:
-            acc = 0
-            for i, ui in enumerate(u):
-                if ui:
-                    for j, cell in rows[i].items():  # (shift, packed), read only if v_j != 0
-                        vj = v[j]
-                        if vj:
-                            acc += (ui * vj * cell[1]) << cell[0]
-            out = _unpack(acc, self.n, self._limbs) if acc else [0] * self.n
+            acc = self.packed_product([(i, ui) for i, ui in enumerate(u) if ui], v)
+            out = unpack_slots(acc, self.n, self._limbs) if acc else [0] * self.n
         else:
             out = [0] * self.n
             for i, ui in enumerate(u):
@@ -284,6 +312,27 @@ class Algebra:
             out = [x + du0 * y + dv0 * z for x, y, z in zip(out, v, u)]
             out[0] -= du0 * v0
         return out
+
+    def packed_product(self, support: Sequence[tuple[int, int]], v: Sequence[int]) -> int:
+        """The stored products' share of u*v over packed GF(p) cells, packed.
+
+        ``support`` lists the ``(i, u_i)`` of u with u_i a nonzero residue
+        and ``v`` holds n residues; slot k of the result is a nonnegative int congruent to
+        ``sum_{i,j} u_i v_j c[i][j][k]`` mod p: one multiply-add of the
+        packed cell per stored pair with v_j nonzero.  The unit law's share
+        is left out, so this is all of u*v when u_0 = v_0 = 0, as for the
+        length engine's fresh rows.
+        """
+        rows = self._rows
+        acc = 0
+        for i, ui in support:
+            part = 0
+            for j, (shift, packed) in rows[i].items():
+                vj = v[j]
+                if vj:
+                    part += (vj * packed) << shift
+            acc += ui * part
+        return acc
 
     def multiply(self, u: Sequence[Scalar], v: Sequence[Scalar]) -> Vector:
         """Bilinear product u*v, exact, as field scalars.

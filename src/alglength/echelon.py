@@ -16,6 +16,15 @@ multiple of the one vector of v + span(rows) that is 0 at every pivot, so
 up to a scalar it depends only on the span and not on which echelon basis
 of it is stored.  Insertion makes the residue primitive (over Q) or 1 at its
 pivot (over GF(p)) and appends it; no older row changes.
+
+Over GF(p) from ambient dimension :data:`~alglength.algebra.PACK_MIN_N` on,
+each row is also kept packed, in the slot layout of the packed structure
+constants (:mod:`alglength.algebra`), and a vector is reduced packed: the
+row op is ``x += (p - c) * row`` on one integer, with c the vector's pivot
+slot mod p, which keeps every slot nonnegative and clears the pivot mod p.
+The vector is unpacked and reduced mod p once, at the end.  A packed vector,
+such as :meth:`Algebra.packed_product <alglength.algebra.Algebra.packed_product>`
+returns, is reduced as it is; a packed 0 is spanned and costs one test.
 """
 
 from __future__ import annotations
@@ -23,6 +32,7 @@ from __future__ import annotations
 from math import gcd, lcm
 from typing import Optional, Sequence
 
+from .algebra import pack_limbs, pack_slots, unpack_slots
 from .errors import ShapeError
 from .fields import Field, Scalar
 
@@ -30,9 +40,14 @@ Vector = tuple  # tuple[Scalar, ...]
 
 
 class EchelonSubspace:
-    """Immutable subspace of F^ambient held as integer echelon rows, in insertion order."""
+    """Immutable subspace of F^ambient held as integer echelon rows, in insertion order.
 
-    __slots__ = ("field", "ambient", "rows", "pivots")
+    Over GF(p), ``_packed`` holds the rows packed in slots of ``_limbs``
+    limbs, with ``_limbs`` read off the field and ambient dimension by
+    :func:`~alglength.algebra.pack_limbs`; where it is 0, ``_packed`` is empty.
+    """
+
+    __slots__ = ("field", "ambient", "rows", "pivots", "_limbs", "_packed")
 
     def __init__(
         self,
@@ -45,31 +60,48 @@ class EchelonSubspace:
         self.ambient = ambient
         self.rows = rows
         self.pivots = pivots
+        self._limbs = limbs = pack_limbs(field, ambient)
+        self._packed = (
+            tuple(pack_slots([c % field.modulus for c in row], limbs) for row in rows)
+            if limbs
+            else ()
+        )
 
     @classmethod
     def empty(cls, field: Field, ambient: int) -> "EchelonSubspace":
-        if ambient < 0:
-            raise ShapeError(f"ambient dimension must be >= 0, got {ambient}")
+        if type(ambient) is not int or ambient < 0:
+            raise ShapeError(f"ambient dimension must be an int >= 0, got {ambient!r}")
         return cls(field, ambient)
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def reduce(self, v: Sequence[Scalar]) -> list[int]:
+    def reduce(self, v: Sequence[Scalar] | int) -> list[int]:
         """A nonzero multiple of the residue of ``v``, as ints; 0 iff v is spanned.
 
-        ``v`` holds field scalars or ints.  Over Q its denominators are
-        cleared first.  Over GF(p) any ints congruent to it mod p give the
-        same result, the residue in [0, p): each row is 1 at its pivot, so
-        the row op is ``v - c*row`` with ``c = v[pivot] mod p``, taken on
-        ints, and the entries are reduced once, at the end.
+        ``v`` holds field scalars or ints, or is an int, a packed vector
+        where rows are packed.  Over Q its denominators are cleared first.
+        Over GF(p) any ints congruent to it mod p give the same result, the
+        residue in [0, p): each row is 1 at its pivot, so the row op is
+        ``v - c*row`` with ``c = v[pivot] mod p``, taken on ints, and the
+        entries are reduced once, at the end.
         """
-        if len(v) != self.ambient:
+        limbs = self._limbs
+        if not (limbs and type(v) is int) and len(v) != self.ambient:
             raise ShapeError(
                 f"vector of length {len(v)} in a {self.ambient}-dimensional space"
             )
         mod = self.field.modulus
+        if limbs:
+            x = v if type(v) is int else pack_slots([c % mod for c in v], limbs)
+            width = 64 * limbs
+            mask = (1 << width) - 1
+            for row, p in zip(self._packed, self.pivots):
+                c = (x >> width * p & mask) % mod
+                if c:
+                    x += (mod - c) * row
+            return [c % mod for c in unpack_slots(x, self.ambient, limbs)]
         if mod is not None:
             out = v
             for row, p in zip(self.rows, self.pivots):
@@ -93,14 +125,17 @@ class EchelonSubspace:
                 out = [r * x - c * y for x, y in zip(out, row)]
         return out
 
-    def insert(self, v: Sequence[Scalar]) -> tuple["EchelonSubspace", Optional[tuple]]:
+    def insert(self, v: Sequence[Scalar] | int) -> tuple["EchelonSubspace", Optional[tuple]]:
         """Insert ``v``; returns (new space, added row) with row None when spanned.
 
+        ``v`` is what :meth:`reduce` takes; a packed 0 is spanned at once.
         The added row is the residue of ``v`` at insertion time, made
         primitive with a positive pivot (Q) or 1 at its pivot (GF(p)); it
         extends the previous basis and is what the length engine records as
         a fresh-basis vector.
         """
+        if not v and type(v) is int:  # a packed 0
+            return self, None
         residue = self.reduce(v)
         if not any(residue):
             return self, None
@@ -114,8 +149,11 @@ class EchelonSubspace:
         else:
             lead_inv = self.field.inv(residue[pivot])
             newrow = tuple((x * lead_inv) % mod for x in residue)
-        rows, pivots = self.rows + (newrow,), self.pivots + (pivot,)
-        return EchelonSubspace(self.field, self.ambient, rows, pivots), newrow
+        grown = object.__new__(EchelonSubspace)  # packs newrow alone, not every row again
+        grown.field, grown.ambient, grown._limbs = self.field, self.ambient, self._limbs
+        grown.rows, grown.pivots = self.rows + (newrow,), self.pivots + (pivot,)
+        grown._packed = self._packed + (pack_slots(newrow, self._limbs),) if self._limbs else ()
+        return grown, newrow
 
     def __repr__(self) -> str:
         return f"EchelonSubspace(dim={self.dim}, ambient={self.ambient})"

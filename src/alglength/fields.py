@@ -153,6 +153,12 @@ class PrimeField(Field):
 QQ = RationalField()
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: GF(3.0) must not return GF(3)
 def GF(p: int) -> PrimeField:
+    """GF(p), one cached instance per p.  A p that is not an int, which the
+    cache might not even hash, goes to :class:`PrimeField` to be refused."""
+    return _prime_field(p) if type(p) is int else PrimeField(p)
+
+
+@lru_cache(maxsize=None)
+def _prime_field(p: int) -> PrimeField:
     return PrimeField(p)

@@ -147,7 +147,10 @@ def compute_length(
     the integer rows of :class:`EchelonSubspace` and
     :meth:`Algebra.scaled_product`, which scale each vector by a nonzero
     constant and so leave every span and every residue up to a scalar as
-    it is.  With ``lc_shortcut`` the tighter
+    it is; over packed GF(p) cells on :meth:`Algebra.packed_product`, whose
+    packed products the span reduces without unpacking them.  Fresh rows of
+    positive length are 0 at the unit coordinate, so the unit law adds
+    nothing to their products.  With ``lc_shortcut`` the tighter
     locally-complex window is used; it requires a basis that passes
     :func:`check_lc_basis`, which an algebra with ``lc_flag`` set has passed.
     """
@@ -157,6 +160,11 @@ def compute_length(
     n = algebra.n
     acc, unit_row = EchelonSubspace.empty(algebra.field, n).insert(algebra.unit())
     fresh: dict[int, tuple[tuple[int, ...], ...]] = {0: (unit_row,)}
+    # Left operands by length: the rows themselves, or over packed GF(p)
+    # cells each row's nonzero (i, c), read once when the row joins.
+    packed = algebra.packed
+    product = algebra.packed_product if packed else algebra.scaled_product
+    lefts = {} if packed else fresh
     pending: list[int] = []  # heap of unvisited sums of nonempty fresh lengths
     k, group = 0, ()
     if n > 1:
@@ -166,6 +174,8 @@ def compute_length(
     while True:
         if group:
             fresh[k] = group
+            if packed:
+                lefts[k] = [[(i, c) for i, c in enumerate(row) if c] for row in group]
             for b in fresh:
                 if b:
                     heappush(pending, k + b)
@@ -185,8 +195,8 @@ def compute_length(
         acc, group = _insert_all(
             acc,
             (
-                algebra.scaled_product(f, h)
-                for a, left in fresh.items()
+                product(f, h)
+                for a, left in lefts.items()
                 if 0 < a < k and k - a in fresh
                 for f in left
                 for h in fresh[k - a]

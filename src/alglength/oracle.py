@@ -58,8 +58,8 @@ def enumerate_words_spans(algebra: Algebra, gens, kmax: int) -> list[int]:
     :data:`WORD_BUDGET`.  The count is summed k by k and the refusal comes as
     soon as the budget is passed, so a huge kmax costs nothing to refuse.
     """
-    if kmax < 0:
-        raise RangeError(f"kmax must be >= 0, got {kmax}")
+    if type(kmax) is not int or kmax < 0:
+        raise RangeError(f"kmax must be an int >= 0, got {kmax!r}")
     gens = coerce_genset(algebra, gens)
     total = 0
     for k in range(1, kmax + 1):

@@ -18,7 +18,7 @@ from alglength import (
     parse_algebra,
     serialize_algebra,
 )
-from alglength.algebra import MAX_TABLE_BITS, slot_limbs
+from alglength.algebra import MAX_TABLE_BITS, PACK_MIN_N, slot_limbs
 
 from helpers import (
     assert_unit_law,
@@ -64,8 +64,9 @@ def test_dimension_names_and_basis_index_errors():
     with pytest.raises(ShapeError):
         Algebra.from_products(QQ, 3, {}, basis_names=("1", "a"))
     algebra, _ = make_example("power2", 4)
-    with pytest.raises(RangeError):
-        algebra.basis_vector(4)
+    for i in (4, -1, 1.0):
+        with pytest.raises(RangeError):
+            algebra.basis_vector(i)
 
 
 def test_bilinearity_random():
@@ -190,6 +191,8 @@ def test_table_coercion_and_equality():
         (("1", "a", "a"), ShapeError),
         (("1", "a b", "c"), ShapeError),
         (("1", "a", "1"), ShapeError),
+        ([], ShapeError),
+        ([((1, 1), {2: 1})], ShapeError),
     ],
 )
 def test_from_products_rejects_malformed_arguments(products, error):
@@ -242,6 +245,16 @@ def test_slot_limbs():
     assert slot_limbs(40, 10007) == slot_limbs(4096, 10007) == 1
     assert slot_limbs(2, MERSENNE31) == slot_limbs(12, MERSENNE31) == 2
     assert slot_limbs(4096, 2) == 1
+    # The bound covers a product's slot, at most (n-1)^2 (p-1)^3, and n row
+    # ops of at most (p-1)^2 each: at n = 10, p = 610678 the product alone
+    # would fit in one limb.
+    assert 9**2 * 610677**3 < 2**64 <= 9**2 * 610677**3 + 10 * 610677**2
+    assert slot_limbs(10, 610678) == 2
+    # ... but no limb count of a prime below changes from the product's bound.
+    for p in (2, 3, 5, 7, 101, 10007, 65537, 1000003, MERSENNE31):
+        for n in range(PACK_MIN_N, 4101):
+            product_bits = ((n - 1) ** 2 * (p - 1) ** 3).bit_length()
+            assert slot_limbs(n, p) == max(1, -(-product_bits // 64)), (n, p)
 
 
 def test_packed_multiply_matches_dense_reference():

@@ -12,6 +12,9 @@ from alglength import (
     ShapeError,
 )
 
+from alglength.algebra import pack_slots, slot_limbs
+from alglength.fields import is_prime
+
 from helpers import random_vector, reduced_span
 
 
@@ -62,8 +65,9 @@ def test_shape_error():
     space = EchelonSubspace.empty(QQ, 3)
     with pytest.raises(ShapeError):
         space.insert((F(1), F(0)))
-    with pytest.raises(ShapeError):
-        EchelonSubspace.empty(QQ, -1)
+    for ambient in (-1, 2.0):
+        with pytest.raises(ShapeError):
+            EchelonSubspace.empty(QQ, ambient)
 
 
 def test_idempotent_insert_bitwise_identical():
@@ -228,3 +232,37 @@ def test_rational_rows_are_the_reference_residues():
             assert [Fraction(x, row[pivot]) for x in row] == [
                 x / residue[pivot] for x in residue
             ]
+
+
+def test_packed_reduce_at_the_slot_bound():
+    # The largest prime whose slots take one limb at n = 8, so the slots are
+    # nearly full.  The input's slots reach a product's bound (n-1)^2 (p-1)^3,
+    # and each row op adds (p-1)^2, the most it can: the rows are p - 1 right
+    # of their pivots and every pivot slot is 1 mod p when its row comes.
+    # No slot may carry into the next.
+    n = 8
+    p = next(q for q in range(1 << 20, 0, -1) if slot_limbs(n, q) == 1 and is_prime(q))
+    top = (n - 1) ** 2 * (p - 1) ** 3
+    rows = tuple((0,) * t + (1,) + (p - 1,) * (n - 1 - t) for t in range(n - 1))
+    space = EchelonSubspace.empty(GF(p), n)
+    for row in rows:  # each is 0 at the older pivots and 1 at its own: stored as it is
+        space, added = space.insert(row)
+        assert added == row
+    slots = [top - (top - (1 - t)) % p for t in range(n)]
+    assert 2**63 <= top and slots[-1] + (n - 1) * (p - 1) ** 2 < 2**64
+    expected = reduced_span(GF(p), n, rows).reduce(slots)
+    assert space.reduce(pack_slots(slots, 1)) == space.reduce(slots) == expected
+    assert expected[:-1] == [0] * (n - 1) and expected[-1]
+
+
+def test_rows_given_to_the_constructor_are_packed():
+    # A space built from its rows reduces as one grown by insert does.
+    rng, n = random.Random(17), 9
+    grown = EchelonSubspace.empty(GF(101), n)
+    for _ in range(4):
+        grown, _ = grown.insert(random_vector(rng, n, 101))
+    built = EchelonSubspace(GF(101), n, grown.rows, grown.pivots)
+    assert built.dim == grown.dim == 4
+    for _ in range(6):
+        v = random_vector(rng, n, 101)
+        assert built.reduce(v) == grown.reduce(v) and any(built.reduce(v))

@@ -3,6 +3,7 @@ import pytest
 from alglength import (
     GF,
     BudgetExceeded,
+    FieldMismatch,
     RangeError,
     check_lc_basis,
     compute_length,
@@ -44,6 +45,12 @@ def test_families_build_unital(family, n, dim):
 def test_out_of_range_parameters(family, n):
     with pytest.raises(RangeError):
         make_example(family, n)
+
+
+@pytest.mark.parametrize("field", [3, "rational", None])
+def test_field_must_be_a_field(field):
+    with pytest.raises(FieldMismatch):
+        make_example("power2", 4, field)
 
 
 def test_size_parameter_budget():

@@ -67,7 +67,7 @@ def test_coerce_field_mismatch():
 
 def test_non_prime_modulus_rejected():
     GF(3)  # cached, so GF(3.0) checks that the cache tells 3.0 from 3
-    for bad in (0, 1, 4, 9, 15, 3.0, 7.0, "7"):
+    for bad in (0, 1, 4, 9, 15, 3.0, 7.0, "7", [7]):
         with pytest.raises(RangeError):
             GF(bad)
 

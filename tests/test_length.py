@@ -344,6 +344,34 @@ def test_engine_matches_reference_stepper():
             gens = (algebra.basis_vector(1 + case % (n - 1)),)
         expected = run_fields(reference_run(algebra, gens))
         assert run_fields(compute_length(algebra, gens)) == expected, (case, gens)
+    # Packed products and rows at the bench's sizes: dense tables, tables
+    # whose span(e_0..e_(m-1)) is a subalgebra that holds the generators,
+    # and the table whose every entry, like the generator's, is p - 1.
+    for p in (101, 10007, 2**31 - 1):
+        for n in (16, 22, 28, 34, 40):
+            m = n // 2 - 4
+            for closed, support in ((n, n), (m, m)):
+                products = {
+                    (i, j): [rng.randrange(p) if k < (closed if i < m and j < m else n) else 0
+                             for k in range(n)]
+                    for i in range(1, n)
+                    for j in range(1, n)
+                }
+                algebra = Algebra.from_products(GF(p), n, products)
+                gens = tuple(
+                    tuple(rng.randrange(p) if k < support else 0 for k in range(n))
+                    for _ in range(1 + n // 2 % 2)
+                )
+                expected = run_fields(reference_run(algebra, gens))
+                got = run_fields(compute_length(algebra, gens))
+                assert got == expected, (p, n, closed)
+        n = 16
+        algebra = Algebra.from_products(
+            GF(p), n, {(i, j): [p - 1] * n for i in range(1, n) for j in range(1, n)}
+        )
+        gens = ((p - 1,) * n,)
+        expected = run_fields(reference_run(algebra, gens))
+        assert run_fields(compute_length(algebra, gens)) == expected, p
     for family, sizes in (
         ("power2", range(3, 11)),
         ("stall-chain", range(2, 9)),
@@ -395,24 +423,30 @@ def test_engine_matches_reference_stepper_over_q_with_fractions():
     assert {1, 3, 6} <= denominators
 
 
-def test_no_product_is_formed_once_the_span_is_full(monkeypatch):
+def _record_calls(monkeypatch, cls, name):
+    """Patch ``cls.name`` to record each call's arguments and result."""
+    calls = []
+    method = getattr(cls, name)
+
+    def recording(self, *args):
+        calls.append((args, method(self, *args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(cls, name, recording)
+    return calls
+
+
+def _assert_no_product_after_full_span(monkeypatch, field, product):
     rng = random.Random(137)
-    n, p = 12, 101
+    n = 12
     products = {
-        (i, j): [rng.randrange(p) for _ in range(n)]
+        (i, j): [rng.randrange(101) for _ in range(n)]
         for i in range(1, n)
         for j in range(1, n)
     }
-    algebra = Algebra.from_products(GF(p), n, products)
-    gens = (random_vector(rng, n, p, nonzero=True),)
-    formed = []
-    scaled_product = Algebra.scaled_product
-
-    def counting(self, u, v):
-        formed.append(scaled_product(self, u, v))
-        return formed[-1]
-
-    monkeypatch.setattr(Algebra, "scaled_product", counting)
+    algebra = Algebra.from_products(field, n, products)
+    gens = (random_vector(rng, n, 101, nonzero=True),)
+    calls = _record_calls(monkeypatch, Algebra, product)
     report = compute_length(algebra, gens)
     monkeypatch.undo()
     assert report.charseq == (0, 1, 2, 3, 3, 4, 4, 4, 4, 4, 5, 5)
@@ -423,8 +457,31 @@ def test_no_product_is_formed_once_the_span_is_full(monkeypatch):
     for v in (algebra.unit(),) + gens:
         space, _ = space.insert(v)
     dims = []
-    for w in formed:
+    for _, w in calls:
         space, _ = space.insert(w)
         dims.append(space.dim)
     assert dims[-1] == n and dims[-2] < n
-    assert len(formed) < 1 + 2 + 5 + 14
+    assert len(calls) < 1 + 2 + 5 + 14
+
+
+def test_no_product_is_formed_once_the_span_is_full(monkeypatch):
+    # GF(101) at n = 12 packs the cells: the engine forms packed products.
+    _assert_no_product_after_full_span(monkeypatch, GF(101), "packed_product")
+
+
+def test_no_product_is_formed_once_the_span_is_full_over_q(monkeypatch):
+    _assert_no_product_after_full_span(monkeypatch, QQ, "scaled_product")
+
+
+def test_only_nonzero_packed_products_reach_a_row_op(monkeypatch):
+    # stall-chain forms every pair of fresh rows, almost all of them zero; a
+    # packed zero is spanned without a call to reduce.
+    algebra, gens = make_example("stall-chain", 60, GF(10007))
+    formed = _record_calls(monkeypatch, Algebra, "packed_product")
+    reduced = _record_calls(monkeypatch, EchelonSubspace, "reduce")
+    report = compute_length(algebra, gens)
+    monkeypatch.undo()
+    assert report.charseq == (0, 1) + tuple(range(2, 61)) + (120,)
+    nonzero = [w for _, w in formed if w]
+    assert [v for (v,), _ in reduced if type(v) is int] == nonzero
+    assert (len(formed), len(nonzero)) == (3600, 60)

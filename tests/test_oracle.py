@@ -48,6 +48,7 @@ def test_negative_indices_are_range_errors():
         lambda: catalan(-1),
         lambda: bracketed_word_count(2, 0),
         lambda: enumerate_words_spans(algebra, gens, -1),
+        lambda: enumerate_words_spans(algebra, gens, 2.0),
     ):
         with pytest.raises(RangeError):
             call()

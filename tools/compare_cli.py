@@ -5,13 +5,17 @@ Usage:
     python3 tools/compare_cli.py OLD [NEW]   # NEW defaults to this checkout
 
 Both trees run the same argument lists: the README examples, the bench
-``CLI_FAMILIES`` family files, two sparse files shaped like the bench's
-``CLI_SPARSE`` ones (each with non-generating sets too), six seeded dense
-tables (over Q, GF(101) and GF(2^31 - 1) with integer entries, the two
-prime fields at dims 6 and 9, on both sides of ``algebra.PACK_MIN_N``, and
-over Q with fractional entries such as 1/2 and -2/3; every non-unit product
-nonzero, run with two random coordinate rows, so that no fresh row is a
-basis vector) and the dim-1 algebra, where ``fib-k`` has no k, with and
+``CLI_FAMILIES`` family files plus ``stall-chain`` n=120 over GF(10007),
+whose runs chain many packed row ops, two sparse files shaped like the
+bench's ``CLI_SPARSE`` ones (each with non-generating sets too), eleven
+seeded dense tables (over Q, GF(101) and GF(2^31 - 1) with integer entries,
+the two prime fields at dims 6 and 9, on both sides of
+``algebra.PACK_MIN_N``; over GF(10007) and GF(2^31 - 1) at dims 20 and 30,
+one of them with a closed subalgebra that holds the generators, so that they
+do not generate; and over Q with fractional entries such as 1/2 and -2/3;
+every other non-unit product nonzero, run with two random coordinate rows,
+so that no fresh row is a basis vector) and the dim-1 algebra, where
+``fib-k`` has no k, with and
 without ``--lc-shortcut``, through ``length``, ``charseq``, ``dims``,
 ``verify`` and ``oracle-check``, the last also with
 ``--require-generating``.  ``verify`` also runs with reordered and repeated
@@ -54,6 +58,7 @@ FAMILY_FILES = (
     ("stall-chain", 8, "rational", "e1"),
     ("stall-chain", 20, "prime:10007", "e1"),
     ("stall-chain", 30, "rational", "e1"),
+    ("stall-chain", 120, "prime:10007", "e1"),
     ("lc-gap-family", 6, "rational", "e1,e2"),
     ("lc-gap-family", 12, "rational", "e1,e2"),
     ("lc-gap-family", 24, "rational", "e1,e2"),
@@ -71,13 +76,17 @@ SPARSE_FILES = ((100, "rational", "-2/5"), (150, "prime 10007", "5000"))
 SPARSE_CHAIN = 5
 INTEGERS = tuple(Fraction(c) for c in range(-2, 3))
 FRACTIONS = tuple(Fraction(c) for c in ("-2/3", "-1", "0", "0", "1/2", "2", "5/3"))
-# (dim, field line, seed, entries): dense tables with every non-unit product
-# nonzero and generator rows, entries drawn from the given values.  GF(p)
-# tables of dim 6 keep (k, c) pairs; those of dim 9 are packed, GF(2^31 - 1)
-# in two-limb slots.
-DENSE_FILES = ((5, "rational", 11, INTEGERS), (6, "prime 101", 12, INTEGERS),
-               (5, "rational", 13, FRACTIONS), (6, "prime 2147483647", 14, INTEGERS),
-               (9, "prime 101", 15, INTEGERS), (9, "prime 2147483647", 16, INTEGERS))
+# (dim, field line, seed, entries, closed): dense tables with every non-unit
+# product nonzero and generator rows, entries drawn from the given values;
+# with closed = m > 0, products of e_1..e_(m-1) and the generators lie in
+# span(e_0..e_(m-1)).  GF(p) tables of dim 6 keep (k, c) pairs; the larger
+# ones are packed, GF(2^31 - 1) in two-limb slots.
+DENSE_FILES = ((5, "rational", 11, INTEGERS, 0), (6, "prime 101", 12, INTEGERS, 0),
+               (5, "rational", 13, FRACTIONS, 0), (6, "prime 2147483647", 14, INTEGERS, 0),
+               (9, "prime 101", 15, INTEGERS, 0), (9, "prime 2147483647", 16, INTEGERS, 0),
+               (20, "prime 10007", 17, INTEGERS, 0), (20, "prime 2147483647", 18, INTEGERS, 0),
+               (30, "prime 10007", 19, INTEGERS, 0), (30, "prime 2147483647", 20, INTEGERS, 0),
+               (30, "prime 10007", 21, INTEGERS, 12))
 UNIT_ONLY = "alglength-algebra v1\nfield rational\ndim 1\nbasis 1\n"
 
 
@@ -104,10 +113,12 @@ def _sparse_text(dim: int, field: str, coeff: str) -> tuple[str, list[str]]:
                                       f"e{xs[m + 2]}"]
 
 
-def _dense_text(dim: int, field: str, seed: int, entries) -> tuple[str, list[str]]:
+def _dense_text(dim: int, field: str, seed: int, entries, closed: int) -> tuple[str, list[str]]:
     """A seeded table whose non-unit products are all nonzero, entries from ``entries``.
 
-    Returns the v1 text and one --gens value: two random coordinate rows.
+    With ``closed`` = m > 0, the products of e_1..e_(m-1) and the generators
+    have coordinates below m only.  Returns the v1 text and one --gens
+    value: two random coordinate rows.
     """
     rng = random.Random(seed)
     names = ["1"] + [f"e{i}" for i in range(1, dim)]
@@ -115,12 +126,14 @@ def _dense_text(dim: int, field: str, seed: int, entries) -> tuple[str, list[str
              "basis " + " ".join(names)]
     for i in range(1, dim):
         for j in range(1, dim):
+            top = closed if max(i, j) < closed else dim
             row = [0]
             while not any(row):
-                row = [rng.choice(entries) for _ in range(dim)]
+                row = [rng.choice(entries) if k < top else 0 for k in range(dim)]
             terms = [f"{c}*{names[k]}" for k, c in enumerate(row) if c]
             lines.append(f"prod e{i} e{j} = " + " + ".join(terms))
-    rows = [[rng.choice(entries) for _ in range(dim)] for _ in range(2)]
+    top = closed or dim
+    rows = [[rng.choice(entries) if k < top else 0 for k in range(dim)] for _ in range(2)]
     gens = ";".join("[" + ", ".join(map(str, row)) + "]" for row in rows)
     return "\n".join(lines) + "\n", [gens]
 
@@ -139,8 +152,8 @@ def _cases(workdir: Path) -> tuple[list[list[str]], list[list[str]]]:
         name = f"sparse_{dim}.alg"
         (workdir / name).write_text(text, encoding="utf-8")
         files.append((name, None, None, None, gen_sets))
-    for dim, field, seed, entries in DENSE_FILES:
-        text, gen_sets = _dense_text(dim, field, seed, entries)
+    for dim, field, seed, entries, closed in DENSE_FILES:
+        text, gen_sets = _dense_text(dim, field, seed, entries, closed)
         name = f"dense_{dim}_{seed}.alg"
         (workdir / name).write_text(text, encoding="utf-8")
         files.append((name, None, None, None, gen_sets))
