@@ -12,8 +12,9 @@ nonzero products in a large basis costs O(n) plus their number, not n^3.
 The stored constants are integers: over Q the table times the common
 denominator D of its entries (1 for integer tables), over GF(p) the residues.
 A span does not change when a vector is scaled, so the length engine works
-on :meth:`Algebra.scaled_product`, D times the product with no field step,
-and only :meth:`Algebra.multiply` divides by D or reduces mod p.
+on :meth:`Algebra.scaled_product`, the stored products' share of D times
+the product with no field step, and only :meth:`Algebra.multiply` adds the
+unit law's share, divides by D or reduces mod p.
 
 Over GF(p), from dimension :data:`PACK_MIN_N` on, each cell e_i * e_j is
 packed into one big integer (Kronecker substitution): coordinate k sits in a
@@ -21,7 +22,7 @@ slot of w bits at bit w * k, where w is 64 * m bits with m the fewest limbs
 for which (n-1)^2 (p-1)^3 + n (p-1)^2 < 2^w.  A product of residue vectors
 sums at most (n-1)^2 terms u_i v_j c, each at most (p-1)^3, into every slot,
 and one big-int multiply-add per stored cell replaces a loop over its
-coordinates.  :meth:`Algebra.packed_product` returns that sum still packed,
+coordinates.  :meth:`Algebra.scaled_product` returns that sum still packed,
 and :class:`~alglength.echelon.EchelonSubspace` reduces it in the same
 layout: each of its at most n row ops adds at most (p-1)^2 to a slot, so no
 slot carries into the next.  Other tables keep each cell's ``(k, c)`` pairs:
@@ -43,7 +44,7 @@ import sys
 from array import array
 from fractions import Fraction
 from math import lcm
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     BudgetExceeded,
@@ -257,12 +258,6 @@ class Algebra:
         slots = unpack_slots(packed, -(-packed.bit_length() // width), self._limbs)
         return [(shift // width + t, c) for t, c in enumerate(slots) if c]
 
-    @property
-    def packed(self) -> bool:
-        """Whether the cells are packed, in the slots :func:`pack_limbs`
-        gives this field and dimension, so :meth:`packed_product` applies."""
-        return self._limbs > 0
-
     # ----- vectors -------------------------------------------------------
 
     def basis_vector(self, i: int) -> Vector:
@@ -281,58 +276,39 @@ class Algebra:
 
     # ----- multiplication ------------------------------------------------
 
-    def scaled_product(self, u: Sequence[Scalar], v: Sequence[Scalar]) -> list:
-        """D * (u*v) with no field step: not divided by D, not reduced mod p.
+    def scaled_product(self, terms: Iterable, v: Sequence[Scalar]) -> list | int:
+        """The stored products' share of D * (u*v): not divided by D, not
+        reduced mod p, and without the unit law's share, which is zero when
+        u_0 = v_0 = 0, as for the length engine's fresh rows.
 
-        ``(u*v)_k = sum_{i,j} u_i v_j c[i][j][k]``: the stored products
-        e_i * e_j with u_i and v_j nonzero, plus the unit law's share
-        ``D (u_0 v + v_0 u - u_0 v_0 e_0)`` (zero, and not formed, when
-        u_0 = v_0 = 0).  Integer operands give an integer product.  With
-        packed cells the operands must be residues in [0, p), and each
-        coordinate is a nonnegative int congruent to the product's mod p:
-        :meth:`packed_product`, unpacked.
+        ``terms`` yields the ``(i, u_i)`` of u, zeros skipped, so
+        ``enumerate(u)`` will do.  Over packed cells the operands are
+        residues in [0, p) and the result is one packed int whose slots are
+        congruent to its coordinates mod p; otherwise a list of n.  Either
+        is what :meth:`~alglength.echelon.EchelonSubspace.reduce` takes.
         """
         rows = self._rows
         if self._limbs:
-            acc = self.packed_product([(i, ui) for i, ui in enumerate(u) if ui], v)
-            out = unpack_slots(acc, self.n, self._limbs) if acc else [0] * self.n
-        else:
-            out = [0] * self.n
-            for i, ui in enumerate(u):
+            acc = 0
+            for i, ui in terms:
                 if ui:
-                    for j, cell in rows[i].items():
+                    part = 0
+                    for j, (shift, packed) in rows[i].items():
                         vj = v[j]
                         if vj:
-                            coef = ui * vj
-                            for k, c in cell:
-                                out[k] += coef * c
-        u0, v0 = u[0], v[0]
-        if u0 or v0:
-            du0, dv0 = self.denominator * u0, self.denominator * v0
-            out = [x + du0 * y + dv0 * z for x, y, z in zip(out, v, u)]
-            out[0] -= du0 * v0
+                            part += (vj * packed) << shift
+                    acc += ui * part
+            return acc
+        out = [0] * self.n
+        for i, ui in terms:
+            if ui:
+                for j, cell in rows[i].items():
+                    vj = v[j]
+                    if vj:
+                        coef = ui * vj
+                        for k, c in cell:
+                            out[k] += coef * c
         return out
-
-    def packed_product(self, support: Sequence[tuple[int, int]], v: Sequence[int]) -> int:
-        """The stored products' share of u*v over packed GF(p) cells, packed.
-
-        ``support`` lists the ``(i, u_i)`` of u with u_i a nonzero residue
-        and ``v`` holds n residues; slot k of the result is a nonnegative int congruent to
-        ``sum_{i,j} u_i v_j c[i][j][k]`` mod p: one multiply-add of the
-        packed cell per stored pair with v_j nonzero.  The unit law's share
-        is left out, so this is all of u*v when u_0 = v_0 = 0, as for the
-        length engine's fresh rows.
-        """
-        rows = self._rows
-        acc = 0
-        for i, ui in support:
-            part = 0
-            for j, (shift, packed) in rows[i].items():
-                vj = v[j]
-                if vj:
-                    part += (vj * packed) << shift
-            acc += ui * part
-        return acc
 
     def multiply(self, u: Sequence[Scalar], v: Sequence[Scalar]) -> Vector:
         """Bilinear product u*v, exact, as field scalars.
@@ -343,11 +319,20 @@ class Algebra:
         return self._product(self.coerce_vector(u), self.coerce_vector(v))
 
     def _product(self, u: Vector, v: Vector) -> Vector:
-        """u*v of two field vectors, as field scalars."""
+        """u*v of two field vectors, as field scalars: :meth:`scaled_product`
+        plus the unit law's share ``D (u_0 v + v_0 u - u_0 v_0 e_0)``."""
+        out = self.scaled_product(enumerate(u), v)
+        if self._limbs:
+            out = unpack_slots(out, self.n, self._limbs)
+        u0, v0 = u[0], v[0]
+        if u0 or v0:
+            du0, dv0 = self.denominator * u0, self.denominator * v0
+            out = [x + du0 * y + dv0 * z for x, y, z in zip(out, v, u)]
+            out[0] -= du0 * v0
         mod = self.field.modulus
         if mod is not None:
-            return tuple([x % mod for x in self.scaled_product(u, v)])
-        return tuple([Fraction(x, self.denominator) for x in self.scaled_product(u, v)])
+            return tuple([x % mod for x in out])
+        return tuple([Fraction(x, self.denominator) for x in out])
 
     # ----- comparison ----------------------------------------------------
 

@@ -23,8 +23,9 @@ constants (:mod:`alglength.algebra`), and a vector is reduced packed: the
 row op is ``x += (p - c) * row`` on one integer, with c the vector's pivot
 slot mod p, which keeps every slot nonnegative and clears the pivot mod p.
 The vector is unpacked and reduced mod p once, at the end.  A packed vector,
-such as :meth:`Algebra.packed_product <alglength.algebra.Algebra.packed_product>`
-returns, is reduced as it is; a packed 0 is spanned and costs one test.
+such as :meth:`Algebra.scaled_product <alglength.algebra.Algebra.scaled_product>`
+returns over packed cells, is reduced as it is; a packed 0 is spanned and
+costs one test.
 """
 
 from __future__ import annotations
@@ -49,23 +50,12 @@ class EchelonSubspace:
 
     __slots__ = ("field", "ambient", "rows", "pivots", "_limbs", "_packed")
 
-    def __init__(
-        self,
-        field: Field,
-        ambient: int,
-        rows: tuple[tuple[int, ...], ...] = (),
-        pivots: tuple[int, ...] = (),
-    ):
+    def __init__(self, field: Field, ambient: int):
+        """The zero subspace; :meth:`empty` also checks ``ambient``."""
         self.field = field
         self.ambient = ambient
-        self.rows = rows
-        self.pivots = pivots
-        self._limbs = limbs = pack_limbs(field, ambient)
-        self._packed = (
-            tuple(pack_slots([c % field.modulus for c in row], limbs) for row in rows)
-            if limbs
-            else ()
-        )
+        self.rows = self.pivots = self._packed = ()
+        self._limbs = pack_limbs(field, ambient)
 
     @classmethod
     def empty(cls, field: Field, ambient: int) -> "EchelonSubspace":
@@ -149,7 +139,7 @@ class EchelonSubspace:
         else:
             lead_inv = self.field.inv(residue[pivot])
             newrow = tuple((x * lead_inv) % mod for x in residue)
-        grown = object.__new__(EchelonSubspace)  # packs newrow alone, not every row again
+        grown = object.__new__(EchelonSubspace)  # no __init__: self's limbs carry over
         grown.field, grown.ambient, grown._limbs = self.field, self.ambient, self._limbs
         grown.rows, grown.pivots = self.rows + (newrow,), self.pivots + (pivot,)
         grown._packed = self._packed + (pack_slots(newrow, self._limbs),) if self._limbs else ()

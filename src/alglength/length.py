@@ -147,12 +147,12 @@ def compute_length(
     the integer rows of :class:`EchelonSubspace` and
     :meth:`Algebra.scaled_product`, which scale each vector by a nonzero
     constant and so leave every span and every residue up to a scalar as
-    it is; over packed GF(p) cells on :meth:`Algebra.packed_product`, whose
-    packed products the span reduces without unpacking them.  Fresh rows of
-    positive length are 0 at the unit coordinate, so the unit law adds
-    nothing to their products.  With ``lc_shortcut`` the tighter
-    locally-complex window is used; it requires a basis that passes
-    :func:`check_lc_basis`, which an algebra with ``lc_flag`` set has passed.
+    it is.  Each left operand is its nonzero ``(i, c)``, read once when its
+    row joins.  Fresh rows of positive length are 0 at the unit coordinate,
+    so the unit law, which ``scaled_product`` leaves out, adds nothing to
+    their products.  With ``lc_shortcut`` the tighter locally-complex
+    window is used; it requires a basis that passes :func:`check_lc_basis`,
+    which an algebra with ``lc_flag`` set has passed.
     """
     gens = coerce_genset(algebra, gens)
     if lc_shortcut and not (algebra.lc_flag or check_lc_basis(algebra)):
@@ -160,11 +160,7 @@ def compute_length(
     n = algebra.n
     acc, unit_row = EchelonSubspace.empty(algebra.field, n).insert(algebra.unit())
     fresh: dict[int, tuple[tuple[int, ...], ...]] = {0: (unit_row,)}
-    # Left operands by length: the rows themselves, or over packed GF(p)
-    # cells each row's nonzero (i, c), read once when the row joins.
-    packed = algebra.packed
-    product = algebra.packed_product if packed else algebra.scaled_product
-    lefts = {} if packed else fresh
+    lefts: dict[int, list[list[tuple[int, int]]]] = {}  # each row's nonzero (i, c)
     pending: list[int] = []  # heap of unvisited sums of nonempty fresh lengths
     k, group = 0, ()
     if n > 1:
@@ -174,11 +170,9 @@ def compute_length(
     while True:
         if group:
             fresh[k] = group
-            if packed:
-                lefts[k] = [[(i, c) for i, c in enumerate(row) if c] for row in group]
-            for b in fresh:
-                if b:
-                    heappush(pending, k + b)
+            lefts[k] = [[(i, c) for i, c in enumerate(row) if c] for row in group]
+            for b in lefts:
+                heappush(pending, k + b)
             g, by_one = k, len(group) == 1
         if acc.dim == n:
             stop = STOP_FULL_DIM
@@ -195,9 +189,9 @@ def compute_length(
         acc, group = _insert_all(
             acc,
             (
-                product(f, h)
+                algebra.scaled_product(f, h)
                 for a, left in lefts.items()
-                if 0 < a < k and k - a in fresh
+                if a < k and k - a in fresh
                 for f in left
                 for h in fresh[k - a]
             ),

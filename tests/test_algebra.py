@@ -231,12 +231,11 @@ def test_multiply_coerces_its_operands(n):
 MERSENNE31 = 2**31 - 1
 
 
-def _dense_product(table, u, v, p):
+def _dense_product(table, u, v, p=None):
+    """u*v from the full table, reduced mod p unless p is None (over Q)."""
     n = len(table)
-    return tuple(
-        sum(u[i] * v[j] * table[i][j][k] for i in range(n) for j in range(n)) % p
-        for k in range(n)
-    )
+    out = (sum(u[i] * v[j] * table[i][j][k] for i in range(n) for j in range(n)) for k in range(n))
+    return tuple(out if p is None else (x % p for x in out))
 
 
 def test_slot_limbs():
@@ -259,20 +258,37 @@ def test_slot_limbs():
 
 def test_packed_multiply_matches_dense_reference():
     # Operands need not be residues: negative ints and ints >= p as well.
+    # Over Q the constants are fractions, so D > 1.  The last operands of
+    # each trial are nonzero at the unit, so the unit law adds its share.
     rng = random.Random(403)
-    for trial in range(150):
-        p = (2, 3, 101, 10007, MERSENNE31)[trial % 5]
+    denominators = set()
+    for trial in range(180):
+        p = (2, 3, 101, 10007, MERSENNE31, None)[trial % 6]
         n = rng.randint(1, 12)
         products = random_products(rng, n, p, density=rng.choice((0.2, 0.6, 1.0)))
-        algebra = Algebra.from_products(GF(p), n, products)
+        algebra = Algebra.from_products(QQ if p is None else GF(p), n, products)
+        denominators.add(algebra.denominator)
         table = dense_table(n, products)
-        for _ in range(4):
-            u, v = (
-                [rng.choice((0, rng.randrange(p), -rng.randrange(3 * p), p + rng.randrange(p)))
-                 for _ in range(n)]
-                for _ in range(2)
-            )
+
+        def coordinate():
+            if p is None:
+                return rng.choice(
+                    (0, rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+                )
+            return rng.choice((0, rng.randrange(p), -rng.randrange(3 * p), p + rng.randrange(p)))
+
+        def unit_coordinate():  # nonzero in the field
+            x = coordinate()
+            while not (x % p if p else x):
+                x = coordinate()
+            return x
+
+        for t in range(5):
+            u, v = ([coordinate() for _ in range(n)] for _ in range(2))
+            if t == 4:
+                u[0], v[0] = unit_coordinate(), unit_coordinate()
             assert algebra.multiply(u, v) == _dense_product(table, u, v, p), (trial, u, v)
+    assert {1, 2, 3, 6} <= denominators
 
 
 def test_packed_budget_admits_dense_tables_and_sparse_families():

@@ -253,16 +253,3 @@ def test_packed_reduce_at_the_slot_bound():
     expected = reduced_span(GF(p), n, rows).reduce(slots)
     assert space.reduce(pack_slots(slots, 1)) == space.reduce(slots) == expected
     assert expected[:-1] == [0] * (n - 1) and expected[-1]
-
-
-def test_rows_given_to_the_constructor_are_packed():
-    # A space built from its rows reduces as one grown by insert does.
-    rng, n = random.Random(17), 9
-    grown = EchelonSubspace.empty(GF(101), n)
-    for _ in range(4):
-        grown, _ = grown.insert(random_vector(rng, n, 101))
-    built = EchelonSubspace(GF(101), n, grown.rows, grown.pivots)
-    assert built.dim == grown.dim == 4
-    for _ in range(6):
-        v = random_vector(rng, n, 101)
-        assert built.reduce(v) == grown.reduce(v) and any(built.reduce(v))

@@ -21,6 +21,7 @@ from alglength import (
     enumerate_words_spans,
     make_example,
 )
+from alglength.algebra import PACK_MIN_N
 
 from helpers import (
     assert_filtration_identity,
@@ -436,7 +437,7 @@ def _record_calls(monkeypatch, cls, name):
     return calls
 
 
-def _assert_no_product_after_full_span(monkeypatch, field, product):
+def _assert_no_product_after_full_span(monkeypatch, field):
     rng = random.Random(137)
     n = 12
     products = {
@@ -446,7 +447,7 @@ def _assert_no_product_after_full_span(monkeypatch, field, product):
     }
     algebra = Algebra.from_products(field, n, products)
     gens = (random_vector(rng, n, 101, nonzero=True),)
-    calls = _record_calls(monkeypatch, Algebra, product)
+    calls = _record_calls(monkeypatch, Algebra, "scaled_product")
     report = compute_length(algebra, gens)
     monkeypatch.undo()
     assert report.charseq == (0, 1, 2, 3, 3, 4, 4, 4, 4, 4, 5, 5)
@@ -466,18 +467,45 @@ def _assert_no_product_after_full_span(monkeypatch, field, product):
 
 def test_no_product_is_formed_once_the_span_is_full(monkeypatch):
     # GF(101) at n = 12 packs the cells: the engine forms packed products.
-    _assert_no_product_after_full_span(monkeypatch, GF(101), "packed_product")
+    _assert_no_product_after_full_span(monkeypatch, GF(101))
 
 
 def test_no_product_is_formed_once_the_span_is_full_over_q(monkeypatch):
-    _assert_no_product_after_full_span(monkeypatch, QQ, "scaled_product")
+    _assert_no_product_after_full_span(monkeypatch, QQ)
+
+
+def test_each_left_operand_is_the_support_of_a_fresh_row(monkeypatch):
+    # On every field the engine passes scaled_product a fresh row's nonzero
+    # (i, c), read when the row joined; no row of positive length is nonzero
+    # at the unit coordinate, so i >= 1.
+    rng = random.Random(181)
+    for field, n in ((QQ, 7), (GF(101), PACK_MIN_N - 1), (GF(101), 12)):
+        products = random_products(rng, n, field.modulus, density=0.6)
+        algebra = Algebra.from_products(field, n, products)
+        gens = (random_vector(rng, n, 101, nonzero=True),)
+        calls = _record_calls(monkeypatch, Algebra, "scaled_product")
+        report = compute_length(algebra, gens)
+        monkeypatch.undo()
+        rows = [row for a, group in report.fresh_rows if a for row in group]
+        supports = [[(i, c) for i, c in enumerate(row) if c] for row in rows]
+        assert calls, field
+        for (terms, right), _ in calls:
+            assert all(c and i >= 1 for i, c in terms)
+            assert terms in supports and right in rows
+        assert max(len(terms) for (terms, _), _ in calls) > 1
+    # stall-chain's fresh rows are basis vectors: one term each.
+    algebra, gens = make_example("stall-chain", 60, QQ)
+    calls = _record_calls(monkeypatch, Algebra, "scaled_product")
+    compute_length(algebra, gens)
+    assert len(calls) == 3600
+    assert all(len(terms) == 1 for (terms, _), _ in calls)
 
 
 def test_only_nonzero_packed_products_reach_a_row_op(monkeypatch):
     # stall-chain forms every pair of fresh rows, almost all of them zero; a
     # packed zero is spanned without a call to reduce.
     algebra, gens = make_example("stall-chain", 60, GF(10007))
-    formed = _record_calls(monkeypatch, Algebra, "packed_product")
+    formed = _record_calls(monkeypatch, Algebra, "scaled_product")
     reduced = _record_calls(monkeypatch, EchelonSubspace, "reduce")
     report = compute_length(algebra, gens)
     monkeypatch.undo()

@@ -6,18 +6,18 @@ Usage:
 
 Both trees run the same argument lists: the README examples, the bench
 ``CLI_FAMILIES`` family files plus ``stall-chain`` n=120 over GF(10007),
-whose runs chain many packed row ops, two sparse files shaped like the
-bench's ``CLI_SPARSE`` ones (each with non-generating sets too), eleven
-seeded dense tables (over Q, GF(101) and GF(2^31 - 1) with integer entries,
-the two prime fields at dims 6 and 9, on both sides of
+whose runs chain many packed row ops, and over Q, whose run from e1 forms
+14,400 products, each with a one-term left operand, two sparse files shaped
+like the bench's ``CLI_SPARSE`` ones (each with non-generating sets too),
+eleven seeded dense tables (over Q, GF(101) and GF(2^31 - 1) with integer
+entries, the two prime fields at dims 6 and 9, on both sides of
 ``algebra.PACK_MIN_N``; over GF(10007) and GF(2^31 - 1) at dims 20 and 30,
 one of them with a closed subalgebra that holds the generators, so that they
 do not generate; and over Q with fractional entries such as 1/2 and -2/3;
 every other non-unit product nonzero, run with two random coordinate rows,
 so that no fresh row is a basis vector) and the dim-1 algebra, where
-``fib-k`` has no k, with and
-without ``--lc-shortcut``, through ``length``, ``charseq``, ``dims``,
-``verify`` and ``oracle-check``, the last also with
+``fib-k`` has no k, with and without ``--lc-shortcut``, through ``length``,
+``charseq``, ``dims``, ``verify`` and ``oracle-check``, the last also with
 ``--require-generating``.  ``verify`` also runs with reordered and repeated
 check tokens, ``lc`` and an unknown token.  For every run the exit code,
 stdout, stderr and the ``--json`` bytes must be equal.
@@ -46,7 +46,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# (family, n, field option, gens), the bench's CLI_FAMILIES files.
+# (family, n, field option, gens): the bench's CLI_FAMILIES files, then stall-chain
+# n=120 over both kinds of field.
 FAMILY_FILES = (
     ("power2", 6, "rational", "e1"),
     ("power2", 9, "prime:2", "e1"),
@@ -59,6 +60,7 @@ FAMILY_FILES = (
     ("stall-chain", 20, "prime:10007", "e1"),
     ("stall-chain", 30, "rational", "e1"),
     ("stall-chain", 120, "prime:10007", "e1"),
+    ("stall-chain", 120, "rational", "e1"),
     ("lc-gap-family", 6, "rational", "e1,e2"),
     ("lc-gap-family", 12, "rational", "e1,e2"),
     ("lc-gap-family", 24, "rational", "e1,e2"),
