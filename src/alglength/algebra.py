@@ -42,9 +42,9 @@ from __future__ import annotations
 import re
 import sys
 from array import array
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     BudgetExceeded,
@@ -78,6 +78,14 @@ PACK_MIN_N = 8
 _WORDS = sys.byteorder == "little"
 # A non-unit basis name: what the file format's basis line can hold.
 NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+
+
+def _is_coordinates(v) -> bool:
+    """Whether ``v`` reads as a coordinate sequence; bytes are not numbers.
+    A tuple or a list, what callers pass, skips the slower ABC check."""
+    return type(v) in (tuple, list) or (
+        isinstance(v, Sequence) and not isinstance(v, (bytes, bytearray))
+    )
 
 
 def slot_limbs(n: int, p: int) -> int:
@@ -192,7 +200,7 @@ class Algebra:
                     f"product indices ({i!r},{j!r}) must be non-unit basis indices"
                 )
             if not isinstance(value, Mapping):
-                if not (isinstance(value, Sequence) and len(value) == n):
+                if not (_is_coordinates(value) and len(value) == n):
                     raise ShapeError(
                         f"product ({i},{j}) must be a {{k: coeff}} mapping "
                         f"or a sequence of {n} coordinates"
@@ -270,6 +278,8 @@ class Algebra:
         return self.basis_vector(0)
 
     def coerce_vector(self, v: Sequence[Scalar]) -> Vector:
+        if not _is_coordinates(v):
+            raise ShapeError(f"a vector must be a coordinate sequence, got a {type(v).__name__}")
         if len(v) != self.n:
             raise ShapeError(f"vector of length {len(v)}, algebra dimension {self.n}")
         return tuple(self.field.coerce(x) for x in v)
@@ -377,6 +387,8 @@ def check_lc_basis(algebra: Algebra) -> bool:
 
 def coerce_genset(algebra: Algebra, vectors: Sequence[Sequence[Scalar]]) -> GenSet:
     """Validate a generating set: nonempty, right shape, in-field coordinates."""
+    if not isinstance(vectors, Iterable):
+        raise ShapeError(f"a generating set must be iterable, got a {type(vectors).__name__}")
     vecs = tuple(algebra.coerce_vector(v) for v in vectors)
     if not vecs:
         raise EmptyGeneratingSet("a generating set must contain at least one vector")

@@ -28,8 +28,8 @@ def _fibonacci_numbers():
 
 def fibonacci(i: int) -> int:
     """F_1 = F_2 = 1, F_i = F_{i-1} + F_{i-2}; exact for any i >= 1."""
-    if i < 1:
-        raise RangeError(f"Fibonacci index must be >= 1, got {i}")
+    if type(i) is not int or i < 1:
+        raise RangeError(f"Fibonacci index must be an int >= 1, got {i!r}")
     return next(islice(_fibonacci_numbers(), i - 1, None))
 
 
@@ -146,8 +146,8 @@ def check_fibonacci_bound(seq, k: int = 1) -> BoundCheck:
     """
     m = ensure_wellformed(seq)
     N = len(m) - 1
-    if k != 1 and not 1 <= k <= N:
-        raise KOutOfRange(f"k = {k} outside 1..{N}")
+    if type(k) is not int or (k != 1 and not 1 <= k <= N):
+        raise KOutOfRange(f"k = {k!r} is not an int in 1..{N}")
     return _pointwise(m, chain(repeat(1, k - 2), _fibonacci_numbers()), first=k - 1)
 
 

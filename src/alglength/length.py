@@ -15,10 +15,10 @@ lower layers bilinearly leaves, modulo L_{k-1}, only products of fresh
 vectors with length-sum k.  The word-enumeration oracle cross-checks this
 candidate restriction.
 
-Termination.  By the candidate restriction, dim L_k can change only at
-k = a + b where a and b are lengths of nonempty fresh groups, so the engine
-keeps those sums in a min-heap and visits only them.  When the heap is empty
-no candidate is left and the filtration is stable for ever.  This is the
+Termination.  By the candidate restriction, dim L_k can change only at k = 1,
+where S joins, and at k = a + b for lengths a, b of nonempty fresh groups, so
+the engine's min-heap visits step 1 (S), then only those sums.  When it is
+empty no candidate is left and the filtration is stable for ever.  This is the
 general stabilization window (if the last growth happened at step g and
 nothing grew through step 2g, nothing ever grows), and it needs no rule of
 its own: every pending sum is at most 2g.
@@ -36,11 +36,11 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .algebra import Algebra, Vector, check_lc_basis, coerce_genset
 from .echelon import EchelonSubspace
-from .errors import NotLocallyComplex
+from .errors import NotLocallyComplex, RangeError
 from .fields import Field
 
 STOP_FULL_DIM = "reached_full_dim"
@@ -54,6 +54,8 @@ def dims_from_charseq(terms: Sequence[int], kmax: int) -> list[int]:
     For the partial sequence of a finished non-generating run the dims stay
     constant after the last term, so any ``kmax`` gives the true dims.
     """
+    if type(kmax) is not int or kmax < 0:
+        raise RangeError(f"kmax must be an int >= 0, got {kmax!r}")
     return [bisect_right(terms, k) for k in range(kmax + 1)]
 
 
@@ -113,24 +115,6 @@ def _monic(row: tuple[int, ...]) -> Vector:
     return tuple(Fraction(x, lead) for x in row)
 
 
-def _insert_all(
-    acc: EchelonSubspace, vectors: Iterable[Vector]
-) -> tuple[EchelonSubspace, tuple[tuple[int, ...], ...]]:
-    """Insert ``vectors`` in order; returns the new span and the added rows.
-
-    Stops drawing from ``vectors`` once the span is the whole space: a full
-    span cannot grow, so the rest would all reduce to zero.
-    """
-    group = []
-    for v in vectors:
-        acc, row = acc.insert(v)
-        if row is not None:
-            group.append(row)
-            if acc.dim == acc.ambient:
-                break
-    return acc, tuple(group)
-
-
 def compute_length(
     algebra: Algebra,
     gens: Sequence[Sequence],
@@ -140,19 +124,20 @@ def compute_length(
     """Compute the characteristic sequence of S and l(S).
 
     L_1 is span(unit, S); the result therefore depends on S only through
-    that span.  Each visited step k inserts the products f*g over fresh
-    groups of lengths a and b with a + b = k and a, b >= 1, taken in
-    ascending a, then in group order; each product's nonzero residue modulo
-    the span so far joins the fresh group of length k.  The engine runs on
-    the integer rows of :class:`EchelonSubspace` and
-    :meth:`Algebra.scaled_product`, which scale each vector by a nonzero
-    constant and so leave every span and every residue up to a scalar as
-    it is.  Each left operand is its nonzero ``(i, c)``, read once when its
-    row joins.  Fresh rows of positive length are 0 at the unit coordinate,
-    so the unit law, which ``scaled_product`` leaves out, adds nothing to
-    their products.  With ``lc_shortcut`` the tighter locally-complex
-    window is used; it requires a basis that passes :func:`check_lc_basis`,
-    which an algebra with ``lc_flag`` set has passed.
+    that span.  The heap visits step 1, which inserts S in order, then the
+    sums of fresh lengths: step k inserts the products f*g over fresh groups
+    of lengths a and b with a + b = k and a, b >= 1, in ascending a, then in
+    group order.  Each candidate's nonzero residue modulo the span so far
+    joins the fresh group of length k; a step stops once the span is the
+    whole algebra.  The engine runs on the integer rows of
+    :class:`EchelonSubspace` and :meth:`Algebra.scaled_product`, which scale
+    each vector by a nonzero constant and so leave every span and every
+    residue up to a scalar as it is.  Each left operand is its nonzero
+    ``(i, c)``, read once when its row joins.  Fresh rows of positive length
+    are 0 at the unit coordinate, so the unit law, which ``scaled_product``
+    leaves out, adds nothing to their products.  With ``lc_shortcut`` the
+    tighter locally-complex window is used; it requires a basis that passes
+    :func:`check_lc_basis`, which an algebra with ``lc_flag`` set has passed.
     """
     gens = coerce_genset(algebra, gens)
     if lc_shortcut and not (algebra.lc_flag or check_lc_basis(algebra)):
@@ -161,19 +146,9 @@ def compute_length(
     acc, unit_row = EchelonSubspace.empty(algebra.field, n).insert(algebra.unit())
     fresh: dict[int, tuple[tuple[int, ...], ...]] = {0: (unit_row,)}
     lefts: dict[int, list[list[tuple[int, int]]]] = {}  # each row's nonzero (i, c)
-    pending: list[int] = []  # heap of unvisited sums of nonempty fresh lengths
-    k, group = 0, ()
-    if n > 1:
-        k = 1
-        acc, group = _insert_all(acc, gens)
+    pending = [1]  # heap of unvisited steps: 1 (S), then sums of fresh lengths
     g, by_one = 0, False  # step and +1-ness of the last growth
     while True:
-        if group:
-            fresh[k] = group
-            lefts[k] = [[(i, c) for i, c in enumerate(row) if c] for row in group]
-            for b in lefts:
-                heappush(pending, k + b)
-            g, by_one = k, len(group) == 1
         if acc.dim == n:
             stop = STOP_FULL_DIM
             break
@@ -186,16 +161,26 @@ def compute_length(
         k = heappop(pending)
         while pending and pending[0] == k:
             heappop(pending)
-        acc, group = _insert_all(
-            acc,
-            (
-                algebra.scaled_product(f, h)
-                for a, left in lefts.items()
-                if a < k and k - a in fresh
-                for f in left
-                for h in fresh[k - a]
-            ),
+        candidates = gens if k == 1 else (
+            algebra.scaled_product(f, h)
+            for a, left in lefts.items()
+            if a < k and k - a in fresh
+            for f in left
+            for h in fresh[k - a]
         )
+        group = []
+        for v in candidates:
+            acc, row = acc.insert(v)
+            if row is not None:
+                group.append(row)
+                if acc.dim == n:  # a full span cannot grow
+                    break
+        if group:
+            fresh[k] = tuple(group)
+            lefts[k] = [[(i, c) for i, c in enumerate(row) if c] for row in group]
+            for b in lefts:
+                heappush(pending, k + b)
+            g, by_one = k, len(group) == 1
 
     return LengthReport(
         charseq=tuple(a for a, rows in fresh.items() for _ in rows),

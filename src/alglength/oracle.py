@@ -35,15 +35,15 @@ WORD_BUDGET = 1_000_000
 
 
 def catalan(m: int) -> int:
-    if m < 0:
-        raise RangeError(f"Catalan index must be >= 0, got {m}")
+    if type(m) is not int or m < 0:
+        raise RangeError(f"Catalan index must be an int >= 0, got {m!r}")
     return comb(2 * m, m) // (m + 1)
 
 
 def bracketed_word_count(num_letters: int, k: int) -> int:
     """Number of bracketed words of length exactly k over num_letters letters."""
-    if k < 1:
-        raise RangeError(f"word length must be >= 1, got {k}")
+    if type(k) is not int or k < 1:
+        raise RangeError(f"word length must be an int >= 1, got {k!r}")
     return catalan(k - 1) * num_letters**k
 
 
@@ -93,6 +93,8 @@ def enumerate_words_spans(algebra: Algebra, gens, kmax: int) -> list[int]:
 
 def gaussian_binomial(m: int, r: int, q: int) -> int:
     """Number of r-dimensional subspaces of an m-dimensional space over GF(q)."""
+    if not (type(m) is type(r) is type(q) is int):
+        raise RangeError(f"m, r and q must be ints, got {m!r}, {r!r}, {q!r}")
     if r < 0 or r > m:
         return 0
     num = 1

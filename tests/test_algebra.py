@@ -14,6 +14,8 @@ from alglength import (
     RangeError,
     ShapeError,
     check_lc_basis,
+    compute_length,
+    enumerate_words_spans,
     make_example,
     parse_algebra,
     serialize_algebra,
@@ -55,6 +57,23 @@ def test_multiply_shape_error():
     algebra, _ = make_example("power2", 4)
     with pytest.raises(ShapeError):
         algebra.multiply((Fraction(1),), algebra.unit())
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda A: compute_length(A, None),
+        lambda A: compute_length(A, [5]),
+        lambda A: compute_length(A, [b"\x00\x01\x00\x00"]),
+        lambda A: enumerate_words_spans(A, None, 3),
+        lambda A: A.multiply(None, None),
+        lambda A: A.multiply({0: 1}, A.unit()),
+    ],
+)
+def test_a_genset_that_is_not_iterable_or_a_vector_that_is_not_a_sequence(call):
+    algebra, _ = make_example("power2", 4)
+    with pytest.raises(ShapeError):
+        call(algebra)
 
 
 def test_dimension_names_and_basis_index_errors():
@@ -193,6 +212,9 @@ def test_table_coercion_and_equality():
         (("1", "a", "1"), ShapeError),
         ([], ShapeError),
         ([((1, 1), {2: 1})], ShapeError),
+        # bytes of the length of the dimension, 5 and 9: not coordinates
+        ({(1, 1): b"abcde"}, ShapeError),
+        ({(1, 1): bytearray(b"abcdefghi")}, ShapeError),
     ],
 )
 def test_from_products_rejects_malformed_arguments(products, error):

@@ -9,11 +9,15 @@ from alglength import (
     KOutOfRange,
     RangeError,
     WellformednessError,
+    bracketed_word_count,
+    catalan,
     check_addition_chain,
     check_fibonacci_bound,
     check_power_bound,
     compute_length,
+    dims_from_charseq,
     fibonacci,
+    gaussian_binomial,
     make_example,
     verify_sequence,
 )
@@ -127,6 +131,28 @@ def test_fibonacci_bound_k_variant():
         check_fibonacci_bound(seq, k=0)
     with pytest.raises(KOutOfRange):
         check_fibonacci_bound(seq, k=7)
+
+
+SEQ = (0, 1, 1, 2, 3)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: fibonacci(2.5), RangeError),
+        (lambda: catalan(2.5), RangeError),
+        (lambda: bracketed_word_count(2, 2.5), RangeError),
+        (lambda: gaussian_binomial(3, 1.5, 2), RangeError),
+        (lambda: gaussian_binomial(3.0, 1, 2), RangeError),
+        (lambda: check_fibonacci_bound(SEQ, 2.5), KOutOfRange),
+        (lambda: check_fibonacci_bound(SEQ, "2"), KOutOfRange),
+        (lambda: dims_from_charseq(SEQ, 2.5), RangeError),
+        (lambda: dims_from_charseq(SEQ, -1), RangeError),
+    ],
+)
+def test_a_non_int_or_negative_integer_parameter_is_refused(call, error):
+    with pytest.raises(error):
+        call()
 
 
 def test_fibonacci_bound_lists_each_failing_index_once():

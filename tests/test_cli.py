@@ -1,10 +1,14 @@
 import json
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 
 from alglength.bounds import CHECKS
 from alglength.cli import _build_parser, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.fixture()
@@ -20,6 +24,25 @@ def test_length_command_output(pow2_file, capsys):
     assert code == 0
     assert "l(S) = 4" in out
     assert "(0,1,2,4)" in out
+
+
+def test_readme_command_line_prints_what_its_comments_say(tmp_path, monkeypatch, capsys):
+    # The bash block of the README's "Command line" section, run line by
+    # line in one directory: each succeeds, and each "# ..." is in its stdout.
+    section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    comments = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)
+        assert argv[0] == "alglength", line
+        assert main(argv[1:]) == 0, line
+        out = capsys.readouterr().out
+        if comment.strip():
+            assert comment.strip() in out, line
+            comments.append(comment.strip())
+    assert comments == ["l(S) = 4", "(0,1,2,4)", "l(A) = 2"]
 
 
 def test_gen_example_then_length_fib_lc(tmp_path, capsys):

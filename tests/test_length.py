@@ -474,6 +474,35 @@ def test_no_product_is_formed_once_the_span_is_full_over_q(monkeypatch):
     _assert_no_product_after_full_span(monkeypatch, QQ)
 
 
+@pytest.mark.parametrize("field, n", [(QQ, 5), (GF(101), 12)])
+def test_no_generator_is_inserted_once_the_span_is_full(monkeypatch, field, n):
+    # Step 1 stops drawing from S as later steps stop forming products: the
+    # unit and the n - 1 basis generators fill the span, so the extras that
+    # follow them in S are never inserted and no product is formed.
+    rng = random.Random(29)
+    algebra = Algebra.from_products(field, n, random_products(rng, n, field.modulus))
+    basis = tuple(algebra.basis_vector(i) for i in range(1, n))
+    extras = (random_vector(rng, n, 101, nonzero=True), algebra.unit())
+    inserted = _record_calls(monkeypatch, EchelonSubspace, "insert")
+    formed = _record_calls(monkeypatch, Algebra, "scaled_product")
+    report = compute_length(algebra, basis + extras)
+    monkeypatch.undo()
+    assert [v for (v,), _ in inserted] == [algebra.unit(), *basis]
+    assert not formed
+    assert report.charseq == (0,) + (1,) * (n - 1)
+    assert report.stop_reason == STOP_FULL_DIM
+
+
+def test_dim_one_inserts_only_the_unit(monkeypatch):
+    algebra = Algebra.from_products(QQ, 1, {})
+    inserted = _record_calls(monkeypatch, EchelonSubspace, "insert")
+    report = compute_length(algebra, [(Fraction(3),), (0,)])
+    monkeypatch.undo()
+    assert [v for (v,), _ in inserted] == [algebra.unit()]
+    assert report.charseq == (0,)
+    assert report.stop_reason == STOP_FULL_DIM
+
+
 def test_each_left_operand_is_the_support_of_a_fresh_row(monkeypatch):
     # On every field the engine passes scaled_product a fresh row's nonzero
     # (i, c), read when the row joined; no row of positive length is nonzero
