@@ -49,12 +49,12 @@ from math import lcm
 from .errors import (
     BudgetExceeded,
     EmptyGeneratingSet,
-    FieldMismatch,
     PrimeFieldNotAllowed,
     RangeError,
     ShapeError,
+    require_int,
 )
-from .fields import Field, Scalar
+from .fields import Field, Scalar, require_field
 
 Vector = tuple  # tuple[Scalar, ...]
 GenSet = tuple  # tuple[Vector, ...], nonempty
@@ -173,14 +173,8 @@ class Algebra:
         mapping; a ``field`` that is not a :class:`Field` raises
         FieldMismatch.
         """
-        if not isinstance(field, Field):
-            raise FieldMismatch(
-                f"coefficient field must be QQ or GF(p), got a {type(field).__name__}"
-            )
-        if type(n) is not int:
-            raise RangeError(f"dimension must be an int, got {n!r}")
-        if n < 1:
-            raise RangeError(f"dimension must be >= 1, got {n}")
+        require_field(field)
+        require_int(n, "dimension", 1)
         if not isinstance(products, Mapping):
             raise ShapeError(
                 f"products must map index pairs (i, j) to cells, got a {type(products).__name__}"

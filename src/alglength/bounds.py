@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from typing import Iterable, Mapping
 
-from .errors import KOutOfRange, RangeError, WellformednessError
+from .errors import KOutOfRange, RangeError, WellformednessError, require_int
 
 
 def _fibonacci_numbers():
@@ -28,8 +28,7 @@ def _fibonacci_numbers():
 
 def fibonacci(i: int) -> int:
     """F_1 = F_2 = 1, F_i = F_{i-1} + F_{i-2}; exact for any i >= 1."""
-    if type(i) is not int or i < 1:
-        raise RangeError(f"Fibonacci index must be an int >= 1, got {i!r}")
+    require_int(i, "Fibonacci index", 1)
     return next(islice(_fibonacci_numbers(), i - 1, None))
 
 

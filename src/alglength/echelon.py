@@ -34,8 +34,8 @@ from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .algebra import pack_limbs, pack_slots, unpack_slots
-from .errors import ShapeError
-from .fields import Field, Scalar
+from .errors import ShapeError, require_int
+from .fields import Field, Scalar, require_field
 
 Vector = tuple  # tuple[Scalar, ...]
 
@@ -51,17 +51,13 @@ class EchelonSubspace:
     __slots__ = ("field", "ambient", "rows", "pivots", "_limbs", "_packed")
 
     def __init__(self, field: Field, ambient: int):
-        """The zero subspace; :meth:`empty` also checks ``ambient``."""
+        """The zero subspace; a non-Field raises FieldMismatch, a bad ambient ShapeError."""
+        require_field(field)
+        require_int(ambient, "ambient dimension", 0, ShapeError)
         self.field = field
         self.ambient = ambient
         self.rows = self.pivots = self._packed = ()
         self._limbs = pack_limbs(field, ambient)
-
-    @classmethod
-    def empty(cls, field: Field, ambient: int) -> "EchelonSubspace":
-        if type(ambient) is not int or ambient < 0:
-            raise ShapeError(f"ambient dimension must be an int >= 0, got {ambient!r}")
-        return cls(field, ambient)
 
     @property
     def dim(self) -> int:

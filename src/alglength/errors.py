@@ -91,3 +91,9 @@ class UnknownBasisName(ParseError):
 
 class BadScalar(ParseError):
     """A scalar literal is malformed or not in canonical lowest terms."""
+
+
+def require_int(value, what: str, low: int, error: type[AlgLengthError] = RangeError) -> None:
+    """Raise ``error`` unless ``value`` is an int, not a bool, that is at least ``low``."""
+    if type(value) is not int or value < low:
+        raise error(f"{what} must be an int >= {low}, got {value!r}")

@@ -153,6 +153,12 @@ class PrimeField(Field):
 QQ = RationalField()
 
 
+def require_field(field) -> None:
+    """Raise FieldMismatch unless ``field`` is a :class:`Field`."""
+    if not isinstance(field, Field):
+        raise FieldMismatch(f"coefficient field must be QQ or GF(p), got a {type(field).__name__}")
+
+
 def GF(p: int) -> PrimeField:
     """GF(p), one cached instance per p.  A p that is not an int, which the
     cache might not even hash, goes to :class:`PrimeField` to be refused."""

@@ -159,7 +159,7 @@ def parse_algebra(text: str) -> Algebra:
         vec: dict[int, Scalar] = {}
         for term in rhs.split("+"):
             k, coeff = _parse_term(term, names, field, lineno)
-            vec[k] = field.coerce(vec.get(k, field.zero) + coeff)
+            vec[k] = vec.get(k, 0) + coeff  # from_products coerces each coordinate
         products[key] = vec
 
     ordered = ["1"] + sorted(names, key=names.get)

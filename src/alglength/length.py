@@ -40,7 +40,7 @@ from typing import Optional, Sequence
 
 from .algebra import Algebra, Vector, check_lc_basis, coerce_genset
 from .echelon import EchelonSubspace
-from .errors import NotLocallyComplex, RangeError
+from .errors import NotLocallyComplex, require_int
 from .fields import Field
 
 STOP_FULL_DIM = "reached_full_dim"
@@ -54,8 +54,7 @@ def dims_from_charseq(terms: Sequence[int], kmax: int) -> list[int]:
     For the partial sequence of a finished non-generating run the dims stay
     constant after the last term, so any ``kmax`` gives the true dims.
     """
-    if type(kmax) is not int or kmax < 0:
-        raise RangeError(f"kmax must be an int >= 0, got {kmax!r}")
+    require_int(kmax, "kmax", 0)
     return [bisect_right(terms, k) for k in range(kmax + 1)]
 
 
@@ -143,7 +142,7 @@ def compute_length(
     if lc_shortcut and not (algebra.lc_flag or check_lc_basis(algebra)):
         raise NotLocallyComplex("lc_shortcut requires a locally-complex basis")
     n = algebra.n
-    acc, unit_row = EchelonSubspace.empty(algebra.field, n).insert(algebra.unit())
+    acc, unit_row = EchelonSubspace(algebra.field, n).insert(algebra.unit())
     fresh: dict[int, tuple[tuple[int, ...], ...]] = {0: (unit_row,)}
     lefts: dict[int, list[list[tuple[int, int]]]] = {}  # each row's nonzero (i, c)
     pending = [1]  # heap of unvisited steps: 1 (S), then sums of fresh lengths

@@ -25,7 +25,7 @@ from math import comb
 
 from .algebra import Algebra, GenSet, Vector, coerce_genset
 from .echelon import EchelonSubspace
-from .errors import BudgetExceeded, PrimeFieldRequired, RangeError
+from .errors import BudgetExceeded, PrimeFieldRequired, require_int
 from .length import compute_length
 
 # Most subspaces brute_force_algebra_length enumerates.
@@ -35,15 +35,14 @@ WORD_BUDGET = 1_000_000
 
 
 def catalan(m: int) -> int:
-    if type(m) is not int or m < 0:
-        raise RangeError(f"Catalan index must be an int >= 0, got {m!r}")
+    require_int(m, "Catalan index", 0)
     return comb(2 * m, m) // (m + 1)
 
 
 def bracketed_word_count(num_letters: int, k: int) -> int:
     """Number of bracketed words of length exactly k over num_letters letters."""
-    if type(k) is not int or k < 1:
-        raise RangeError(f"word length must be an int >= 1, got {k!r}")
+    require_int(num_letters, "letter count", 0)
+    require_int(k, "word length", 1)
     return catalan(k - 1) * num_letters**k
 
 
@@ -58,8 +57,7 @@ def enumerate_words_spans(algebra: Algebra, gens, kmax: int) -> list[int]:
     :data:`WORD_BUDGET`.  The count is summed k by k and the refusal comes as
     soon as the budget is passed, so a huge kmax costs nothing to refuse.
     """
-    if type(kmax) is not int or kmax < 0:
-        raise RangeError(f"kmax must be an int >= 0, got {kmax!r}")
+    require_int(kmax, "kmax", 0)
     gens = coerce_genset(algebra, gens)
     total = 0
     for k in range(1, kmax + 1):
@@ -69,7 +67,7 @@ def enumerate_words_spans(algebra: Algebra, gens, kmax: int) -> list[int]:
                 f"{total} candidate words of lengths 1..{k} (kmax={kmax}, "
                 f"{len(gens)} generators) exceed the {WORD_BUDGET} words budget"
             )
-    space, _ = EchelonSubspace.empty(algebra.field, algebra.n).insert(algebra.unit())
+    space, _ = EchelonSubspace(algebra.field, algebra.n).insert(algebra.unit())
     dims = [space.dim]
     multiply = algebra._product  # the values are field vectors already
     memo: dict[tuple[Vector, Vector], Vector] = {}
@@ -93,9 +91,10 @@ def enumerate_words_spans(algebra: Algebra, gens, kmax: int) -> list[int]:
 
 def gaussian_binomial(m: int, r: int, q: int) -> int:
     """Number of r-dimensional subspaces of an m-dimensional space over GF(q)."""
-    if not (type(m) is type(r) is type(q) is int):
-        raise RangeError(f"m, r and q must be ints, got {m!r}, {r!r}, {q!r}")
-    if r < 0 or r > m:
+    require_int(m, "m", 0)
+    require_int(r, "r", 0)
+    require_int(q, "q", 2)
+    if r > m:
         return 0
     num = 1
     den = 1
@@ -106,6 +105,7 @@ def gaussian_binomial(m: int, r: int, q: int) -> int:
 
 
 def subspace_count(m: int, q: int) -> int:
+    require_int(m, "m", 0)
     return sum(gaussian_binomial(m, r, q) for r in range(m + 1))
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -77,8 +78,9 @@ def test_a_genset_that_is_not_iterable_or_a_vector_that_is_not_a_sequence(call):
 
 
 def test_dimension_names_and_basis_index_errors():
-    for n in (0, 2.0):
-        with pytest.raises(RangeError):
+    for n in (0, 2.0, True):
+        message = f"dimension must be an int >= 1, got {n!r}"
+        with pytest.raises(RangeError, match=f"^{re.escape(message)}$"):
             Algebra.from_products(QQ, n, {})
     with pytest.raises(ShapeError):
         Algebra.from_products(QQ, 3, {}, basis_names=("1", "a"))

@@ -19,6 +19,7 @@ from alglength import (
     fibonacci,
     gaussian_binomial,
     make_example,
+    subspace_count,
     verify_sequence,
 )
 
@@ -148,6 +149,13 @@ SEQ = (0, 1, 1, 2, 3)
         (lambda: check_fibonacci_bound(SEQ, "2"), KOutOfRange),
         (lambda: dims_from_charseq(SEQ, 2.5), RangeError),
         (lambda: dims_from_charseq(SEQ, -1), RangeError),
+        (lambda: gaussian_binomial(3, 1, 1), RangeError),
+        (lambda: gaussian_binomial(3, 1, 0), RangeError),
+        (lambda: gaussian_binomial(3, -1, 2), RangeError),
+        (lambda: subspace_count(3, 1), RangeError),
+        (lambda: subspace_count(2.0, 2), RangeError),
+        (lambda: bracketed_word_count(2.5, 2), RangeError),
+        (lambda: bracketed_word_count(True, 2), RangeError),
     ],
 )
 def test_a_non_int_or_negative_integer_parameter_is_refused(call, error):

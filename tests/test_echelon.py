@@ -7,6 +7,7 @@ import pytest
 
 from alglength import (
     EchelonSubspace,
+    FieldMismatch,
     GF,
     QQ,
     ShapeError,
@@ -23,7 +24,7 @@ def F(x):
 
 
 def test_insert_into_empty_then_multiple():
-    space = EchelonSubspace.empty(QQ, 3)
+    space = EchelonSubspace(QQ, 3)
     space, row = space.insert((F(1), F(0), F(0)))
     assert row is not None and space.dim == 1
     space, row = space.insert((F(2), F(0), F(0)))
@@ -40,7 +41,7 @@ def test_gf2_dependent_triple():
     }
     assert v3 in combos
 
-    space = EchelonSubspace.empty(GF(2), 3)
+    space = EchelonSubspace(GF(2), 3)
     space, row = space.insert(v1)
     assert row is not None
     space, row = space.insert(v2)
@@ -55,24 +56,31 @@ def random_rational_vector(rng, n):
 
 def test_contains():
     # Membership is a zero residue.
-    space, _ = EchelonSubspace.empty(QQ, 3).insert((F(1), F(1), F(0)))
+    space, _ = EchelonSubspace(QQ, 3).insert((F(1), F(1), F(0)))
     assert not any(space.reduce((F(3), F(3), F(0))))
     assert any(space.reduce((F(0), F(0), F(1))))
     assert not any(space.reduce((F(0), F(0), F(0))))
 
 
 def test_shape_error():
-    space = EchelonSubspace.empty(QQ, 3)
+    space = EchelonSubspace(QQ, 3)
     with pytest.raises(ShapeError):
         space.insert((F(1), F(0)))
-    for ambient in (-1, 2.0):
+    for field, ambient in ((QQ, -1), (QQ, 2.0), (GF(7), 8.0), (QQ, True)):
         with pytest.raises(ShapeError):
-            EchelonSubspace.empty(QQ, ambient)
+            EchelonSubspace(field, ambient)
+    assert EchelonSubspace(GF(7), 0).dim == 0
+
+
+def test_a_field_that_is_not_a_field_is_refused():
+    for field in ("x", 7, None):
+        with pytest.raises(FieldMismatch):
+            EchelonSubspace(field, 3)
 
 
 def test_idempotent_insert_bitwise_identical():
     rng = random.Random(5)
-    space = EchelonSubspace.empty(GF(3), 4)
+    space = EchelonSubspace(GF(3), 4)
     vectors = [random_vector(rng, 4, 3) for _ in range(6)]
     for v in vectors:
         space, _ = space.insert(v)
@@ -108,7 +116,7 @@ def test_rational_order_independence():
 
 def test_dim_counts_successful_inserts():
     rng = random.Random(31)
-    space = EchelonSubspace.empty(GF(2), 6)
+    space = EchelonSubspace(GF(2), 6)
     grew_count = 0
     for _ in range(40):
         space, row = space.insert(random_vector(rng, 6, 2))
@@ -120,7 +128,7 @@ def test_dim_counts_successful_inserts():
 
 def test_contains_iff_insert_does_not_grow():
     rng = random.Random(41)
-    space = EchelonSubspace.empty(GF(3), 4)
+    space = EchelonSubspace(GF(3), 4)
     for v in [random_vector(rng, 4, 3) for _ in range(8)]:
         contained = not any(space.reduce(v))
         space2, row = space.insert(v)
@@ -154,7 +162,7 @@ def seeded_inserts():
 
 def test_insert_is_plain_echelon_and_keeps_older_rows():
     for field, vectors in seeded_inserts():
-        space = EchelonSubspace.empty(field, len(vectors[0]))
+        space = EchelonSubspace(field, len(vectors[0]))
         added = []  # (row, pivot) in insertion order
         for v in vectors:
             grown, row = space.insert(v)
@@ -186,7 +194,7 @@ def test_span_matches_reduced_reference():
         reference = reduced_span(field, len(vectors[0]), vectors)
         for _ in range(3):
             rng.shuffle(vectors)
-            space = EchelonSubspace.empty(field, len(vectors[0]))
+            space = EchelonSubspace(field, len(vectors[0]))
             for v in vectors:
                 space, _ = space.insert(v)
             assert space.dim == reference.dim
@@ -202,7 +210,7 @@ def test_prime_reduce_takes_any_congruent_ints():
         field = GF(p)
         for _ in range(25):
             n = rng.randint(1, 8)
-            space = EchelonSubspace.empty(field, n)
+            space = EchelonSubspace(field, n)
             for _ in range(rng.randint(0, n)):
                 space, _ = space.insert(random_vector(rng, n, p))
             v = random_vector(rng, n, p)
@@ -218,7 +226,7 @@ def test_rational_rows_are_the_reference_residues():
     for field, vectors in seeded_inserts():
         if field.modulus is not None:
             continue
-        space = EchelonSubspace.empty(field, len(vectors[0]))
+        space = EchelonSubspace(field, len(vectors[0]))
         reference = reduced_span(field, len(vectors[0]), [])
         for v in vectors:
             space, row = space.insert(v)
@@ -244,7 +252,7 @@ def test_packed_reduce_at_the_slot_bound():
     p = next(q for q in range(1 << 20, 0, -1) if slot_limbs(n, q) == 1 and is_prime(q))
     top = (n - 1) ** 2 * (p - 1) ** 3
     rows = tuple((0,) * t + (1,) + (p - 1,) * (n - 1 - t) for t in range(n - 1))
-    space = EchelonSubspace.empty(GF(p), n)
+    space = EchelonSubspace(GF(p), n)
     for row in rows:  # each is 0 at the older pivots and 1 at its own: stored as it is
         space, added = space.insert(row)
         assert added == row

@@ -2,8 +2,12 @@ import time
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from alglength import (
+    FAMILY_NAMES,
+    QQ,
+    AlgLengthError,
     BadScalar,
     DuplicateProduct,
     GF,
@@ -143,6 +147,26 @@ prod a a = 3*b + 2*1
         parse_algebra(text.replace("prime 5", "prime 6"))
 
 
+def test_each_file_coordinate_is_coerced_once(monkeypatch):
+    # A coordinate listed in several terms is summed, then coerced once.
+    calls = []
+    coerce = type(GF(5)).coerce
+    monkeypatch.setattr(type(GF(5)), "coerce", lambda f, x: calls.append(x) or coerce(f, x))
+    text = """\
+alglength-algebra v1
+field prime 5
+dim 3
+basis 1 a b
+prod a a = 3*b + 4*b + 2*1 + b
+prod b a = 4*a + 1*a
+"""
+    algebra = parse_algebra(text)
+    assert sorted(calls) == [2, 5, 8]
+    a, b = algebra.basis_vector(1), algebra.basis_vector(2)
+    assert algebra.multiply(a, a) == (2, 0, 3)
+    assert algebra.multiply(b, a) == (0, 0, 0)
+
+
 def test_lc_true_on_prime_field_rejected():
     text = """\
 alglength-algebra v1
@@ -237,3 +261,65 @@ def test_large_sparse_file_parses_in_linear_time_and_memory():
     e700 = algebra.basis_vector(700)
     square = algebra.multiply(e700, e700)
     assert (square[0], square[1999], sum(1 for c in square if c)) == (3, 1, 2)
+
+
+# Characters that mean something to the format and a few that do not;
+# a mutation may also draw any character of the text it mutates.
+_FUZZ_CHARS = st.sampled_from(list(" \n\t#*+=-/0123456789[];,1e_xé\x00"))
+
+
+_FUZZ_SIZES = {"power2": 5, "stall-chain": 3, "fib-lc": 5, "lc-gap7": None, "lc-gap-family": 3}
+
+
+def _fuzz_sources():
+    """(file text, generator spec, algebra) of every family over Q and GF(3)."""
+    sources = []
+    for family in FAMILY_NAMES:
+        for field in (QQ, GF(3)):
+            algebra, gens = make_example(family, _FUZZ_SIZES[family], field)
+            rows = ";".join("[" + ", ".join(map(str, v)) + "]" for v in gens)
+            names = ",".join(algebra.basis_names[1:3])
+            sources.append((serialize_algebra(algebra), f"{names};{rows}", algebra))
+    return sources
+
+
+_FUZZ_SOURCES = _fuzz_sources()
+
+
+@st.composite
+def _mutated(draw, text):
+    """``text`` after a few random inserts, deletes and replaces."""
+    chars = list(text)
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(chars)))
+        kind = draw(st.sampled_from(("insert", "delete", "replace")))
+        c = draw(st.one_of(_FUZZ_CHARS, st.sampled_from(text)))
+        if kind == "insert":
+            chars.insert(at, c)
+        elif at < len(chars):
+            chars[at : at + 1] = [] if kind == "delete" else [c]
+    return "".join(chars)
+
+
+@st.composite
+def _fuzz_cases(draw):
+    text, spec, algebra = draw(st.sampled_from(_FUZZ_SOURCES))
+    return draw(_mutated(text)), draw(_mutated(spec)), algebra
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=600)
+@given(_fuzz_cases())
+def test_mutated_files_and_specs_parse_or_raise_alglength_errors(case):
+    text, spec, algebra = case
+    try:
+        parsed = parse_algebra(text)
+    except AlgLengthError:
+        pass
+    else:
+        assert parse_algebra(serialize_algebra(parsed)) == parsed
+    try:
+        gens = parse_gens(spec, algebra)
+    except AlgLengthError:
+        pass
+    else:
+        assert all(len(v) == algebra.n for v in gens)

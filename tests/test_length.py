@@ -454,7 +454,7 @@ def _assert_no_product_after_full_span(monkeypatch, field):
     assert run_fields(report) == run_fields(reference_run(algebra, gens))
     # Replaying the products formed: the last one fills the span, so none
     # was formed after dim n.  Steps 2-5 would form 1 + 2 + 5 + 14 in full.
-    space = EchelonSubspace.empty(algebra.field, n)
+    space = EchelonSubspace(algebra.field, n)
     for v in (algebra.unit(),) + gens:
         space, _ = space.insert(v)
     dims = []

@@ -155,6 +155,7 @@ def test_gaussian_binomials():
     assert gaussian_binomial(3, 1, 2) == 7
     assert gaussian_binomial(3, 2, 2) == 7
     assert gaussian_binomial(3, 1, 3) == 13
+    assert gaussian_binomial(2, 3, 2) == gaussian_binomial(0, 1, 5) == 0  # r > m
     assert subspace_count(3, 2) == 16
     assert subspace_count(3, 3) == 28
 
