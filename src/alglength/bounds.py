@@ -6,11 +6,12 @@ twice), which forces the power bound m_h <= 2^(h-1).  For locally-complex
 algebras the two earlier terms can be chosen at distinct indices (an addition
 chain without doubling), which tightens the bound to the Fibonacci numbers.
 ``CHECKS`` is the one list of these checks, by their ``verify --checks`` token.
+The witness search, :func:`witness_pair`, also builds the family tables.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from typing import Iterable, Mapping
@@ -71,37 +72,42 @@ class BoundCheck:
     equalities: tuple[int, ...]
 
 
+def witness_pair(m, h: int, strict: bool = False, latest: bool = False, taken=()):
+    """The first pair (t1, t2) not in ``taken`` with m_t1 + m_t2 = m_h and
+    0 < t1 <= t2 < h (t1 < t2 when ``strict``), or None: t1 ascending
+    (descending with ``latest``), then t2 ascending.  ``m`` is well formed, so
+    m_h - m_(h-1) <= m_t1 <= m_h / 2, and each t2 is a run of equal terms.
+    """
+    value = m[h]
+    low = bisect_left(m, value - m[h - 1], 1, h)
+    high = bisect_right(m, value // 2, low, h)
+    for t1 in reversed(range(low, high)) if latest else range(low, high):
+        rest = value - m[t1]
+        t2 = bisect_left(m, rest, t1 + 1 if strict else t1, h)
+        while t2 < h and m[t2] == rest:
+            if (t1, t2) not in taken:
+                return t1, t2
+            t2 += 1
+    return None
+
+
 def check_addition_chain(seq, strict: bool = False) -> ChainCheck:
     """Each m_h >= 2 must split as m_{t1} + m_{t2} with 0 < t1 <= t2 < h.
 
     With ``strict`` the indices must differ (t1 < t2): the "no doubling"
     variant that characteristic sequences of locally-complex algebras obey.
-    The witness is the smallest t1, then the smallest t2.  The terms are
-    non-decreasing, so t1 starts where m_{t1} + m_{h-1} >= m_h and stops
-    once 2 m_{t1} > m_h, and t2 is the first index of the value
-    m_h - m_{t1} unless the lowest allowed index is later.  At most
-    quadratic in the length of the sequence.
+    The witness is :func:`witness_pair`'s, the smallest t1, then the
+    smallest t2.  At most quadratic in the length of the sequence.
     """
     m = ensure_wellformed(seq)
-    first: dict[int, int] = {}  # value -> its lowest index; equal values are contiguous
-    witnesses = []
-    failures = []
+    witnesses, failures = [], []
     for h, value in enumerate(m):
-        first.setdefault(value, h)
-        if value < 2:
-            continue
-        found = None
-        for t1 in range(bisect_left(m, value - m[h - 1], 1, h), h):
-            if 2 * m[t1] > value:
-                break
-            t2 = max(first.get(value - m[t1], h), t1 + 1 if strict else t1)
-            if t2 < h and m[t2] + m[t1] == value:
-                found = (h, t1, t2)
-                break
-        if found:
-            witnesses.append(found)
-        else:
-            failures.append((h, value))
+        if value >= 2:
+            pair = witness_pair(m, h, strict)
+            if pair:
+                witnesses.append((h, *pair))
+            else:
+                failures.append((h, value))
     return ChainCheck(
         ok=not failures,
         strict=strict,

@@ -24,11 +24,16 @@ results that this package verifies:
 The three ``lc-*``/``fib-lc`` families pass the locally-complex basis check,
 so ``lc_flag`` is set, when built over the rationals (the default).  Over a
 prime field the tables are still valid (signs reduce mod p), and unflagged.
+Each family is its characteristic sequence, an addition chain, written as a
+table by :func:`_realize`; the generators are the terms equal to 1.
 """
 
 from __future__ import annotations
 
+from itertools import islice
+
 from .algebra import Algebra, GenSet
+from .bounds import _fibonacci_numbers, witness_pair
 from .errors import BudgetExceeded, RangeError
 from .fields import QQ, Field
 
@@ -36,61 +41,38 @@ from .fields import QQ, Field
 MAX_N = 4096
 
 
-def _power2(n: int):
-    if n < 3:
-        raise RangeError(f"power2 needs n >= 3, got {n}")
-    products = {(k, k): {k + 1: 1} for k in range(1, n - 1)}
-    return n, products, (1,)
+def _realize(terms, lc: bool, latest: bool) -> dict:
+    """The products of a well-formed sequence: e_t1 e_t2 = e_h for each m_h >= 2.
 
-
-def _stall_chain(n: int):
-    if n < 2:
-        raise RangeError(f"stall-chain needs n >= 2, got {n}")
-    dim = n + 2
-    products = {(1, 1): {2: 1}, (n, n): {n + 1: 1}}
-    for i in range(2, n):
-        products[(1, i)] = {i + 1: 1}
-    return dim, products, (1,)
-
-
-def _lc_table(dim: int, pairs) -> dict:
-    """A locally-complex table: every e_m^2 = -1, and e_i e_j = e_k = -e_j e_i
-    for each ``((i, j), k)`` in ``pairs``."""
-    products = {(m, m): {0: -1} for m in range(1, dim)}
-    for (i, j), k in pairs:
-        products[(i, j)] = {k: 1}
-        products[(j, i)] = {k: -1}
+    (t1, t2) is the first :func:`~alglength.bounds.witness_pair` that is not
+    yet a key, i.e. that no earlier term took.  With ``lc`` the pairs are
+    strict, e_t2 e_t1 = -e_h and every e_t^2 = -1: keys that no strict pair
+    can equal.  A term with no pair left raises RangeError.
+    """
+    index = [*range(len(terms))]  # one int object per index keeps the keys small
+    products = {(t, t): {0: -1} for t in index[1:]} if lc else {}
+    for h, value in enumerate(terms):
+        if value >= 2:
+            pair = witness_pair(terms, h, lc, latest, products)
+            if pair is None:
+                raise RangeError(f"term {h} = {value} has no unused pair of earlier terms")
+            t1, t2 = index[pair[0]], index[pair[1]]
+            products[t1, t2] = {index[h]: 1}
+            if lc:
+                products[t2, t1] = {index[h]: -1}
     return products
 
 
-def _fib_lc(n: int):
-    if n < 3:
-        raise RangeError(f"fib-lc needs n >= 3, got {n}")
-    return n, _lc_table(n, [((k, k + 1), k + 2) for k in range(1, n - 2)]), (1, 2)
-
-
-def _lc_gap7(n: int | None):
-    if n is not None and n != 7:
-        raise RangeError("lc-gap7 is the fixed dimension-7 instance")
-    return 7, _lc_table(7, [((1, 2), 4), ((1, 3), 5), ((4, 5), 6)]), (1, 2, 3)
-
-
-def _lc_gap_family(n: int):
-    if n < 3:
-        raise RangeError(f"lc-gap-family needs n >= 3, got {n}")
-    pairs = [((1, i), i + 1) for i in range(2, n + 1)]
-    pairs += [((2, n), n + 2), ((n + 1, n + 2), n + 3)]
-    return n + 4, _lc_table(n + 4, pairs), (1, 2)
-
-
-_BUILDERS = {
-    "power2": _power2,
-    "stall-chain": _stall_chain,
-    "fib-lc": _fib_lc,
-    "lc-gap7": _lc_gap7,
-    "lc-gap-family": _lc_gap_family,
+# name -> (least n, the sequence of size n, lc, latest); lc-gap7 takes no n.
+# With the first pair, fib-lc would have e_1 e_3 = e_4, not e_2 e_3 = e_4.
+_FAMILIES = {
+    "power2": (3, lambda n: [0, *(1 << k for k in range(n - 1))], False, False),
+    "stall-chain": (2, lambda n: [*range(n + 1), 2 * n], False, False),
+    "fib-lc": (3, lambda n: [0, *islice(_fibonacci_numbers(), n - 1)], True, True),
+    "lc-gap7": (None, lambda n: [0, 1, 1, 1, 2, 2, 4], True, False),
+    "lc-gap-family": (3, lambda n: [0, 1, *range(1, n + 1), n, 2 * n], True, False),
 }
-FAMILY_NAMES = tuple(_BUILDERS)
+FAMILY_NAMES = tuple(_FAMILIES)
 
 
 def make_example(family: str, n: int | None = None, field: Field = QQ) -> tuple[Algebra, GenSet]:
@@ -108,9 +90,17 @@ def make_example(family: str, n: int | None = None, field: Field = QQ) -> tuple[
             raise BudgetExceeded(f"size parameter {n} exceeds the limit {MAX_N}")
     elif family != "lc-gap7":
         raise RangeError(f"family {family!r} needs the size parameter n")
-    if family not in _BUILDERS:
+    if family not in _FAMILIES:
         raise RangeError(f"unknown family {family!r}; choose from {FAMILY_NAMES}")
-    dim, products, gen_indices = _BUILDERS[family](n)
+    least, sequence, lc, latest = _FAMILIES[family]
+    if least is None:
+        if n not in (None, 7):
+            raise RangeError("lc-gap7 is the fixed dimension-7 instance")
+    elif n < least:
+        raise RangeError(f"{family} needs n >= {least}, got {n}")
+    terms = sequence(n)
+    dim, k = len(terms), terms.count(1)
+    products = _realize(terms, lc, latest)
+    del terms  # power2's terms reach 2^(n-2): free them before the table is built
     algebra = Algebra.from_products(field, dim, products)
-    gens = tuple(algebra.basis_vector(i) for i in gen_indices)
-    return algebra, gens
+    return algebra, tuple(algebra.basis_vector(i) for i in range(1, k + 1))

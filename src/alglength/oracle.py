@@ -111,6 +111,9 @@ def subspace_count(m: int, q: int) -> int:
 
 def iter_rref_bases(p: int, m: int, rank: int):
     """Yield every rank-``rank`` reduced-echelon basis over GF(p)^m, once each."""
+    require_int(p, "p", 2)
+    require_int(m, "m", 0)
+    require_int(rank, "rank", 0)
     cols = range(m)
     for pivots in combinations(cols, rank):
         pivot_set = set(pivots)

@@ -2,16 +2,19 @@ import pytest
 
 from alglength import (
     GF,
+    QQ,
+    Algebra,
     BudgetExceeded,
     FieldMismatch,
     RangeError,
+    check_addition_chain,
     check_lc_basis,
     compute_length,
     enumerate_words_spans,
     fibonacci,
     make_example,
 )
-from alglength.families import MAX_N
+from alglength.families import MAX_N, _realize
 
 from helpers import assert_unit_law
 
@@ -141,3 +144,83 @@ def test_power2_over_gf2_same_length():
             compute_length(rational, gens_q).charseq
             == compute_length(modular, gens_p).charseq
         )
+
+
+def _lc(dim, pairs):
+    products = {(m, m): {0: -1} for m in range(1, dim)}
+    for (i, j), k in pairs:
+        products[(i, j)], products[(j, i)] = {k: 1}, {k: -1}
+    return products
+
+
+# family -> (least n, n -> (dim, products, generator indices)), each table
+# written from its rule in the families module docstring.
+TABLE_RULES = {
+    "power2": (3, lambda n: (n, {(k, k): {k + 1: 1} for k in range(1, n - 1)}, (1,))),
+    "stall-chain": (2, lambda n: (
+        n + 2,
+        {(1, 1): {2: 1}, (n, n): {n + 1: 1}, **{(1, i): {i + 1: 1} for i in range(2, n)}},
+        (1,),
+    )),
+    "fib-lc": (3, lambda n: (
+        n, _lc(n, [((k, k + 1), k + 2) for k in range(1, n - 2)]), (1, 2)
+    )),
+    "lc-gap7": (None, lambda n: (
+        7, _lc(7, [((1, 2), 4), ((1, 3), 5), ((4, 5), 6)]), (1, 2, 3)
+    )),
+    "lc-gap-family": (3, lambda n: (
+        n + 4,
+        _lc(n + 4, [((1, i), i + 1) for i in range(2, n + 1)]
+            + [((2, n), n + 2), ((n + 1, n + 2), n + 3)]),
+        (1, 2),
+    )),
+}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(10007)], ids=["Q", "GF10007"])
+@pytest.mark.parametrize("family", list(TABLE_RULES))
+def test_family_tables_follow_their_rules(family, field):
+    least, rule = TABLE_RULES[family]
+    for n in [None] if least is None else [*range(least, 41), MAX_N]:
+        dim, products, gen_indices = rule(n)
+        algebra, gens = make_example(family, n, field)
+        assert algebra == Algebra.from_products(field, dim, products), (family, n)
+        assert gens == tuple(algebra.basis_vector(i) for i in gen_indices)
+
+
+def test_a_sequence_with_no_unused_pair_is_refused():
+    # (0, 1, 2, 2) is an addition chain, but 2 = 1 + 1 can name only one basis vector.
+    assert check_addition_chain((0, 1, 2, 2)).ok
+    for lc, h in ((False, 3), (True, 2)):  # lc has no doubling: 1 + 1 is not a pair
+        with pytest.raises(RangeError, match=f"term {h} = 2 "):
+            _realize((0, 1, 2, 2), lc, False)
+
+
+def _doubling_sequences(length):
+    """Every (0, 1, m_2, ...) of at most ``length`` terms with m_(h-1) <= m_h <= 2 m_(h-1)."""
+    stack = [(0, 1)]
+    while stack:
+        seq = stack.pop()
+        yield seq
+        if len(seq) < length:
+            stack += [seq + (m,) for m in range(seq[-1], 2 * seq[-1] + 1)]
+
+
+def test_realized_sequences_round_trip():
+    realized = 0
+    for seq in _doubling_sequences(7):
+        for lc in (False, True):
+            for latest in (False, True):
+                try:
+                    products = _realize(seq, lc, latest)
+                except RangeError:
+                    continue
+                realized += 1
+                algebra = Algebra.from_products(QQ, len(seq), products)
+                gens = [algebra.basis_vector(h) for h, value in enumerate(seq) if value == 1]
+                report = compute_length(algebra, gens)
+                assert report.is_generating and report.charseq == seq, (seq, lc, latest)
+                if lc:
+                    assert algebra.lc_flag, seq
+                    assert compute_length(algebra, gens, lc_shortcut=True).charseq == seq
+    assert realized == 584

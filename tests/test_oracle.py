@@ -169,6 +169,12 @@ def test_iter_rref_bases_lists_each_subspace_once():
                 assert all(len(basis) == r for basis in bases)
 
 
+@pytest.mark.parametrize("p, m, rank", [(2, 3, -1), (2, 2.0, 1), (True, 2, 1), (1, 2, 1)])
+def test_iter_rref_bases_refuses_bad_arguments(p, m, rank):
+    with pytest.raises(RangeError):
+        list(iter_rref_bases(p, m, rank))
+
+
 def test_brute_force_power2_gf2():
     algebra, _ = make_example("power2", 3, GF(2))
     result = brute_force_algebra_length(algebra)

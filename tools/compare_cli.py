@@ -25,11 +25,11 @@ stdout, stderr and the ``--json`` bytes must be equal.
 The family files come from ``gen-example`` runs, which are compared too:
 each runs in the old tree first, then in the new tree on the same paths,
 and the bytes each writes to ``--out`` must also be equal.  The engine runs
-then read the new tree's files.  Four more ``gen-example`` runs write
+then read the new tree's files.  Eight more ``gen-example`` runs write
 ``power2``, ``stall-chain``, ``fib-lc`` and ``lc-gap-family`` at the
-largest n, 4096, and are not run through the engine, which would take hours
-on ``stall-chain``.  Each tree runs in its own interpreter, so the two
-packages never share a process.  Exit status 0 means every run agreed.
+largest n, 4096, over Q and over GF(10007), and are not run through the
+engine, which would take hours on ``stall-chain``.  Each tree runs in its
+own interpreter, so the two packages never share a process.  Exit status 0 means every run agreed.
 """
 
 from __future__ import annotations
@@ -69,9 +69,10 @@ FAMILY_FILES = (
 # Sets that do not generate, so that the stabilization windows end the run.
 EXTRA_GENS = {"power2": ["e2"], "fib-lc": ["e1", "e3"], "stall-chain": ["e2"],
               "lc-gap-family": ["e1"], "lc-gap7": ["e1,e2"]}
-# Families written by gen-example alone, at families.MAX_N.
+# Families written by gen-example alone, at families.MAX_N, over each field option.
 LARGE_FAMILIES = ("power2", "stall-chain", "fib-lc", "lc-gap-family")
 LARGE_N = 4096
+LARGE_FIELDS = ("rational", "prime:10007")
 
 # (dim, field line, coefficient): sparse files like the bench's CLI_SPARSE.
 SPARSE_FILES = ((100, "rational", "-2/5"), (150, "prime 10007", "5000"))
@@ -142,8 +143,9 @@ def _dense_text(dim: int, field: str, seed: int, entries, closed: int) -> tuple[
 
 def _cases(workdir: Path) -> tuple[list[list[str]], list[list[str]]]:
     """The gen-example argument lists, and the runs that read their files."""
-    gen = [["gen-example", "--family", family, "--n", str(LARGE_N),
-            "--out", str(workdir / f"{family}_{LARGE_N}.alg")] for family in LARGE_FAMILIES]
+    gen = [["gen-example", "--family", family, "--n", str(LARGE_N), "--field", field,
+            "--out", str(workdir / f"{family}_{LARGE_N}_{field.replace(':', '')}.alg")]
+           for field in LARGE_FIELDS for family in LARGE_FAMILIES]
     runs = []
     files = [("pow2_4.alg", "power2", 4, "rational", ["e1", "e2"])]
     for family, n, field, gens in FAMILY_FILES:
