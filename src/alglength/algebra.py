@@ -353,6 +353,12 @@ class Algebra:
         return f"Algebra(dim={self.n}, field={self.field.descriptor()})"
 
 
+def require_algebra(algebra) -> None:
+    """Raise ShapeError unless ``algebra`` is an :class:`Algebra`."""
+    if not isinstance(algebra, Algebra):
+        raise ShapeError(f"expected an Algebra, got a {type(algebra).__name__}")
+
+
 def check_lc_basis(algebra: Algebra) -> bool:
     """Check the locally-complex basis conditions on the given basis.
 
@@ -362,6 +368,7 @@ def check_lc_basis(algebra: Algebra) -> bool:
     e_i*e_j needs e_j*e_i to be its negation, which also rejects a product
     that is zero on one side only.
     """
+    require_algebra(algebra)
     if algebra.field.modulus is not None:
         raise PrimeFieldNotAllowed(
             "locally-complex is a real-algebra notion; table is over "
@@ -381,6 +388,7 @@ def check_lc_basis(algebra: Algebra) -> bool:
 
 def coerce_genset(algebra: Algebra, vectors: Sequence[Sequence[Scalar]]) -> GenSet:
     """Validate a generating set: nonempty, right shape, in-field coordinates."""
+    require_algebra(algebra)
     if not isinstance(vectors, Iterable):
         raise ShapeError(f"a generating set must be iterable, got a {type(vectors).__name__}")
     vecs = tuple(algebra.coerce_vector(v) for v in vectors)

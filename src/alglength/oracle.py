@@ -7,7 +7,11 @@ an oracle for it.  A span depends only on the values spanned, so each length
 keeps the set of its words' values: a word of length k is the product of a
 value of length a and one of length k - a, so words with equal values add
 one product, not one each.  Products are memoized on operand values, since
-a value can occur at several lengths.
+a value can occur at several lengths.  The enumeration stops once the span is
+the whole algebra: L_(k-1) <= L_k <= A, so a full span stays full.  That rule
+uses only the monotone chain and dim L_k <= n, not the engine's candidate
+restriction or its stopping windows, so the oracle still checks both, on every
+word up to the length at which the span fills.
 
 ``brute_force_algebra_length`` computes l(A) over a prime field by exhausting
 subspaces.  Since the length of S depends on S only through span(unit, S),
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
 
-from .algebra import Algebra, GenSet, Vector, coerce_genset
+from .algebra import Algebra, GenSet, Vector, coerce_genset, require_algebra
 from .echelon import EchelonSubspace
 from .errors import BudgetExceeded, PrimeFieldRequired, require_int
 from .length import compute_length
@@ -52,10 +56,13 @@ def enumerate_words_spans(algebra: Algebra, gens, kmax: int) -> list[int]:
     V_1 is the set of generators and V_k = {u*v : u in V_a, v in V_(k-a),
     1 <= a < k} is the set of values of the words of length k; L_k is the
     span of the unit and V_1, ..., V_k.  Every value of V_k is inserted.
+    Once L_(k-1) is the whole algebra, dim L_k, ..., dim L_kmax are n and no
+    word of length k or more is evaluated.
 
     Raises BudgetExceeded when the words of lengths 1..kmax number more than
-    :data:`WORD_BUDGET`.  The count is summed k by k and the refusal comes as
-    soon as the budget is passed, so a huge kmax costs nothing to refuse.
+    :data:`WORD_BUDGET`, counted up to kmax even when the span fills sooner.
+    The count is summed k by k and the refusal comes as soon as the budget is
+    passed, so a huge kmax costs nothing to refuse.
     """
     require_int(kmax, "kmax", 0)
     gens = coerce_genset(algebra, gens)
@@ -73,6 +80,8 @@ def enumerate_words_spans(algebra: Algebra, gens, kmax: int) -> list[int]:
     memo: dict[tuple[Vector, Vector], Vector] = {}
     values: dict[int, set[Vector]] = {}
     for k in range(1, kmax + 1):
+        if space.dim == algebra.n:  # L_(k-1) <= L_k <= A: a full span stays full
+            return dims + [space.dim] * (kmax + 1 - k)
         level = set(gens) if k == 1 else set()
         for a in range(1, k):
             right = values[k - a]
@@ -148,6 +157,7 @@ def brute_force_algebra_length(algebra: Algebra) -> BruteForceResult:
     each lifted basis, and keeps the maximum length; ties go to the
     lexicographically smallest witness.
     """
+    require_algebra(algebra)
     p = algebra.field.modulus
     if p is None:
         raise PrimeFieldRequired("brute force enumerates GF(p)^n; field is rational")

@@ -16,6 +16,8 @@ from alglength import (
     STOP_FULL_DIM,
     STOP_LC_WINDOW,
     STOP_WINDOW,
+    ShapeError,
+    check_lc_basis,
     compute_length,
     dims_from_charseq,
     enumerate_words_spans,
@@ -217,6 +219,23 @@ def test_empty_genset_rejected():
     algebra, _ = make_example("power2", 4)
     with pytest.raises(EmptyGeneratingSet):
         compute_length(algebra, ())
+
+
+@pytest.mark.parametrize(
+    "not_an_algebra", [None, "x", make_example("power2", 4)], ids=["None", "str", "pair"]
+)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda a: compute_length(a, [(0, 1, 0, 0)]),
+        lambda a: compute_length(a, [(0, 1, 0, 0)], lc_shortcut=True),
+        check_lc_basis,
+    ],
+    ids=["compute_length", "lc_shortcut", "check_lc_basis"],
+)
+def test_what_is_not_an_algebra_is_refused(call, not_an_algebra):
+    with pytest.raises(ShapeError, match="expected an Algebra, got a"):
+        call(not_an_algebra)
 
 
 def test_dim_one_algebra_has_length_zero():

@@ -9,7 +9,9 @@ from alglength import (
     BudgetExceeded,
     GF,
     PrimeFieldRequired,
+    QQ,
     RangeError,
+    ShapeError,
     bracketed_word_count,
     brute_force_algebra_length,
     catalan,
@@ -22,7 +24,7 @@ from alglength import (
 )
 from alglength.oracle import SUBSPACE_BUDGET, WORD_BUDGET, iter_rref_bases
 
-from helpers import random_genset, random_unital_algebra
+from helpers import random_genset, random_unital_algebra, random_vector
 
 
 def test_catalan_values():
@@ -151,6 +153,102 @@ def test_oracle_agrees_with_engine_on_random_tables():
         assert enumerate_words_spans(algebra, gens, 7) == dims_from_charseq(terms, 7)
 
 
+def _count_products(monkeypatch):
+    """Patch ``Algebra._product``, the word oracle's product, to count calls."""
+    calls = []
+    product = Algebra._product
+
+    def counting(self, u, v):
+        calls.append(None)
+        return product(self, u, v)
+
+    monkeypatch.setattr(Algebra, "_product", counting)
+    return calls
+
+
+def test_the_word_oracle_stops_once_the_span_is_full(monkeypatch):
+    # A dense GF(3) table on which one generator's span stays at dim
+    # n - 1 = 4 through step 4 and fills at step 5: the words of length 5
+    # are evaluated, and no longer word at any kmax up to the budget's 13.
+    rng = random.Random(86)
+    algebra = random_unital_algebra(rng, 5, 3)
+    gens = (random_vector(rng, 5, 3, nonzero=True),)
+    terms = compute_length(algebra, gens).charseq
+    assert terms == (0, 1, 2, 3, 5)
+    formed = _count_products(monkeypatch)
+    counts = []
+    for kmax in range(14):
+        start = len(formed)
+        assert enumerate_words_spans(algebra, gens, kmax) == dims_from_charseq(terms, kmax)
+        counts.append(len(formed) - start)
+    assert counts[4] < counts[5]
+    assert counts[5:] == [counts[5]] * 9
+
+
+def test_the_word_oracle_forms_no_product_on_the_dim_one_algebra(monkeypatch):
+    algebra = Algebra.from_products(GF(3), 1, {})
+    formed = _count_products(monkeypatch)
+    for kmax in range(14):
+        assert enumerate_words_spans(algebra, [(2,)], kmax) == [1] * (kmax + 1)
+    assert not formed
+
+
+def _closed_algebra(rng, field, n):
+    """A dense table in which span(e_0, ..., e_(n-2)) is a subalgebra.
+
+    Over GF(p) the block is dense.  Over Q it is graded, e_i e_j in
+    span(e_k : max(i, j) < k < n - 1), so that words of height n - 2 vanish
+    and the word values stay few up to the largest kmax.
+    """
+    p = field.modulus
+
+    def entry():
+        return rng.randrange(p) if p else rng.randint(-3, 3)
+
+    products = {}
+    for i in range(1, n):
+        for j in range(1, n):
+            if n - 1 in (i, j):
+                products[i, j] = [entry() for _ in range(n)]
+            else:
+                low = 0 if p else max(i, j) + 1
+                products[i, j] = [entry() if low <= k < n - 1 else 0 for k in range(n)]
+    return Algebra.from_products(field, n, products)
+
+
+@pytest.mark.parametrize(
+    "field, n, size",
+    [(GF(2), 5, 1), (GF(2), 6, 2), (GF(3), 5, 1), (GF(3), 6, 2), (QQ, 5, 1), (QQ, 6, 2)],
+    ids=["GF2-1", "GF2-2", "GF3-1", "GF3-2", "Q-1", "Q-2"],
+)
+def test_the_word_oracle_matches_the_engine_on_closed_subalgebras(field, n, size):
+    # Generators in span(e_1, ..., e_(n-2)), inside the closed block, never
+    # generate: their span stays at dim n - 1, so the oracle runs to kmax,
+    # the budget's largest for the generator count.
+    rng = random.Random(1009 * n + size)
+    algebra = _closed_algebra(rng, field, n)
+    p = field.modulus or 7
+    gens = [(0,) + random_vector(rng, n - 2, p, nonzero=True) + (0,) for _ in range(size)]
+    report = compute_length(algebra, gens)
+    assert report.dims[-1] == n - 1
+    kmax = {1: 13, 2: 9}[size]
+    assert enumerate_words_spans(algebra, gens, kmax) == dims_from_charseq(report.charseq, kmax)
+
+
+@pytest.mark.parametrize("n, size", [(8, 1), (8, 2), (9, 1), (9, 2)])
+def test_the_word_oracle_matches_the_engine_on_packed_tables(n, size):
+    # GF(101) at n >= PACK_MIN_N packs the cells, so the oracle's product
+    # unpacks them; every set here generates, so the oracle stops early.
+    rng = random.Random(1013 * n + size)
+    algebra = random_unital_algebra(rng, n, 101)
+    assert algebra._limbs
+    gens = [random_vector(rng, n, 101, nonzero=True) for _ in range(size)]
+    report = compute_length(algebra, gens)
+    assert report.is_generating
+    kmax = {1: 13, 2: 9}[size]
+    assert enumerate_words_spans(algebra, gens, kmax) == dims_from_charseq(report.charseq, kmax)
+
+
 def test_gaussian_binomials():
     assert gaussian_binomial(3, 1, 2) == 7
     assert gaussian_binomial(3, 2, 2) == 7
@@ -207,6 +305,19 @@ def test_brute_force_requires_prime_field():
     algebra, _ = make_example("power2", 3)
     with pytest.raises(PrimeFieldRequired):
         brute_force_algebra_length(algebra)
+
+
+@pytest.mark.parametrize(
+    "not_an_algebra", [None, "x", make_example("power2", 3, GF(2))], ids=["None", "str", "pair"]
+)
+@pytest.mark.parametrize(
+    "call",
+    [lambda a: enumerate_words_spans(a, [(0, 1, 0)], 3), brute_force_algebra_length],
+    ids=["enumerate_words_spans", "brute_force_algebra_length"],
+)
+def test_an_oracle_refuses_what_is_not_an_algebra(call, not_an_algebra):
+    with pytest.raises(ShapeError, match="expected an Algebra, got a"):
+        call(not_an_algebra)
 
 
 def test_brute_force_budget():

@@ -19,7 +19,12 @@ so that no fresh row is a basis vector) and the dim-1 algebra, where
 ``fib-k`` has no k, with and without ``--lc-shortcut``, through ``length``,
 ``charseq``, ``dims``, ``verify`` and ``oracle-check``, the last also with
 ``--require-generating``.  ``verify`` also runs with reordered and repeated
-check tokens, ``lc`` and an unknown token.  For every run the exit code,
+check tokens, ``lc`` and an unknown token.  On ``pow2_4.alg``,
+``oracle-check`` also runs at ``--kmax 13``, the word budget's largest for one
+generator, and at 14, which is refused before any word is evaluated: from
+``e1`` (l = 4) the span fills at step 4 and no longer word is evaluated,
+and ``e2`` does not generate, so its span never fills and every length up to
+13 is enumerated.  For every run the exit code,
 stdout, stderr and the ``--json`` bytes must be equal.
 
 The family files come from ``gen-example`` runs, which are compared too:
@@ -188,6 +193,9 @@ def _cases(workdir: Path) -> tuple[list[list[str]], list[list[str]]]:
                     ["oracle-check", "--kmax", "5"] + base,
                     ["oracle-check", "--kmax", "5", "--require-generating"] + base,
                 ]
+    pow2 = str(workdir / "pow2_4.alg")
+    runs += [["oracle-check", "--kmax", kmax, "--algebra", pow2, "--gens", gens]
+             for gens in ("e1", "e2") for kmax in ("13", "14")]
     p3 = str(workdir / "p3.alg")
     gen.append(["gen-example", "--family", "power2", "--n", "3", "--out", p3,
                 "--field", "prime:2"])
