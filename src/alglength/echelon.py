@@ -116,9 +116,10 @@ class EchelonSubspace:
 
         ``v`` is what :meth:`reduce` takes; a packed 0 is spanned at once.
         The added row is the residue of ``v`` at insertion time, made
-        primitive with a positive pivot (Q) or 1 at its pivot (GF(p)); it
-        extends the previous basis and is what the length engine records as
-        a fresh-basis vector.
+        primitive with a positive pivot (Q) or 1 at its pivot (GF(p)); a
+        residue that is so already, as every one over GF(2) is, is stored as
+        it is.  The row extends the previous basis and is what the length
+        engine records as a fresh-basis vector.
         """
         if not v and type(v) is int:  # a packed 0
             return self, None
@@ -126,15 +127,18 @@ class EchelonSubspace:
         if not any(residue):
             return self, None
         pivot = next(j for j, x in enumerate(residue) if x)
+        lead = residue[pivot]
         mod = self.field.modulus
         if mod is None:
             g = gcd(*residue)
-            if residue[pivot] < 0:
+            if lead < 0:
                 g = -g
-            newrow = tuple(x // g for x in residue)
+            newrow = tuple(residue) if g == 1 else tuple([x // g for x in residue])
+        elif lead == 1:
+            newrow = tuple(residue)
         else:
-            lead_inv = self.field.inv(residue[pivot])
-            newrow = tuple((x * lead_inv) % mod for x in residue)
+            lead_inv = self.field.inv(lead)
+            newrow = tuple([x * lead_inv % mod for x in residue])
         grown = object.__new__(EchelonSubspace)  # no __init__: self's limbs carry over
         grown.field, grown.ambient, grown._limbs = self.field, self.ambient, self._limbs
         grown.rows, grown.pivots = self.rows + (newrow,), self.pivots + (pivot,)

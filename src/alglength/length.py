@@ -28,6 +28,11 @@ left: if the last growth increased the dimension by exactly 1, stability is
 already certain at step 2g-1, so the run stops before visiting 2g.  The gap
 families in :mod:`alglength.families` witness that neither window can be
 shortened further.
+
+Every run starts from L_0 = span(e_0), the unit's span, which depends only
+on the field and n.  It is built once per (field, n) and shared: ``insert``
+returns a new :class:`EchelonSubspace` and never changes the one it is
+called on, so no run can change the start of another.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from heapq import heappop, heappush
 from typing import Optional, Sequence
 
@@ -114,6 +120,12 @@ def _monic(row: tuple[int, ...]) -> Vector:
     return tuple(Fraction(x, lead) for x in row)
 
 
+@lru_cache(maxsize=64)
+def _unit_span(field: Field, n: int) -> EchelonSubspace:
+    """L_0 = span(e_0) in F^n, where every run starts, one per (field, n)."""
+    return EchelonSubspace(field, n).insert((field.one,) + (field.zero,) * (n - 1))[0]
+
+
 def compute_length(
     algebra: Algebra,
     gens: Sequence[Sequence],
@@ -123,10 +135,12 @@ def compute_length(
     """Compute the characteristic sequence of S and l(S).
 
     L_1 is span(unit, S); the result therefore depends on S only through
-    that span.  The heap visits step 1, which inserts S in order, then the
-    sums of fresh lengths: step k inserts the products f*g over fresh groups
-    of lengths a and b with a + b = k and a, b >= 1, in ascending a, then in
-    group order.  Each candidate's nonzero residue modulo the span so far
+    that span.  The run starts from L_0, the unit's span, built once per
+    (field, n) and shared, which is safe as an :class:`EchelonSubspace`
+    never changes.  The heap visits step 1, which inserts S in order, then
+    the sums of fresh lengths: step k inserts the products f*g over fresh
+    groups of lengths a and b with a + b = k and a, b >= 1, in ascending a,
+    then in group order.  Each candidate's nonzero residue modulo the span so far
     joins the fresh group of length k; a step stops once the span is the
     whole algebra.  The engine runs on the integer rows of
     :class:`EchelonSubspace` and :meth:`Algebra.scaled_product`, which scale
@@ -142,8 +156,8 @@ def compute_length(
     if lc_shortcut and not (algebra.lc_flag or check_lc_basis(algebra)):
         raise NotLocallyComplex("lc_shortcut requires a locally-complex basis")
     n = algebra.n
-    acc, unit_row = EchelonSubspace(algebra.field, n).insert(algebra.unit())
-    fresh: dict[int, tuple[tuple[int, ...], ...]] = {0: (unit_row,)}
+    acc = _unit_span(algebra.field, n)
+    fresh: dict[int, tuple[tuple[int, ...], ...]] = {0: acc.rows}
     lefts: dict[int, list[list[tuple[int, int]]]] = {}  # each row's nonzero (i, c)
     pending = [1]  # heap of unvisited steps: 1 (S), then sums of fresh lengths
     g, by_one = 0, False  # step and +1-ness of the last growth

@@ -36,6 +36,12 @@ from .length import compute_length
 SUBSPACE_BUDGET = 4096
 # Most candidate words enumerate_words_spans evaluates, over all k <= kmax.
 WORD_BUDGET = 1_000_000
+# Most distinct products enumerate_words_spans forms, times n^2, about the row
+# ops that one product and its reduce cost.  Over a large field nearly every
+# word value is distinct, so products, not words, bound the time.  Over twice
+# what any test, bench operation or CLI comparison run uses (23,620 products
+# at n = 6); at n = 30 it allows 2,222 products, under a second.
+PRODUCT_BUDGET = 2_000_000
 
 
 def catalan(m: int) -> int:
@@ -62,7 +68,9 @@ def enumerate_words_spans(algebra: Algebra, gens, kmax: int) -> list[int]:
     Raises BudgetExceeded when the words of lengths 1..kmax number more than
     :data:`WORD_BUDGET`, counted up to kmax even when the span fills sooner.
     The count is summed k by k and the refusal comes as soon as the budget is
-    passed, so a huge kmax costs nothing to refuse.
+    passed, so a huge kmax costs nothing to refuse.  Raises BudgetExceeded
+    too, before forming it, on the distinct product past
+    :data:`PRODUCT_BUDGET` // n^2.
     """
     require_int(kmax, "kmax", 0)
     gens = coerce_genset(algebra, gens)
@@ -78,6 +86,7 @@ def enumerate_words_spans(algebra: Algebra, gens, kmax: int) -> list[int]:
     dims = [space.dim]
     multiply = algebra._product  # the values are field vectors already
     memo: dict[tuple[Vector, Vector], Vector] = {}
+    most = PRODUCT_BUDGET // algebra.n**2
     values: dict[int, set[Vector]] = {}
     for k in range(1, kmax + 1):
         if space.dim == algebra.n:  # L_(k-1) <= L_k <= A: a full span stays full
@@ -89,6 +98,12 @@ def enumerate_words_spans(algebra: Algebra, gens, kmax: int) -> list[int]:
                 for v in right:
                     w = memo.get((u, v))
                     if w is None:
+                        if len(memo) == most:
+                            raise BudgetExceeded(
+                                f"more than {most} distinct products by word length {k} "
+                                f"(kmax={kmax}, n={algebra.n}) exceed the "
+                                f"{PRODUCT_BUDGET} // n^2 products budget"
+                            )
                         w = memo[u, v] = multiply(u, v)
                     level.add(w)
         values[k] = level

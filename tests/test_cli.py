@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import alglength.oracle
 from alglength.bounds import CHECKS
 from alglength.cli import _build_parser, main
 
@@ -495,6 +496,17 @@ def test_oracle_check_word_budget_is_one_error_line(tmp_path, capsys):
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("error[BudgetExceeded]:")
+    assert captured.err.count("\n") == 1
+
+
+def test_oracle_check_products_budget_is_one_error_line(pow2_file, capsys, monkeypatch):
+    # A budget of 16 allows one distinct product at n = 4; e2 forms more.
+    monkeypatch.setattr(alglength.oracle, "PRODUCT_BUDGET", 16)
+    code = main(["oracle-check", "--algebra", str(pow2_file), "--gens", "e2", "--kmax", "5"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error[BudgetExceeded]: more than 1 distinct products")
     assert captured.err.count("\n") == 1
 
 

@@ -13,7 +13,7 @@ from alglength import (
     ShapeError,
 )
 
-from alglength.algebra import pack_slots, slot_limbs
+from alglength.algebra import PACK_MIN_N, pack_slots, slot_limbs
 from alglength.fields import is_prime
 
 from helpers import random_vector, reduced_span
@@ -240,6 +240,34 @@ def test_rational_rows_are_the_reference_residues():
             assert [Fraction(x, row[pivot]) for x in row] == [
                 x / residue[pivot] for x in residue
             ]
+
+
+def test_prime_field_rows_are_the_reference_residues_over_their_leads():
+    # Over GF(p) the residue modulo 1-at-the-pivot rows is the residue of
+    # plain elimination, so the added row is it times the inverse of its
+    # lead: stored as it is where the lead is 1 (always over GF(2)), scaled
+    # where it is not.  n runs on both sides of PACK_MIN_N.
+    rng = random.Random(67)
+    for p in (2, 3, 5, 101):
+        field = GF(p)
+        leads = set()
+        for n in (3, PACK_MIN_N - 1, PACK_MIN_N, PACK_MIN_N + 3):
+            for _ in range(4):
+                space = EchelonSubspace(field, n)
+                reference = reduced_span(field, n, [])
+                for _ in range(n + 2):
+                    v = random_vector(rng, n, p)
+                    space, row = space.insert(v)
+                    residue = reference.reduce(v)
+                    reference = reduced_span(field, n, reference.rows + (v,))
+                    if row is None:
+                        assert not any(residue)
+                        continue
+                    lead = next(x for x in residue if x)
+                    leads.add(lead == 1)
+                    lead_inv = pow(lead, -1, p)
+                    assert row == tuple(x * lead_inv % p for x in residue)
+        assert leads == ({True} if p == 2 else {True, False}), p
 
 
 def test_packed_reduce_at_the_slot_bound():

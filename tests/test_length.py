@@ -496,30 +496,67 @@ def test_no_product_is_formed_once_the_span_is_full_over_q(monkeypatch):
 @pytest.mark.parametrize("field, n", [(QQ, 5), (GF(101), 12)])
 def test_no_generator_is_inserted_once_the_span_is_full(monkeypatch, field, n):
     # Step 1 stops drawing from S as later steps stop forming products: the
-    # unit and the n - 1 basis generators fill the span, so the extras that
-    # follow them in S are never inserted and no product is formed.
+    # unit's shared span and the n - 1 basis generators fill the span, so the
+    # extras that follow them in S are never inserted and no product is
+    # formed.  The first run builds the unit's span; later runs insert only S.
     rng = random.Random(29)
     algebra = Algebra.from_products(field, n, random_products(rng, n, field.modulus))
     basis = tuple(algebra.basis_vector(i) for i in range(1, n))
     extras = (random_vector(rng, n, 101, nonzero=True), algebra.unit())
+    compute_length(algebra, basis)
     inserted = _record_calls(monkeypatch, EchelonSubspace, "insert")
     formed = _record_calls(monkeypatch, Algebra, "scaled_product")
     report = compute_length(algebra, basis + extras)
     monkeypatch.undo()
-    assert [v for (v,), _ in inserted] == [algebra.unit(), *basis]
+    assert [v for (v,), _ in inserted] == list(basis)
     assert not formed
     assert report.charseq == (0,) + (1,) * (n - 1)
     assert report.stop_reason == STOP_FULL_DIM
 
 
-def test_dim_one_inserts_only_the_unit(monkeypatch):
+def test_dim_one_inserts_nothing(monkeypatch):
+    # The unit's shared span is already the whole algebra.
     algebra = Algebra.from_products(QQ, 1, {})
+    compute_length(algebra, [(Fraction(3),)])
     inserted = _record_calls(monkeypatch, EchelonSubspace, "insert")
     report = compute_length(algebra, [(Fraction(3),), (0,)])
     monkeypatch.undo()
-    assert [v for (v,), _ in inserted] == [algebra.unit()]
+    assert [v for (v,), _ in inserted] == []
     assert report.charseq == (0,)
     assert report.stop_reason == STOP_FULL_DIM
+
+
+def _report_fields(report):
+    return report.charseq, report.stop_reason, report.fresh_rows
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(101)], ids=["Q", "GF2", "GF3", "GF101"])
+@pytest.mark.parametrize("n", [7, 12])
+def test_runs_from_the_shared_unit_span_match_runs_from_a_fresh_one(monkeypatch, field, n):
+    # Every run starts from one span(e_0) per (field, n).  Runs started from
+    # a fresh span give the same reports, alone and when runs on two
+    # algebras of the same (field, n) take turns, and the shared span keeps
+    # dim 1.  n = 12 packs the GF(p) rows.
+    rng = random.Random(7 * n + (field.modulus or 0))
+    p = field.modulus or 101
+    cases = []
+    for _ in range(2):
+        algebra = Algebra.from_products(field, n, random_products(rng, n, field.modulus))
+        cases.append((algebra, (random_vector(rng, n, p, nonzero=True),)))
+    shared = alglength.length._unit_span(field, n)
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            alglength.length,
+            "_unit_span",
+            lambda field, n: EchelonSubspace(field, n).insert(cases[0][0].unit())[0],
+        )
+        fresh = [_report_fields(compute_length(a, gens)) for a, gens in cases]
+    assert alglength.length._unit_span(field, n) is shared
+    alone = [_report_fields(compute_length(a, gens)) for a, gens in cases]
+    turns = [_report_fields(compute_length(a, gens)) for _ in range(2) for a, gens in cases]
+    assert alone == fresh and turns == fresh + fresh
+    assert fresh[0] != fresh[1]
+    assert shared.dim == 1 and shared.rows == ((1,) + (0,) * (n - 1),)
 
 
 def test_each_left_operand_is_the_support_of_a_fresh_row(monkeypatch):

@@ -1,10 +1,12 @@
 """Metamorphic cross-checks, with inputs drawn by hypothesis (derandomized)."""
 
+import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from alglength import GF, QQ, Algebra, compute_length, dims_from_charseq
+from alglength import GF, QQ, Algebra, compute_length, dims_from_charseq, make_example
 
 
 @st.composite
@@ -24,13 +26,51 @@ def integer_tables(draw):
 def test_dims_over_gf_p_are_at_most_dims_over_q(table, p):
     # Words over GF(p) are the reductions mod p of the integer words, and
     # reduction mod p cannot raise the rank of a set of integer vectors.
-    n, products, gens = table
+    _assert_dims_over_gf_p_are_at_most_dims_over_q(*table, p)
+
+
+def _assert_dims_over_gf_p_are_at_most_dims_over_q(n, products, gens, p):
     over_q = compute_length(Algebra.from_products(QQ, n, products), gens)
     over_p = compute_length(Algebra.from_products(GF(p), n, products), gens)
     kmax = 2 * max(over_q.charseq[-1], over_p.charseq[-1]) + 1
     dims_q = dims_from_charseq(over_q.charseq, kmax)
     dims_p = dims_from_charseq(over_p.charseq, kmax)
     assert all(a <= b for a, b in zip(dims_p, dims_q)), (dims_p, dims_q)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    st.integers(8, 24),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from((0.02, 0.05, 0.1, 0.4)),
+    st.integers(1, 2),
+    st.sampled_from((101, 10007)),
+)
+def test_packed_dims_over_gf_p_are_at_most_dims_over_q(n, seed, density, size, p):
+    # The relation above where the GF(p) rows and products are packed
+    # (n >= PACK_MIN_N).  Tables this large are drawn from a seeded random.
+    rng = random.Random(seed)
+    products = {
+        (i, j): [rng.randint(-3, 3) for _ in range(n)]
+        for i in range(1, n)
+        for j in range(1, n)
+        if rng.random() < density
+    }
+    gens = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(size)]
+    _assert_dims_over_gf_p_are_at_most_dims_over_q(n, products, gens, p)
+
+
+@pytest.mark.parametrize("n", [20, 60])
+@pytest.mark.parametrize("family", ["power2", "stall-chain", "fib-lc", "lc-gap-family"])
+def test_families_have_one_sequence_over_every_field(family, n):
+    # The family tables hold 0 and +-1 only, so every word is 0 or +- a
+    # basis vector on every field: the integer reduce over Q and the packed
+    # one over GF(p) must agree.
+    charseqs = {
+        compute_length(*make_example(family, n, field)).charseq
+        for field in (QQ, GF(3), GF(101), GF(10007))
+    }
+    assert len(charseqs) == 1
 
 
 @st.composite

@@ -22,7 +22,7 @@ from alglength import (
     make_example,
     subspace_count,
 )
-from alglength.oracle import SUBSPACE_BUDGET, WORD_BUDGET, iter_rref_bases
+from alglength.oracle import PRODUCT_BUDGET, SUBSPACE_BUDGET, WORD_BUDGET, iter_rref_bases
 
 from helpers import random_genset, random_unital_algebra, random_vector
 
@@ -233,6 +233,25 @@ def test_the_word_oracle_matches_the_engine_on_closed_subalgebras(field, n, size
     assert report.dims[-1] == n - 1
     kmax = {1: 13, 2: 9}[size]
     assert enumerate_words_spans(algebra, gens, kmax) == dims_from_charseq(report.charseq, kmax)
+
+
+def test_the_products_budget_refuses_a_large_field_at_once():
+    # One generator inside a closed dim-29 block of a dim-30 GF(10007)
+    # table: nearly every word value is distinct, so the products grow
+    # about 3x per length and kmax 13 would take about a minute, though its
+    # words are within WORD_BUDGET.  The memo stops at PRODUCT_BUDGET // 30^2.
+    rng = random.Random(30)
+    algebra = _closed_algebra(rng, GF(10007), 30)
+    gens = [(0,) + random_vector(rng, 28, 10007, nonzero=True) + (0,)]
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded) as info:
+        enumerate_words_spans(algebra, gens, 13)
+    assert time.perf_counter() - start < 5.0
+    most = PRODUCT_BUDGET // 30**2
+    assert most == 2222
+    assert f"more than {most} distinct products by word length 10 (kmax=13, n=30)" in str(
+        info.value
+    )
 
 
 @pytest.mark.parametrize("n, size", [(8, 1), (8, 2), (9, 1), (9, 2)])
