@@ -10,9 +10,11 @@ engine therefore needs a sound termination rule for non-generating sets:
 * locally-complex window: if the growth at g was by exactly one dimension,
   stability is certain one step earlier, at 2g-1.
 
-The engine needs no code for the general window: it only visits steps
-k = a + b where a and b are lengths at which the span grew, and no such sum
-exceeds 2g.  The locally-complex window is the one coded rule.
+The engine codes neither window.  It only visits steps k = a + b where a
+and b are lengths at which the span grew, and no such sum exceeds 2g.  With
+lc_shortcut it forms only the products f*h whose left row joined before h,
+since over a locally-complex basis f*f and f*h + h*f lie in span(1); after
+a growth by one row at g, step 2g has no such pair, so the run ends there.
 
 The families here witness that both windows are tight:
 

@@ -43,14 +43,12 @@ from .errors import (
 from .fields import GF, QQ
 from .fileformat import parse_algebra, parse_digits, parse_gens, serialize_algebra
 from .families import FAMILY_NAMES, make_example
-from .length import LengthReport, compute_length, dims_from_charseq
+from .length import MAX_KMAX, LengthReport, compute_length, dims_from_charseq
 from .oracle import brute_force_algebra_length, enumerate_words_spans
 from . import reporting
 
 CHECK_TOKENS = (*CHECKS, "lc")
 DEFAULT_CHECKS = "chain,power"
-# Largest --kmax accepted: the dims list has K+1 entries.
-MAX_KMAX = 1 << 20
 # Parsed arguments that name the run or its files rather than its options.
 _NOT_OPTIONS = ("command", "run", "algebra", "json", "out")
 

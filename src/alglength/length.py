@@ -23,11 +23,14 @@ general stabilization window (if the last growth happened at step g and
 nothing grew through step 2g, nothing ever grows), and it needs no rule of
 its own: every pending sum is at most 2g.
 
-The locally-complex window (opt-in via ``lc_shortcut``) is the one rule
-left: if the last growth increased the dimension by exactly 1, stability is
-already certain at step 2g-1, so the run stops before visiting 2g.  The gap
-families in :mod:`alglength.families` witness that neither window can be
-shortened further.
+The locally-complex window (opt-in via ``lc_shortcut``: after a growth by
+exactly 1 at g, stability is certain from 2g-1 on) needs no rule either.
+Fresh f, h of positive length have no unit part, so over a locally-complex
+basis f*f and f*h + h*f lie in span(1), and the engine forms only the f*h
+whose left row joined first; any other is spanned when its turn comes.  A
+last growth of one row at g leaves step 2g no pair, so the heap empties.
+The gap families in :mod:`alglength.families` witness that neither window
+can be shortened further.
 
 Every run starts from L_0 = span(e_0), the unit's span, which depends only
 on the field and n.  It is built once per (field, n) and shared: ``insert``
@@ -46,12 +49,14 @@ from typing import Optional, Sequence
 
 from .algebra import Algebra, Vector, check_lc_basis, coerce_genset
 from .echelon import EchelonSubspace
-from .errors import NotLocallyComplex, require_int
+from .errors import BudgetExceeded, NotLocallyComplex, require_int
 from .fields import Field
 
 STOP_FULL_DIM = "reached_full_dim"
 STOP_WINDOW = "stabilized_window"
 STOP_LC_WINDOW = "stabilized_lc_window"
+# Largest kmax of a dims list, which has kmax + 1 entries.
+MAX_KMAX = 1 << 20
 
 
 def dims_from_charseq(terms: Sequence[int], kmax: int) -> list[int]:
@@ -59,8 +64,11 @@ def dims_from_charseq(terms: Sequence[int], kmax: int) -> list[int]:
 
     For the partial sequence of a finished non-generating run the dims stay
     constant after the last term, so any ``kmax`` gives the true dims.
+    A ``kmax`` above :data:`MAX_KMAX` raises BudgetExceeded.
     """
     require_int(kmax, "kmax", 0)
+    if kmax > MAX_KMAX:
+        raise BudgetExceeded(f"kmax {kmax} exceeds the limit {MAX_KMAX}")
     return [bisect_right(terms, k) for k in range(kmax + 1)]
 
 
@@ -101,12 +109,13 @@ class LengthReport:
 
     @property
     def dims(self) -> tuple[int, ...]:
-        """dim L_0, ..., dim L_k up to the step k where the run stopped.
+        """dim L_0, ..., dim L_k up to the step k from which the span is
+        known to be stable.
 
         That step is l(S) for a generating set.  Otherwise it is the end of
         the window after the last growth g, the last term of the sequence:
         2g, or 2g-1 for the locally-complex window (1 when S never leaves
-        the unit span).
+        the unit span).  A k above :data:`MAX_KMAX` raises BudgetExceeded.
         """
         kmax = self.charseq[-1]
         if not self.is_generating:
@@ -138,19 +147,19 @@ def compute_length(
     that span.  The run starts from L_0, the unit's span, built once per
     (field, n) and shared, which is safe as an :class:`EchelonSubspace`
     never changes.  The heap visits step 1, which inserts S in order, then
-    the sums of fresh lengths: step k inserts the products f*g over fresh
+    the sums of fresh lengths: step k inserts the products f*h over fresh
     groups of lengths a and b with a + b = k and a, b >= 1, in ascending a,
     then in group order.  Each candidate's nonzero residue modulo the span so far
-    joins the fresh group of length k; a step stops once the span is the
-    whole algebra.  The engine runs on the integer rows of
+    joins the fresh group of length k; the run stops once the span is the
+    whole algebra or the heap is empty.  The engine runs on the integer rows of
     :class:`EchelonSubspace` and :meth:`Algebra.scaled_product`, which scale
     each vector by a nonzero constant and so leave every span and every
     residue up to a scalar as it is.  Each left operand is its nonzero
     ``(i, c)``, read once when its row joins.  Fresh rows of positive length
     are 0 at the unit coordinate, so the unit law, which ``scaled_product``
-    leaves out, adds nothing to their products.  With ``lc_shortcut`` the
-    tighter locally-complex window is used; it requires a basis that passes
-    :func:`check_lc_basis`, which an algebra with ``lc_flag`` set has passed.
+    leaves out, adds nothing to their products.  With ``lc_shortcut``, for a
+    basis that passes :func:`check_lc_basis` (as ``lc_flag`` records), only
+    the f*h with f inserted before h are formed: a < b, or a = b, f first.
     """
     gens = coerce_genset(algebra, gens)
     if lc_shortcut and not (algebra.lc_flag or check_lc_basis(algebra)):
@@ -160,26 +169,18 @@ def compute_length(
     fresh: dict[int, tuple[tuple[int, ...], ...]] = {0: acc.rows}
     lefts: dict[int, list[list[tuple[int, int]]]] = {}  # each row's nonzero (i, c)
     pending = [1]  # heap of unvisited steps: 1 (S), then sums of fresh lengths
-    g, by_one = 0, False  # step and +1-ness of the last growth
-    while True:
-        if acc.dim == n:
-            stop = STOP_FULL_DIM
-            break
-        if lc_shortcut and by_one and (not pending or pending[0] >= 2 * g):
-            stop = STOP_LC_WINDOW
-            break
-        if not pending:
-            stop = STOP_WINDOW
-            break
+    by_one = False  # whether the last growth was by one row
+    while acc.dim < n and pending:
         k = heappop(pending)
         while pending and pending[0] == k:
             heappop(pending)
+        top = k // 2 if lc_shortcut else k - 1  # the largest left length
         candidates = gens if k == 1 else (
             algebra.scaled_product(f, h)
             for a, left in lefts.items()
-            if a < k and k - a in fresh
-            for f in left
-            for h in fresh[k - a]
+            if a <= top and k - a in fresh
+            for t, f in enumerate(left, 1)
+            for h in fresh[k - a][t if 2 * a == k and lc_shortcut else 0 :]
         )
         group = []
         for v in candidates:
@@ -193,8 +194,12 @@ def compute_length(
             lefts[k] = [[(i, c) for i, c in enumerate(row) if c] for row in group]
             for b in lefts:
                 heappush(pending, k + b)
-            g, by_one = k, len(group) == 1
+            by_one = len(group) == 1
 
+    if acc.dim == n:
+        stop = STOP_FULL_DIM
+    else:
+        stop = STOP_LC_WINDOW if lc_shortcut and by_one else STOP_WINDOW
     return LengthReport(
         charseq=tuple(a for a, rows in fresh.items() for _ in rows),
         stop_reason=stop,

@@ -36,12 +36,14 @@ from .length import compute_length
 SUBSPACE_BUDGET = 4096
 # Most candidate words enumerate_words_spans evaluates, over all k <= kmax.
 WORD_BUDGET = 1_000_000
-# Most distinct products enumerate_words_spans forms, times n^2, about the row
-# ops that one product and its reduce cost.  Over a large field nearly every
-# word value is distinct, so products, not words, bound the time.  Over twice
-# what any test, bench operation or CLI comparison run uses (23,620 products
-# at n = 6); at n = 30 it allows 2,222 products, under a second.
-PRODUCT_BUDGET = 2_000_000
+# Most distinct products enumerate_words_spans forms, times the cost of one:
+# the table's stored non-unit cells, one multiply-add each, plus n, about the
+# row ops of its reduce.  Over a large field nearly every word value is
+# distinct, so products, not words, bound the time.  The locally-complex
+# families at n = 4096 cost 16,377 a product and need up to 289 products at
+# the words budget's kmax 9; this allows 366 there, and 6,888 on a dense
+# dim-30 table (about 2 s on a 2.1 GHz Xeon).
+PRODUCT_BUDGET = 6_000_000
 
 
 def catalan(m: int) -> int:
@@ -70,7 +72,8 @@ def enumerate_words_spans(algebra: Algebra, gens, kmax: int) -> list[int]:
     The count is summed k by k and the refusal comes as soon as the budget is
     passed, so a huge kmax costs nothing to refuse.  Raises BudgetExceeded
     too, before forming it, on the distinct product past
-    :data:`PRODUCT_BUDGET` // n^2.
+    :data:`PRODUCT_BUDGET` // (cells + n), with cells the stored non-unit
+    cells of the table.
     """
     require_int(kmax, "kmax", 0)
     gens = coerce_genset(algebra, gens)
@@ -86,7 +89,7 @@ def enumerate_words_spans(algebra: Algebra, gens, kmax: int) -> list[int]:
     dims = [space.dim]
     multiply = algebra._product  # the values are field vectors already
     memo: dict[tuple[Vector, Vector], Vector] = {}
-    most = PRODUCT_BUDGET // algebra.n**2
+    most = PRODUCT_BUDGET // (sum(map(len, algebra._rows)) + algebra.n)
     values: dict[int, set[Vector]] = {}
     for k in range(1, kmax + 1):
         if space.dim == algebra.n:  # L_(k-1) <= L_k <= A: a full span stays full
@@ -102,7 +105,7 @@ def enumerate_words_spans(algebra: Algebra, gens, kmax: int) -> list[int]:
                             raise BudgetExceeded(
                                 f"more than {most} distinct products by word length {k} "
                                 f"(kmax={kmax}, n={algebra.n}) exceed the "
-                                f"{PRODUCT_BUDGET} // n^2 products budget"
+                                f"{PRODUCT_BUDGET} // (cells + n) products budget"
                             )
                         w = memo[u, v] = multiply(u, v)
                     level.add(w)

@@ -500,8 +500,9 @@ def test_oracle_check_word_budget_is_one_error_line(tmp_path, capsys):
 
 
 def test_oracle_check_products_budget_is_one_error_line(pow2_file, capsys, monkeypatch):
-    # A budget of 16 allows one distinct product at n = 4; e2 forms more.
-    monkeypatch.setattr(alglength.oracle, "PRODUCT_BUDGET", 16)
+    # power2 at n = 4 stores 2 cells, so a product costs 2 + 4 and a budget
+    # of 6 allows one distinct product; e2 forms more.
+    monkeypatch.setattr(alglength.oracle, "PRODUCT_BUDGET", 6)
     code = main(["oracle-check", "--algebra", str(pow2_file), "--gens", "e2", "--kmax", "5"])
     captured = capsys.readouterr()
     assert code == 1

@@ -8,6 +8,7 @@ import pytest
 import alglength.length
 from alglength import (
     Algebra,
+    BudgetExceeded,
     EchelonSubspace,
     GF,
     QQ,
@@ -24,6 +25,7 @@ from alglength import (
     make_example,
 )
 from alglength.algebra import PACK_MIN_N
+from alglength.length import MAX_KMAX
 
 from helpers import (
     assert_filtration_identity,
@@ -157,6 +159,18 @@ def test_dims_from_charseq_examples():
         assert dims_from_charseq(terms, len(dims) - 1) == list(dims)
     assert dims_from_charseq((0, 1, 2, 4), 6) == [1, 2, 3, 3, 4, 4, 4]
     assert dims_from_charseq((0,), 0) == [1]
+
+
+def test_dims_past_max_kmax_are_refused_at_once():
+    # power2 at n = 30 has l(S) = 2^28: its dims would hold 2^28 + 1 entries.
+    report = compute_length(*make_example("power2", 30))
+    assert report.length == 2**28
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match=f"kmax {2**28} exceeds the limit {MAX_KMAX}"):
+        report.dims
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(BudgetExceeded):
+        dims_from_charseq((0,), MAX_KMAX + 1)
 
 
 def test_lc_shortcut_requires_lc_basis():
@@ -408,6 +422,28 @@ def test_engine_matches_reference_stepper():
                     expected = run_fields(reference_run(algebra, s, lc_shortcut=lc))
                     got = run_fields(compute_length(algebra, s, lc_shortcut=lc))
                     assert got == expected, (family, size, lc, s)
+    # Seeded locally-complex tables: under lc_shortcut the engine forms only
+    # the products whose left row joined before the right row, the reference
+    # every product.  The fresh rows are those of the run without the flag.
+    rng = random.Random(139)
+    lc_stops = 0
+    for case in range(240):
+        n = 2 + case % 8
+        density = (0.15, 0.4, 0.7, 1.0)[case // 8 % 4]
+        algebra = Algebra.from_products(QQ, n, random_lc_products(rng, n, density))
+        assert algebra.lc_flag
+        sets = (
+            tuple(random_vector(rng, n, 3, nonzero=True) for _ in range(1 + case % 3)),
+            (algebra.basis_vector(1 + case % (n - 1)),),
+        )
+        for gens in sets:
+            fast = compute_length(algebra, gens, lc_shortcut=True)
+            expected = run_fields(reference_run(algebra, gens, lc_shortcut=True))
+            assert run_fields(fast) == expected, (case, gens)
+            plain = compute_length(algebra, gens)
+            assert (fast.charseq, fast.fresh_rows) == (plain.charseq, plain.fresh_rows)
+            lc_stops += fast.stop_reason == STOP_LC_WINDOW
+    assert lc_stops > 200
 
 
 RATIONALS = (0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 3))
@@ -598,3 +634,30 @@ def test_only_nonzero_packed_products_reach_a_row_op(monkeypatch):
     nonzero = [w for _, w in formed if w]
     assert [v for (v,), _ in reduced if type(v) is int] == nonzero
     assert (len(formed), len(nonzero)) == (3600, 60)
+
+
+@pytest.mark.parametrize(
+    "family, size, plain, strict",
+    [("fib-lc", 19, 287, 136), ("lc-gap-family", 40, 1762, 861), ("lc-gap7", None, 23, 10)],
+)
+def test_lc_shortcut_forms_only_the_strict_products(monkeypatch, family, size, plain, strict):
+    # Over a locally-complex basis f*f and f*h + h*f lie in span(1) for
+    # fresh f, h of positive length, so under lc_shortcut only f*h with f's
+    # row inserted before h's is formed, and the report stays the same.
+    algebra, gens = make_example(family, size)
+    counts, reports = [], []
+    for lc in (False, True):
+        calls = _record_calls(monkeypatch, Algebra, "scaled_product")
+        report = compute_length(algebra, gens, lc_shortcut=lc)
+        monkeypatch.undo()
+        counts.append(len(calls))
+        reports.append(_report_fields(report))
+        order = [row for _, group in report.fresh_rows for row in group]
+        supports = [[(i, c) for i, c in enumerate(row) if c] for row in order]
+        pairs = [(supports.index(terms), order.index(right)) for (terms, right), _ in calls]
+        if lc:
+            assert all(t < s for t, s in pairs)
+        else:
+            assert any(t == s for t, s in pairs) and any(t > s for t, s in pairs)
+    assert counts == [plain, strict]
+    assert reports[0] == reports[1]

@@ -238,8 +238,9 @@ def test_the_word_oracle_matches_the_engine_on_closed_subalgebras(field, n, size
 def test_the_products_budget_refuses_a_large_field_at_once():
     # One generator inside a closed dim-29 block of a dim-30 GF(10007)
     # table: nearly every word value is distinct, so the products grow
-    # about 3x per length and kmax 13 would take about a minute, though its
-    # words are within WORD_BUDGET.  The memo stops at PRODUCT_BUDGET // 30^2.
+    # about 3x per length and kmax 13 would take minutes, though its words
+    # are within WORD_BUDGET.  The memo stops at PRODUCT_BUDGET // (cells + n)
+    # with all 29^2 non-unit cells stored.
     rng = random.Random(30)
     algebra = _closed_algebra(rng, GF(10007), 30)
     gens = [(0,) + random_vector(rng, 28, 10007, nonzero=True) + (0,)]
@@ -247,11 +248,18 @@ def test_the_products_budget_refuses_a_large_field_at_once():
     with pytest.raises(BudgetExceeded) as info:
         enumerate_words_spans(algebra, gens, 13)
     assert time.perf_counter() - start < 5.0
-    most = PRODUCT_BUDGET // 30**2
-    assert most == 2222
+    most = PRODUCT_BUDGET // (29**2 + 30)
+    assert most == 6888
     assert f"more than {most} distinct products by word length 10 (kmax=13, n=30)" in str(
         info.value
     )
+
+
+def test_the_products_budget_admits_a_sparse_table_at_the_largest_size():
+    # power2 at n = 4096 stores 4094 cells, so a product costs 8190 and the
+    # budget allows 732 of them; kmax 13 forms 24.
+    algebra, gens = make_example("power2", 4096)
+    assert enumerate_words_spans(algebra, gens, 13) == dims_from_charseq((0, 1, 2, 4, 8), 13)
 
 
 @pytest.mark.parametrize("n, size", [(8, 1), (8, 2), (9, 1), (9, 2)])
