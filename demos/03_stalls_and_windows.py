@@ -11,10 +11,11 @@ engine therefore needs a sound termination rule for non-generating sets:
   stability is certain one step earlier, at 2g-1.
 
 The engine codes neither window.  It only visits steps k = a + b where a
-and b are lengths at which the span grew, and no such sum exceeds 2g.  With
-lc_shortcut it forms only the products f*h whose left row joined before h,
-since over a locally-complex basis f*f and f*h + h*f lie in span(1); after
-a growth by one row at g, step 2g has no such pair, so the run ends there.
+and b are lengths at which the span grew, and no such sum exceeds 2g.  Over
+a locally-complex basis it forms only the products f*h whose left row joined
+before h, since there f*f and f*h + h*f lie in span(1); after a growth by
+one row at g, step 2g has no such pair, so the run ends there, and
+lc_shortcut names that stop.
 
 The families here witness that both windows are tight:
 

@@ -39,6 +39,7 @@ from .errors import (
     NotGenerating,
     OracleMismatch,
     ParseError,
+    RangeError,
 )
 from .fields import GF, QQ
 from .fileformat import parse_algebra, parse_digits, parse_gens, serialize_algebra
@@ -130,7 +131,10 @@ def _parse_field_option(text: str):
     if text == "rational":
         return QQ
     if text.startswith("prime:") and text[6:].isdigit():
-        return GF(parse_digits(text[6:]))
+        try:
+            return GF(parse_digits(text[6:]))
+        except RangeError as exc:  # as for 'field prime <p>' in a file
+            raise ParseError(str(exc)) from None
     raise ParseError(f"bad --field value {text!r}; use 'rational' or 'prime:<p>'")
 
 

@@ -23,12 +23,12 @@ general stabilization window (if the last growth happened at step g and
 nothing grew through step 2g, nothing ever grows), and it needs no rule of
 its own: every pending sum is at most 2g.
 
-The locally-complex window (opt-in via ``lc_shortcut``: after a growth by
-exactly 1 at g, stability is certain from 2g-1 on) needs no rule either.
-Fresh f, h of positive length have no unit part, so over a locally-complex
-basis f*f and f*h + h*f lie in span(1), and the engine forms only the f*h
-whose left row joined first; any other is spanned when its turn comes.  A
-last growth of one row at g leaves step 2g no pair, so the heap empties.
+The locally-complex window (after a growth by exactly 1 at g, stability is
+certain from 2g-1 on) needs no rule either.  Fresh f, h of positive length
+have no unit part, so over a locally-complex basis (``lc_flag``) f*f and
+f*h + h*f lie in span(1), and the engine forms only the f*h whose left row
+joined first; any other is spanned when its turn comes.  A last growth of
+one row at g leaves step 2g no pair, so the heap empties.
 The gap families in :mod:`alglength.families` witness that neither window
 can be shortened further.
 
@@ -157,9 +157,10 @@ def compute_length(
     residue up to a scalar as it is.  Each left operand is its nonzero
     ``(i, c)``, read once when its row joins.  Fresh rows of positive length
     are 0 at the unit coordinate, so the unit law, which ``scaled_product``
-    leaves out, adds nothing to their products.  With ``lc_shortcut``, for a
-    basis that passes :func:`check_lc_basis` (as ``lc_flag`` records), only
-    the f*h with f inserted before h are formed: a < b, or a = b, f first.
+    leaves out, adds nothing to their products.  Over a basis that passes
+    :func:`check_lc_basis` (``lc_flag``) only the f*h with f inserted before
+    h are formed: a < b, or a = b, f first.  ``lc_shortcut`` refuses other
+    bases and labels a stop after a one-row last growth STOP_LC_WINDOW.
     """
     gens = coerce_genset(algebra, gens)
     if lc_shortcut and not (algebra.lc_flag or check_lc_basis(algebra)):
@@ -169,18 +170,18 @@ def compute_length(
     fresh: dict[int, tuple[tuple[int, ...], ...]] = {0: acc.rows}
     lefts: dict[int, list[list[tuple[int, int]]]] = {}  # each row's nonzero (i, c)
     pending = [1]  # heap of unvisited steps: 1 (S), then sums of fresh lengths
-    by_one = False  # whether the last growth was by one row
+    strict = algebra.lc_flag  # form only the f*h with f inserted before h
     while acc.dim < n and pending:
         k = heappop(pending)
         while pending and pending[0] == k:
             heappop(pending)
-        top = k // 2 if lc_shortcut else k - 1  # the largest left length
+        top = k // 2 if strict else k - 1  # the largest left length
         candidates = gens if k == 1 else (
             algebra.scaled_product(f, h)
             for a, left in lefts.items()
             if a <= top and k - a in fresh
             for t, f in enumerate(left, 1)
-            for h in fresh[k - a][t if 2 * a == k and lc_shortcut else 0 :]
+            for h in fresh[k - a][t if 2 * a == k and strict else 0 :]
         )
         group = []
         for v in candidates:
@@ -194,12 +195,10 @@ def compute_length(
             lefts[k] = [[(i, c) for i, c in enumerate(row) if c] for row in group]
             for b in lefts:
                 heappush(pending, k + b)
-            by_one = len(group) == 1
 
-    if acc.dim == n:
-        stop = STOP_FULL_DIM
-    else:
-        stop = STOP_LC_WINDOW if lc_shortcut and by_one else STOP_WINDOW
+    last = max(fresh)  # the step of the last growth, 0 if S adds nothing
+    lc_stop = lc_shortcut and last > 0 and len(fresh[last]) == 1
+    stop = STOP_FULL_DIM if acc.dim == n else STOP_LC_WINDOW if lc_stop else STOP_WINDOW
     return LengthReport(
         charseq=tuple(a for a, rows in fresh.items() for _ in rows),
         stop_reason=stop,

@@ -422,9 +422,10 @@ def test_engine_matches_reference_stepper():
                     expected = run_fields(reference_run(algebra, s, lc_shortcut=lc))
                     got = run_fields(compute_length(algebra, s, lc_shortcut=lc))
                     assert got == expected, (family, size, lc, s)
-    # Seeded locally-complex tables: under lc_shortcut the engine forms only
-    # the products whose left row joined before the right row, the reference
-    # every product.  The fresh rows are those of the run without the flag.
+    # Seeded locally-complex tables: the engine forms only the products whose
+    # left row joined before the right row, the reference every product.  The
+    # flag changes only the stop label, so the fresh rows are those of the
+    # run without it.
     rng = random.Random(139)
     lc_stops = 0
     for case in range(240):
@@ -642,22 +643,25 @@ def test_only_nonzero_packed_products_reach_a_row_op(monkeypatch):
 )
 def test_lc_shortcut_forms_only_the_strict_products(monkeypatch, family, size, plain, strict):
     # Over a locally-complex basis f*f and f*h + h*f lie in span(1) for
-    # fresh f, h of positive length, so under lc_shortcut only f*h with f's
-    # row inserted before h's is formed, and the report stays the same.
-    algebra, gens = make_example(family, size)
-    counts, reports = [], []
-    for lc in (False, True):
+    # fresh f, h of positive length, so the flagged table over Q forms only
+    # f*h with f's row inserted before h's, with lc_shortcut or without, and
+    # the flag leaves the report as it is.  The same table over GF(10007) is
+    # unflagged and forms every pair.
+    reports = []
+    for field, lc, count in ((QQ, False, strict), (QQ, True, strict), (GF(10007), False, plain)):
+        algebra, gens = make_example(family, size, field)
+        assert algebra.lc_flag == (field is QQ)
         calls = _record_calls(monkeypatch, Algebra, "scaled_product")
         report = compute_length(algebra, gens, lc_shortcut=lc)
         monkeypatch.undo()
-        counts.append(len(calls))
-        reports.append(_report_fields(report))
+        reports.append(report)
         order = [row for _, group in report.fresh_rows for row in group]
         supports = [[(i, c) for i, c in enumerate(row) if c] for row in order]
         pairs = [(supports.index(terms), order.index(right)) for (terms, right), _ in calls]
-        if lc:
+        if algebra.lc_flag:
             assert all(t < s for t, s in pairs)
         else:
             assert any(t == s for t, s in pairs) and any(t > s for t, s in pairs)
-    assert counts == [plain, strict]
-    assert reports[0] == reports[1]
+        assert len(calls) == count, (field, lc)
+    assert _report_fields(reports[0]) == _report_fields(reports[1])
+    assert reports[0].charseq == reports[2].charseq
