@@ -57,9 +57,7 @@ from .length import (
 )
 from .oracle import (
     BruteForceResult,
-    bracketed_word_count,
     brute_force_algebra_length,
-    catalan,
     enumerate_words_spans,
     gaussian_binomial,
     subspace_count,
@@ -102,9 +100,7 @@ __all__ = [
     "ShapeError",
     "UnknownBasisName",
     "WellformednessError",
-    "bracketed_word_count",
     "brute_force_algebra_length",
-    "catalan",
     "check_addition_chain",
     "check_fibonacci_bound",
     "check_lc_basis",

@@ -13,8 +13,8 @@ The stored constants are integers: over Q the table times the common
 denominator D of its entries (1 for integer tables), over GF(p) the residues.
 A span does not change when a vector is scaled, so the length engine works
 on :meth:`Algebra.scaled_product`, the stored products' share of D times
-the product with no field step, and only :meth:`Algebra.multiply` adds the
-unit law's share, divides by D or reduces mod p.
+the product with no field step, the word oracle on ``_product``, which adds
+the unit law's share and reduces mod p, and only ``multiply`` divides by D.
 
 Over GF(p), from dimension :data:`PACK_MIN_N` on, each cell e_i * e_j is
 packed into one big integer (Kronecker substitution): coordinate k sits in a
@@ -320,11 +320,15 @@ class Algebra:
         The operands are coerced as :meth:`coerce_vector` does: any ints or
         Fractions with an image in the field, n of them.
         """
-        return self._product(self.coerce_vector(u), self.coerce_vector(v))
+        out = self._product(self.coerce_vector(u), self.coerce_vector(v))
+        if self.field.modulus is not None:
+            return tuple(out)
+        return tuple([Fraction(x, self.denominator) for x in out])
 
-    def _product(self, u: Vector, v: Vector) -> Vector:
-        """u*v of two field vectors, as field scalars: :meth:`scaled_product`
-        plus the unit law's share ``D (u_0 v + v_0 u - u_0 v_0 e_0)``."""
+    def _product(self, u: Sequence[Scalar], v: Sequence[Scalar]) -> list:
+        """D * (u*v) over Q, not divided by D, and the residues of u*v in
+        [0, p) over GF(p): :meth:`scaled_product` plus the unit law's share
+        ``D (u_0 v + v_0 u - u_0 v_0 e_0)``.  Over Q, int operands give ints."""
         out = self.scaled_product(enumerate(u), v)
         if self._limbs:
             out = unpack_slots(out, self.n, self._limbs)
@@ -334,9 +338,7 @@ class Algebra:
             out = [x + du0 * y + dv0 * z for x, y, z in zip(out, v, u)]
             out[0] -= du0 * v0
         mod = self.field.modulus
-        if mod is not None:
-            return tuple([x % mod for x in out])
-        return tuple([Fraction(x, self.denominator) for x in out])
+        return out if mod is None else [x % mod for x in out]
 
     # ----- comparison ----------------------------------------------------
 

@@ -14,8 +14,8 @@ GF(p), r = 1, so that is the usual ``v - c*row``, taken on ints congruent to
 the residues and reduced mod p once per vector.  The residue is a nonzero
 multiple of the one vector of v + span(rows) that is 0 at every pivot, so
 up to a scalar it depends only on the span and not on which echelon basis
-of it is stored.  Insertion makes the residue primitive (over Q) or 1 at its
-pivot (over GF(p)) and appends it; no older row changes.
+of it is stored.  Insertion appends the residue made primitive (over Q) or 1
+at its pivot (over GF(p)) by :func:`normal_row`; no older row changes.
 
 Over GF(p) from ambient dimension :data:`~alglength.algebra.PACK_MIN_N` on,
 each row is also kept packed, in the slot layout of the packed structure
@@ -38,6 +38,25 @@ from .errors import ShapeError, require_int
 from .fields import Field, Scalar, require_field
 
 Vector = tuple  # tuple[Scalar, ...]
+
+
+def normal_row(field: Field, residue: Sequence[int]) -> tuple:
+    """The one int row on the line of a nonzero int vector: primitive with a
+    positive lead over Q, 1 at the lead over GF(p) (for residues in [0, p)).
+    A residue that is so already, as every one over GF(2) is, is kept."""
+    for lead in residue:
+        if lead:
+            break
+    mod = field.modulus
+    if mod is None:
+        g = gcd(*residue)
+        if lead < 0:
+            g = -g
+        return tuple(residue) if g == 1 else tuple([x // g for x in residue])
+    if lead == 1:
+        return tuple(residue)
+    lead_inv = field.inv(lead)
+    return tuple([x * lead_inv % mod for x in residue])
 
 
 class EchelonSubspace:
@@ -115,30 +134,17 @@ class EchelonSubspace:
         """Insert ``v``; returns (new space, added row) with row None when spanned.
 
         ``v`` is what :meth:`reduce` takes; a packed 0 is spanned at once.
-        The added row is the residue of ``v`` at insertion time, made
-        primitive with a positive pivot (Q) or 1 at its pivot (GF(p)); a
-        residue that is so already, as every one over GF(2) is, is stored as
-        it is.  The row extends the previous basis and is what the length
-        engine records as a fresh-basis vector.
+        The added row is :func:`normal_row` of the residue of ``v`` at
+        insertion time.  It extends the previous basis and is what the
+        length engine records as a fresh-basis vector.
         """
         if not v and type(v) is int:  # a packed 0
             return self, None
         residue = self.reduce(v)
         if not any(residue):
             return self, None
-        pivot = next(j for j, x in enumerate(residue) if x)
-        lead = residue[pivot]
-        mod = self.field.modulus
-        if mod is None:
-            g = gcd(*residue)
-            if lead < 0:
-                g = -g
-            newrow = tuple(residue) if g == 1 else tuple([x // g for x in residue])
-        elif lead == 1:
-            newrow = tuple(residue)
-        else:
-            lead_inv = self.field.inv(lead)
-            newrow = tuple([x * lead_inv % mod for x in residue])
+        newrow = normal_row(self.field, residue)
+        pivot = next(j for j, x in enumerate(newrow) if x)
         grown = object.__new__(EchelonSubspace)  # no __init__: self's limbs carry over
         grown.field, grown.ambient, grown._limbs = self.field, self.ambient, self._limbs
         grown.rows, grown.pivots = self.rows + (newrow,), self.pivots + (pivot,)

@@ -59,6 +59,13 @@ STOP_LC_WINDOW = "stabilized_lc_window"
 MAX_KMAX = 1 << 20
 
 
+def require_kmax(kmax: int) -> None:
+    """RangeError unless ``kmax`` is an int >= 0, BudgetExceeded above :data:`MAX_KMAX`."""
+    require_int(kmax, "kmax", 0)
+    if kmax > MAX_KMAX:
+        raise BudgetExceeded(f"kmax {kmax} exceeds the limit {MAX_KMAX}")
+
+
 def dims_from_charseq(terms: Sequence[int], kmax: int) -> list[int]:
     """dim L_0, ..., dim L_kmax: dim L_k is the number of terms <= k.
 
@@ -66,9 +73,7 @@ def dims_from_charseq(terms: Sequence[int], kmax: int) -> list[int]:
     constant after the last term, so any ``kmax`` gives the true dims.
     A ``kmax`` above :data:`MAX_KMAX` raises BudgetExceeded.
     """
-    require_int(kmax, "kmax", 0)
-    if kmax > MAX_KMAX:
-        raise BudgetExceeded(f"kmax {kmax} exceeds the limit {MAX_KMAX}")
+    require_kmax(kmax)
     return [bisect_right(terms, k) for k in range(kmax + 1)]
 
 

@@ -3,15 +3,15 @@
 ``enumerate_words_spans`` evaluates every fully bracketed word over every
 letter assignment, level by level, and records the span dimensions.  It
 never applies the engine's fresh-pair candidate restriction, so it serves as
-an oracle for it.  A span depends only on the values spanned, so each length
-keeps the set of its words' values: a word of length k is the product of a
-value of length a and one of length k - a, so words with equal values add
-one product, not one each.  Products are memoized on operand values, since
-a value can occur at several lengths.  The enumeration stops once the span is
-the whole algebra: L_(k-1) <= L_k <= A, so a full span stays full.  That rule
-uses only the monotone chain and dim L_k <= n, not the engine's candidate
-restriction or its stopping windows, so the oracle still checks both, on every
-word up to the length at which the span fills.
+an oracle for it.  A span depends only on the lines its values span, and the
+product is bilinear, so each length keeps the lines of its words' nonzero
+values, as integer rows (:func:`~alglength.echelon.normal_row`): words on
+one line add one product, and a zero word adds none, nor do the words it is
+a factor of.  Products are memoized on operand lines, since a line can occur
+at several lengths.  The enumeration stops once the span is the whole
+algebra (L_(k-1) <= L_k <= A), or once every longer word has a zero factor.
+Neither rule uses the engine's candidate restriction or its stopping
+windows, so the oracle checks both, on every word up to where it stops.
 
 ``brute_force_algebra_length`` computes l(A) over a prime field by exhausting
 subspaces.  Since the length of S depends on S only through span(unit, S),
@@ -25,37 +25,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from math import comb
 
-from .algebra import Algebra, GenSet, Vector, coerce_genset, require_algebra
-from .echelon import EchelonSubspace
+from .algebra import Algebra, GenSet, coerce_genset, require_algebra
+from .echelon import EchelonSubspace, normal_row
 from .errors import BudgetExceeded, PrimeFieldRequired, require_int
-from .length import compute_length
+from .length import compute_length, require_kmax
 
 # Most subspaces brute_force_algebra_length enumerates.
 SUBSPACE_BUDGET = 4096
-# Most candidate words enumerate_words_spans evaluates, over all k <= kmax.
-WORD_BUDGET = 1_000_000
-# Most distinct products enumerate_words_spans forms, times the cost of one:
-# the table's stored non-unit cells, one multiply-add each, plus n, about the
-# row ops of its reduce.  Over a large field nearly every word value is
-# distinct, so products, not words, bound the time.  The locally-complex
-# families at n = 4096 cost 16,377 a product and need up to 289 products at
-# the words budget's kmax 9; this allows 366 there, and 6,888 on a dense
-# dim-30 table (about 2 s on a 2.1 GHz Xeon).
+# Most work enumerate_words_spans does: 1 for each pair of lines it
+# multiplies, memo hits included, and for each distinct product the table's
+# stored non-unit cells, one multiply-add each, plus n.  Pairs bound lines
+# that never die out: the unit alone is refused at word length 3,465.
+# Products bound a large field, where most lines are distinct: a dense
+# dim-30 GF(10007) table allows fewer than 6,888.  Each refusal takes about
+# 3-4 s on a 2.0 GHz Xeon.
 PRODUCT_BUDGET = 6_000_000
-
-
-def catalan(m: int) -> int:
-    require_int(m, "Catalan index", 0)
-    return comb(2 * m, m) // (m + 1)
-
-
-def bracketed_word_count(num_letters: int, k: int) -> int:
-    """Number of bracketed words of length exactly k over num_letters letters."""
-    require_int(num_letters, "letter count", 0)
-    require_int(k, "word length", 1)
-    return catalan(k - 1) * num_letters**k
 
 
 def enumerate_words_spans(algebra: Algebra, gens, kmax: int) -> list[int]:
@@ -63,55 +48,59 @@ def enumerate_words_spans(algebra: Algebra, gens, kmax: int) -> list[int]:
 
     V_1 is the set of generators and V_k = {u*v : u in V_a, v in V_(k-a),
     1 <= a < k} is the set of values of the words of length k; L_k is the
-    span of the unit and V_1, ..., V_k.  Every value of V_k is inserted.
-    Once L_(k-1) is the whole algebra, dim L_k, ..., dim L_kmax are n and no
-    word of length k or more is evaluated.
-
-    Raises BudgetExceeded when the words of lengths 1..kmax number more than
-    :data:`WORD_BUDGET`, counted up to kmax even when the span fills sooner.
-    The count is summed k by k and the refusal comes as soon as the budget is
-    passed, so a huge kmax costs nothing to refuse.  Raises BudgetExceeded
-    too, before forming it, on the distinct product past
-    :data:`PRODUCT_BUDGET` // (cells + n), with cells the stored non-unit
-    cells of the table.
+    span of the unit and V_1, ..., V_k.  V_k is held as the lines of its
+    nonzero values, and each is inserted.  ``kmax`` is checked by
+    :func:`~alglength.length.require_kmax`.  Raises BudgetExceeded once the
+    work passes :data:`PRODUCT_BUDGET`, charged for the pairs of lines of
+    lengths a and k - a before any is multiplied and for a new product
+    before it is formed.
     """
-    require_int(kmax, "kmax", 0)
+    require_kmax(kmax)
     gens = coerce_genset(algebra, gens)
-    total = 0
-    for k in range(1, kmax + 1):
-        total += bracketed_word_count(len(gens), k)
-        if total > WORD_BUDGET:
-            raise BudgetExceeded(
-                f"{total} candidate words of lengths 1..{k} (kmax={kmax}, "
-                f"{len(gens)} generators) exceed the {WORD_BUDGET} words budget"
-            )
-    space, _ = EchelonSubspace(algebra.field, algebra.n).insert(algebra.unit())
+    field, n = algebra.field, algebra.n
+    zero = EchelonSubspace(field, n)
+    space, _ = zero.insert(algebra.unit())
+    # V_1 as lines: reduce clears the generators' denominators.
+    gens = {normal_row(field, r) for r in map(zero.reduce, gens) if any(r)}
     dims = [space.dim]
-    multiply = algebra._product  # the values are field vectors already
-    memo: dict[tuple[Vector, Vector], Vector] = {}
-    most = PRODUCT_BUDGET // (sum(map(len, algebra._rows)) + algebra.n)
-    values: dict[int, set[Vector]] = {}
+    cost = sum(map(len, algebra._rows)) + n
+    spent = 0
+
+    def charge(amount: int) -> None:
+        nonlocal spent
+        spent += amount
+        if spent > PRODUCT_BUDGET:
+            raise BudgetExceeded(
+                f"the words of lengths 1..{k} (kmax={kmax}, n={n}) exceed the "
+                f"{PRODUCT_BUDGET} products budget at 1 a pair of lines and "
+                f"{cost} (cells + n) a distinct product"
+            )
+
+    memo: dict[tuple[tuple, tuple], tuple] = {}
+    lines: dict[int, set[tuple]] = {}  # the nonempty V_k, k ascending
     for k in range(1, kmax + 1):
-        if space.dim == algebra.n:  # L_(k-1) <= L_k <= A: a full span stays full
+        # A full span stays full; past twice the longest nonempty length, the
+        # last key, every word has a zero factor.  V_1 is the generators.
+        if space.dim == n or k > 2 * next(reversed(lines), 1):
             return dims + [space.dim] * (kmax + 1 - k)
         level = set(gens) if k == 1 else set()
-        for a in range(1, k):
-            right = values[k - a]
-            for u in values[a]:
-                for v in right:
-                    w = memo.get((u, v))
-                    if w is None:
-                        if len(memo) == most:
-                            raise BudgetExceeded(
-                                f"more than {most} distinct products by word length {k} "
-                                f"(kmax={kmax}, n={algebra.n}) exceed the "
-                                f"{PRODUCT_BUDGET} // (cells + n) products budget"
-                            )
-                        w = memo[u, v] = multiply(u, v)
-                    level.add(w)
-        values[k] = level
-        for w in level:
-            space, _ = space.insert(w)
+        for a, left in lines.items():
+            right = lines.get(k - a)
+            if right:
+                charge(len(left) * len(right))
+                for u in left:
+                    for v in right:
+                        w = memo.get((u, v))
+                        if w is None:
+                            charge(cost)
+                            w = algebra._product(u, v)
+                            w = memo[u, v] = normal_row(field, w) if any(w) else ()
+                        if w:
+                            level.add(w)
+        if level:
+            lines[k] = level
+            for w in level:
+                space, _ = space.insert(w)
         dims.append(space.dim)
     return dims
 

@@ -9,8 +9,6 @@ from alglength import (
     KOutOfRange,
     RangeError,
     WellformednessError,
-    bracketed_word_count,
-    catalan,
     check_addition_chain,
     check_fibonacci_bound,
     check_power_bound,
@@ -141,8 +139,6 @@ SEQ = (0, 1, 1, 2, 3)
     "call, error",
     [
         (lambda: fibonacci(2.5), RangeError),
-        (lambda: catalan(2.5), RangeError),
-        (lambda: bracketed_word_count(2, 2.5), RangeError),
         (lambda: gaussian_binomial(3, 1.5, 2), RangeError),
         (lambda: gaussian_binomial(3.0, 1, 2), RangeError),
         (lambda: check_fibonacci_bound(SEQ, 2.5), KOutOfRange),
@@ -154,8 +150,10 @@ SEQ = (0, 1, 1, 2, 3)
         (lambda: gaussian_binomial(3, -1, 2), RangeError),
         (lambda: subspace_count(3, 1), RangeError),
         (lambda: subspace_count(2.0, 2), RangeError),
-        (lambda: bracketed_word_count(2.5, 2), RangeError),
-        (lambda: bracketed_word_count(True, 2), RangeError),
+        (lambda: fibonacci(True), RangeError),
+        (lambda: dims_from_charseq(SEQ, True), RangeError),
+        (lambda: gaussian_binomial(True, 1, 2), RangeError),
+        (lambda: subspace_count(2, True), RangeError),
     ],
 )
 def test_a_non_int_or_negative_integer_parameter_is_refused(call, error):

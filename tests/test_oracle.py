@@ -1,5 +1,6 @@
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -12,9 +13,7 @@ from alglength import (
     QQ,
     RangeError,
     ShapeError,
-    bracketed_word_count,
     brute_force_algebra_length,
-    catalan,
     compute_length,
     dims_from_charseq,
     enumerate_words_spans,
@@ -22,33 +21,16 @@ from alglength import (
     make_example,
     subspace_count,
 )
-from alglength.oracle import PRODUCT_BUDGET, SUBSPACE_BUDGET, WORD_BUDGET, iter_rref_bases
+import alglength.oracle
+from alglength.length import MAX_KMAX
+from alglength.oracle import PRODUCT_BUDGET, SUBSPACE_BUDGET, iter_rref_bases
 
-from helpers import random_genset, random_unital_algebra, random_vector
-
-
-def test_catalan_values():
-    assert [catalan(m) for m in range(7)] == [1, 1, 2, 5, 14, 42, 132]
-
-
-def _count_trees(k):
-    """Independent oracle: count distinct bracketings of k leaves recursively."""
-    if k == 1:
-        return 1
-    return sum(_count_trees(a) * _count_trees(k - a) for a in range(1, k))
-
-
-def test_bracketed_word_count_against_recursive_oracle():
-    for k in range(1, 7):
-        for letters in (1, 2, 3):
-            assert bracketed_word_count(letters, k) == _count_trees(k) * letters**k
+from helpers import random_genset, random_products, random_unital_algebra, random_vector
 
 
 def test_negative_indices_are_range_errors():
     algebra, gens = make_example("power2", 4)
     for call in (
-        lambda: catalan(-1),
-        lambda: bracketed_word_count(2, 0),
         lambda: enumerate_words_spans(algebra, gens, -1),
         lambda: enumerate_words_spans(algebra, gens, 2.0),
     ):
@@ -73,54 +55,61 @@ def test_words_spans_fib_lc():
     assert dims_from_charseq(terms, 3) == [1, 3, 4, 5]
 
 
-def test_words_budget_enforced():
-    # The word count is the one limit: one generator runs up to kmax 13
-    # (290,512 words) and four generators run at small kmax.
-    algebra, gens = make_example("power2", 4)
-    terms = compute_length(algebra, gens).charseq
-    assert enumerate_words_spans(algebra, gens, 11) == dims_from_charseq(terms, 11)
-    with pytest.raises(BudgetExceeded) as info:
-        enumerate_words_spans(algebra, gens, 14)
-    total = sum(bracketed_word_count(1, k) for k in range(1, 15))
-    assert f"{total} candidate words of lengths 1..14 (kmax=14, 1 generators)" in str(info.value)
-    four = tuple(algebra.basis_vector(i) for i in (1, 2, 3, 1))
-    terms = compute_length(algebra, four).charseq
-    assert enumerate_words_spans(algebra, four, 3) == dims_from_charseq(terms, 3)
+def test_words_spans_over_millions_of_candidate_words():
+    # Candidate words of lengths 1..kmax: 1,033,412 for one generator at
+    # kmax 14, 2,350,484 for four at kmax 7 and 318,380,772 for lc-gap7's
+    # three at kmax 10.  Their lines are few, and the oracle spans lines.
+    power2, one = make_example("power2", 4)
+    four = tuple(power2.basis_vector(i) for i in (1, 2, 3, 1))
+    lc_gap7, _ = make_example("lc-gap7")
+    three = tuple(lc_gap7.basis_vector(i) for i in (1, 2, 3))
+    for algebra, gens, kmax in ((power2, one, 14), (power2, four, 7), (lc_gap7, three, 10)):
+        terms = compute_length(algebra, gens).charseq
+        assert enumerate_words_spans(algebra, gens, kmax) == dims_from_charseq(terms, kmax)
 
 
 def test_words_spans_one_generator_at_the_largest_kmax():
-    # 290,512 words of lengths 1..13, but power2 has few distinct word
-    # values, and the oracle spans value sets.
+    # power2 has few distinct word lines, and its span fills at length 32.
     algebra, gens = make_example("power2", 7)
     start = time.perf_counter()
-    dims = enumerate_words_spans(algebra, gens, 13)
+    dims = enumerate_words_spans(algebra, gens, MAX_KMAX)
     assert time.perf_counter() - start < 1.0
-    assert dims == dims_from_charseq(compute_length(algebra, gens).charseq, 13)
-
-
-def test_words_budget_bounds_the_total_word_count():
-    # kmax = 8 and |S| = 3 are each within their own limit, but together
-    # they give sum_{k<=8} Catalan(k-1) * 3^k words.
-    algebra, _ = make_example("lc-gap7")
-    gens = tuple(algebra.basis_vector(i) for i in (1, 2, 3))
-    start = time.perf_counter()
-    with pytest.raises(BudgetExceeded) as info:
-        enumerate_words_spans(algebra, gens, 8)
-    assert time.perf_counter() - start < 0.5
-    assert 3_137_844 > WORD_BUDGET
-    assert "3137844 candidate words of lengths 1..8 (kmax=8," in str(info.value)
+    assert dims == dims_from_charseq(compute_length(algebra, gens).charseq, MAX_KMAX)
 
 
 def test_words_budget_for_huge_kmax_is_immediate():
+    # The span of e1 is full at length 4, so a kmax up to MAX_KMAX costs
+    # only its dims list, and one above it is refused before any work.
     algebra, gens = make_example("power2", 4)
-    total = sum(bracketed_word_count(1, k) for k in range(1, 15))
-    for kmax in (8000, 2**20):
+    for kmax in (8000, MAX_KMAX, MAX_KMAX + 1, 2**40):
         start = time.perf_counter()
-        with pytest.raises(BudgetExceeded) as info:
-            enumerate_words_spans(algebra, gens, kmax)
+        if kmax > MAX_KMAX:
+            with pytest.raises(BudgetExceeded, match=f"kmax {kmax} exceeds the limit {MAX_KMAX}"):
+                enumerate_words_spans(algebra, gens, kmax)
+        else:
+            assert enumerate_words_spans(algebra, gens, kmax) == [1, 2, 3, 3] + [4] * (kmax - 3)
         assert time.perf_counter() - start < 0.5
-        # refused at k = 14, the first k past the budget, not at kmax
-        assert f"{total} candidate words of lengths 1..14 (kmax={kmax}," in str(info.value)
+
+
+def test_words_budget_enforced(monkeypatch):
+    # The unit's lines never die out: V_k = {1} for every k, so step k forms
+    # k - 1 pairs, all memo hits but the first, one distinct product of cost
+    # cells + n = 2 + 4.  So the budget is passed at the first k with
+    # k (k - 1) / 2 + 6 > budget, whatever kmax is.
+    algebra, _ = make_example("power2", 4)
+    unit = (algebra.unit(),)
+    budget = 1000
+    refused_at = next(k for k in range(2, budget) if k * (k - 1) // 2 + 6 > budget)
+    assert refused_at == 46
+    monkeypatch.setattr(alglength.oracle, "PRODUCT_BUDGET", budget)
+    assert enumerate_words_spans(algebra, unit, refused_at - 1) == [1] * refused_at
+    for kmax in (refused_at, 100, MAX_KMAX):
+        with pytest.raises(BudgetExceeded) as info:
+            enumerate_words_spans(algebra, unit, kmax)
+        assert str(info.value) == (
+            f"the words of lengths 1..{refused_at} (kmax={kmax}, n=4) exceed the {budget} "
+            "products budget at 1 a pair of lines and 6 (cells + n) a distinct product"
+        )
 
 
 def test_oracle_agrees_with_engine_on_families():
@@ -223,24 +212,25 @@ def _closed_algebra(rng, field, n):
 )
 def test_the_word_oracle_matches_the_engine_on_closed_subalgebras(field, n, size):
     # Generators in span(e_1, ..., e_(n-2)), inside the closed block, never
-    # generate: their span stays at dim n - 1, so the oracle runs to kmax,
-    # the budget's largest for the generator count.
+    # generate: their span stays at dim n - 1.  Over GF(p) their lines never
+    # die out, so the oracle runs to kmax; over Q the graded block's words
+    # vanish from height n - 2 on, so it stops long before MAX_KMAX.
     rng = random.Random(1009 * n + size)
     algebra = _closed_algebra(rng, field, n)
     p = field.modulus or 7
     gens = [(0,) + random_vector(rng, n - 2, p, nonzero=True) + (0,) for _ in range(size)]
     report = compute_length(algebra, gens)
     assert report.dims[-1] == n - 1
-    kmax = {1: 13, 2: 9}[size]
+    kmax = {1: 13, 2: 9}[size] if field.modulus else MAX_KMAX
     assert enumerate_words_spans(algebra, gens, kmax) == dims_from_charseq(report.charseq, kmax)
 
 
 def test_the_products_budget_refuses_a_large_field_at_once():
     # One generator inside a closed dim-29 block of a dim-30 GF(10007)
-    # table: nearly every word value is distinct, so the products grow
-    # about 3x per length and kmax 13 would take minutes, though its words
-    # are within WORD_BUDGET.  The memo stops at PRODUCT_BUDGET // (cells + n)
-    # with all 29^2 non-unit cells stored.
+    # table: nearly every word line is distinct, so the products grow about
+    # 3x per length and kmax 13 would take minutes.  A product costs
+    # cells + n, with all 29^2 non-unit cells stored, so the budget allows
+    # fewer than PRODUCT_BUDGET // 871 = 6888 of them.
     rng = random.Random(30)
     algebra = _closed_algebra(rng, GF(10007), 30)
     gens = [(0,) + random_vector(rng, 28, 10007, nonzero=True) + (0,)]
@@ -248,18 +238,58 @@ def test_the_products_budget_refuses_a_large_field_at_once():
     with pytest.raises(BudgetExceeded) as info:
         enumerate_words_spans(algebra, gens, 13)
     assert time.perf_counter() - start < 5.0
-    most = PRODUCT_BUDGET // (29**2 + 30)
-    assert most == 6888
-    assert f"more than {most} distinct products by word length 10 (kmax=13, n=30)" in str(
-        info.value
+    assert PRODUCT_BUDGET // (29**2 + 30) == 6888
+    assert str(info.value) == (
+        "the words of lengths 1..10 (kmax=13, n=30) exceed the 6000000 products budget "
+        "at 1 a pair of lines and 871 (cells + n) a distinct product"
     )
 
 
 def test_the_products_budget_admits_a_sparse_table_at_the_largest_size():
     # power2 at n = 4096 stores 4094 cells, so a product costs 8190 and the
-    # budget allows 732 of them; kmax 13 forms 24.
-    algebra, gens = make_example("power2", 4096)
-    assert enumerate_words_spans(algebra, gens, 13) == dims_from_charseq((0, 1, 2, 4, 8), 13)
+    # budget allows fewer than 733 of them; kmax 13 forms 15.  The other
+    # families at their largest size take kmax 13 or 9 too, each well within
+    # a second.  The engine has no kmax stop and would take hours here, so
+    # the dims come from each family's sequence.
+    cases = [
+        ("power2", 4096, 13, (0, 1, 2, 4, 8)),
+        ("stall-chain", 4096, 13, tuple(range(14))),
+        ("fib-lc", 4096, 9, (0, 1, 1, 2, 3, 5, 8)),
+        ("lc-gap-family", 4092, 9, (0, 1, 1, *range(2, 10))),
+    ]
+    for family, n, kmax, terms in cases:
+        algebra, gens = make_example(family, n)
+        start = time.perf_counter()
+        assert enumerate_words_spans(algebra, gens, kmax) == dims_from_charseq(terms, kmax)
+        assert time.perf_counter() - start < 1.0, family
+
+
+@pytest.mark.parametrize(
+    "family, n", [("power2", 14), ("stall-chain", 100), ("fib-lc", 14), ("lc-gap-family", 40)]
+)
+def test_the_word_oracle_agrees_with_the_engine_on_whole_sequences(family, n):
+    # kmax = l(S): every term is checked, up to 4096 for power2 n = 14.
+    algebra, gens = make_example(family, n)
+    terms = compute_length(algebra, gens).charseq
+    assert enumerate_words_spans(algebra, gens, terms[-1]) == dims_from_charseq(terms, terms[-1])
+
+
+def test_the_word_oracle_agrees_on_fractional_tables_and_generators():
+    # Over Q the oracle's lines are integer rows: reduce clears the
+    # generators' denominators, and every product is D times u*v.
+    rng = random.Random(4099)
+    denominators = set()
+    for trial in range(30):
+        n = rng.randint(2, 5)
+        algebra = Algebra.from_products(QQ, n, random_products(rng, n, None))
+        denominators.add(algebra.denominator)
+        gens = [
+            [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
+            for _ in range(rng.randint(1, 2))
+        ]
+        terms = compute_length(algebra, gens).charseq
+        assert enumerate_words_spans(algebra, gens, 8) == dims_from_charseq(terms, 8), trial
+    assert len(denominators) > 2
 
 
 @pytest.mark.parametrize("n, size", [(8, 1), (8, 2), (9, 1), (9, 2)])

@@ -20,11 +20,11 @@ so that no fresh row is a basis vector) and the dim-1 algebra, where
 ``charseq``, ``dims``, ``verify`` and ``oracle-check``, the last also with
 ``--require-generating``.  ``verify`` also runs with reordered and repeated
 check tokens, ``lc`` and an unknown token.  On ``pow2_4.alg``,
-``oracle-check`` also runs at ``--kmax 13``, the word budget's largest for one
-generator, and at 14, which is refused before any word is evaluated: from
-``e1`` (l = 4) the span fills at step 4 and no longer word is evaluated,
-and ``e2`` does not generate, so its span never fills and every length up to
-13 is enumerated.  For every run the exit code,
+``oracle-check`` also runs at ``--kmax 13`` and 14, where one generator has
+290,512 and 1,033,412 bracketed words of lengths 1..kmax: from ``e1``
+(l = 4) the span fills at step 4 and no longer word is evaluated, and ``e2``
+does not generate, so its span never fills, but its words vanish from
+length 3 on and the oracle stops after length 4.  For every run the exit code,
 stdout, stderr and the ``--json`` bytes must be equal.
 
 The family files come from ``gen-example`` runs, which are compared too:
