@@ -181,11 +181,12 @@ def _engine_report(algebra, gens, args) -> LengthReport:
     return report
 
 
-def _check_kmax(kmax: int) -> None:
-    if kmax < 0:
+def _engine_dims(algebra, gens, args) -> list[int]:
+    if args.kmax < 0:
         raise ParseError("--kmax must be >= 0")
-    if kmax > MAX_KMAX:
-        raise BudgetExceeded(f"--kmax {kmax} exceeds the limit {MAX_KMAX}")
+    if args.kmax > MAX_KMAX:
+        raise BudgetExceeded(f"--kmax {args.kmax} exceeds the limit {MAX_KMAX}")
+    return dims_from_charseq(_engine_report(algebra, gens, args).charseq, args.kmax)
 
 
 def _print_run_header(algebra, args) -> None:
@@ -218,8 +219,7 @@ def _cmd_charseq(args, algebra, gens):
 
 
 def _cmd_dims(args, algebra, gens):
-    _check_kmax(args.kmax)
-    dims = dims_from_charseq(_engine_report(algebra, gens, args).charseq, args.kmax)
+    dims = _engine_dims(algebra, gens, args)
     print(f"dims: {_seq_str(dims)}")
     return {"dims": dims}, None
 
@@ -259,8 +259,7 @@ def _cmd_gen_example(args, algebra, gens):
 
 
 def _cmd_oracle_check(args, algebra, gens):
-    _check_kmax(args.kmax)
-    engine_dims = dims_from_charseq(_engine_report(algebra, gens, args).charseq, args.kmax)
+    engine_dims = _engine_dims(algebra, gens, args)
     oracle_dims = enumerate_words_spans(algebra, gens, args.kmax)
     agree = oracle_dims == engine_dims
     print(f"engine dims: {_seq_str(engine_dims)}")

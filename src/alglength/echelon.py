@@ -37,8 +37,6 @@ from .algebra import pack_limbs, pack_slots, unpack_slots
 from .errors import ShapeError, require_int
 from .fields import Field, Scalar, require_field
 
-Vector = tuple  # tuple[Scalar, ...]
-
 
 def normal_row(field: Field, residue: Sequence[int]) -> tuple:
     """The one int row on the line of a nonzero int vector: primitive with a

@@ -32,7 +32,8 @@ class PrimeFieldRequired(AlgLengthError):
 
 
 class NotLocallyComplex(AlgLengthError):
-    """lc_shortcut was requested for an algebra whose basis fails the check."""
+    """The basis fails the locally-complex check, which ``lc_shortcut`` and an
+    algebra file's ``lc true`` line both require."""
 
 
 class EmptyGeneratingSet(AlgLengthError):

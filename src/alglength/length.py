@@ -17,18 +17,18 @@ candidate restriction.
 
 Termination.  By the candidate restriction, dim L_k can change only at k = 1,
 where S joins, and at k = a + b for lengths a, b of nonempty fresh groups, so
-the engine's min-heap visits step 1 (S), then only those sums.  When it is
-empty no candidate is left and the filtration is stable for ever.  This is the
-general stabilization window (if the last growth happened at step g and
-nothing grew through step 2g, nothing ever grows), and it needs no rule of
-its own: every pending sum is at most 2g.
+the engine visits step 1 (S), then only those sums, the least pending one
+first, each once.  When none is pending no candidate is left and the
+filtration is stable for ever.  This is the general stabilization window (if
+the last growth happened at step g and nothing grew through step 2g, nothing
+ever grows), and it needs no rule of its own: every pending sum is at most 2g.
 
 The locally-complex window (after a growth by exactly 1 at g, stability is
 certain from 2g-1 on) needs no rule either.  Fresh f, h of positive length
 have no unit part, so over a locally-complex basis (``lc_flag``) f*f and
 f*h + h*f lie in span(1), and the engine forms only the f*h whose left row
 joined first; any other is spanned when its turn comes.  A last growth of
-one row at g leaves step 2g no pair, so the heap empties.
+one row at g leaves step 2g no pair, so no sum is left pending.
 The gap families in :mod:`alglength.families` witness that neither window
 can be shortened further.
 
@@ -44,10 +44,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from heapq import heappop, heappush
 from typing import Optional, Sequence
 
 from .algebra import Algebra, Vector, check_lc_basis, coerce_genset
+from .bounds import ensure_wellformed
 from .echelon import EchelonSubspace
 from .errors import BudgetExceeded, NotLocallyComplex, require_int
 from .fields import Field
@@ -71,9 +71,11 @@ def dims_from_charseq(terms: Sequence[int], kmax: int) -> list[int]:
 
     For the partial sequence of a finished non-generating run the dims stay
     constant after the last term, so any ``kmax`` gives the true dims.
-    A ``kmax`` above :data:`MAX_KMAX` raises BudgetExceeded.
+    A ``kmax`` above :data:`MAX_KMAX` raises BudgetExceeded, and terms that
+    are not a well-formed sequence raise WellformednessError.
     """
     require_kmax(kmax)
+    terms = ensure_wellformed(terms)
     return [bisect_right(terms, k) for k in range(kmax + 1)]
 
 
@@ -151,12 +153,12 @@ def compute_length(
     L_1 is span(unit, S); the result therefore depends on S only through
     that span.  The run starts from L_0, the unit's span, built once per
     (field, n) and shared, which is safe as an :class:`EchelonSubspace`
-    never changes.  The heap visits step 1, which inserts S in order, then
-    the sums of fresh lengths: step k inserts the products f*h over fresh
-    groups of lengths a and b with a + b = k and a, b >= 1, in ascending a,
-    then in group order.  Each candidate's nonzero residue modulo the span so far
-    joins the fresh group of length k; the run stops once the span is the
-    whole algebra or the heap is empty.  The engine runs on the integer rows of
+    never changes.  The run visits step 1, which inserts S in order, then
+    each sum of fresh lengths once, least first: step k inserts the products
+    f*h over fresh groups of lengths a and b with a + b = k and a, b >= 1, in
+    ascending a, then in group order.  Each candidate's nonzero residue modulo
+    the span so far joins fresh group k; the run stops at a full span or when
+    no sum is pending.  The engine runs on the integer rows of
     :class:`EchelonSubspace` and :meth:`Algebra.scaled_product`, which scale
     each vector by a nonzero constant and so leave every span and every
     residue up to a scalar as it is.  Each left operand is its nonzero
@@ -174,12 +176,11 @@ def compute_length(
     acc = _unit_span(algebra.field, n)
     fresh: dict[int, tuple[tuple[int, ...], ...]] = {0: acc.rows}
     lefts: dict[int, list[list[tuple[int, int]]]] = {}  # each row's nonzero (i, c)
-    pending = [1]  # heap of unvisited steps: 1 (S), then sums of fresh lengths
+    pending = {1}  # unvisited steps: 1 (S), then sums of fresh lengths
     strict = algebra.lc_flag  # form only the f*h with f inserted before h
     while acc.dim < n and pending:
-        k = heappop(pending)
-        while pending and pending[0] == k:
-            heappop(pending)
+        k = min(pending)
+        pending.remove(k)
         top = k // 2 if strict else k - 1  # the largest left length
         candidates = gens if k == 1 else (
             algebra.scaled_product(f, h)
@@ -198,8 +199,7 @@ def compute_length(
         if group:
             fresh[k] = tuple(group)
             lefts[k] = [[(i, c) for i, c in enumerate(row) if c] for row in group]
-            for b in lefts:
-                heappush(pending, k + b)
+            pending.update(k + b for b in lefts)
 
     last = max(fresh)  # the step of the last growth, 0 if S adds nothing
     lc_stop = lc_shortcut and last > 0 and len(fresh[last]) == 1

@@ -29,7 +29,7 @@ from itertools import combinations, product
 from .algebra import Algebra, GenSet, coerce_genset, require_algebra
 from .echelon import EchelonSubspace, normal_row
 from .errors import BudgetExceeded, PrimeFieldRequired, require_int
-from .length import compute_length, require_kmax
+from .length import _unit_span, compute_length, require_kmax
 
 # Most subspaces brute_force_algebra_length enumerates.
 SUBSPACE_BUDGET = 4096
@@ -48,19 +48,19 @@ def enumerate_words_spans(algebra: Algebra, gens, kmax: int) -> list[int]:
 
     V_1 is the set of generators and V_k = {u*v : u in V_a, v in V_(k-a),
     1 <= a < k} is the set of values of the words of length k; L_k is the
-    span of the unit and V_1, ..., V_k.  V_k is held as the lines of its
-    nonzero values, and each is inserted.  ``kmax`` is checked by
-    :func:`~alglength.length.require_kmax`.  Raises BudgetExceeded once the
-    work passes :data:`PRODUCT_BUDGET`, charged for the pairs of lines of
-    lengths a and k - a before any is multiplied and for a new product
-    before it is formed.
+    span of L_0, the unit's span that engine runs share, and V_1, ..., V_k.
+    V_k is held as the lines of its nonzero values, and each is inserted.
+    ``kmax`` is checked by :func:`~alglength.length.require_kmax`.  Raises
+    BudgetExceeded once the work passes :data:`PRODUCT_BUDGET`, charged for
+    the pairs of lines of lengths a and k - a before any is multiplied and
+    for a new product before it is formed.
     """
     require_kmax(kmax)
     gens = coerce_genset(algebra, gens)
     field, n = algebra.field, algebra.n
+    space = _unit_span(field, n)
+    # V_1 as lines: reducing by the zero space clears the denominators.
     zero = EchelonSubspace(field, n)
-    space, _ = zero.insert(algebra.unit())
-    # V_1 as lines: reduce clears the generators' denominators.
     gens = {normal_row(field, r) for r in map(zero.reduce, gens) if any(r)}
     dims = [space.dim]
     cost = sum(map(len, algebra._rows)) + n

@@ -22,6 +22,19 @@ from alglength import (
 from alglength.algebra import Vector
 
 
+def record_calls(monkeypatch, cls, name):
+    """Patch ``cls.name`` to record each call's arguments and result."""
+    calls = []
+    method = getattr(cls, name)
+
+    def recording(self, *args):
+        calls.append((args, method(self, *args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(cls, name, recording)
+    return calls
+
+
 def random_unital_algebra(rng: random.Random, n: int, p: int) -> Algebra:
     """Random GF(p) structure table with the unit law forced."""
     products = {

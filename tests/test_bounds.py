@@ -154,6 +154,9 @@ SEQ = (0, 1, 1, 2, 3)
         (lambda: dims_from_charseq(SEQ, True), RangeError),
         (lambda: gaussian_binomial(True, 1, 2), RangeError),
         (lambda: subspace_count(2, True), RangeError),
+        # Terms that are not a well-formed sequence: bisection miscounts them.
+        (lambda: dims_from_charseq((0, 2, 1), 3), WellformednessError),
+        (lambda: dims_from_charseq([3, 0], 3), WellformednessError),
     ],
 )
 def test_a_non_int_or_negative_integer_parameter_is_refused(call, error):

@@ -40,6 +40,7 @@ from helpers import (
     random_products,
     random_unital_algebra,
     random_vector,
+    record_calls,
     reference_charseq,
     reference_run,
     run_fields,
@@ -480,19 +481,6 @@ def test_engine_matches_reference_stepper_over_q_with_fractions():
     assert {1, 3, 6} <= denominators
 
 
-def _record_calls(monkeypatch, cls, name):
-    """Patch ``cls.name`` to record each call's arguments and result."""
-    calls = []
-    method = getattr(cls, name)
-
-    def recording(self, *args):
-        calls.append((args, method(self, *args)))
-        return calls[-1][1]
-
-    monkeypatch.setattr(cls, name, recording)
-    return calls
-
-
 def _assert_no_product_after_full_span(monkeypatch, field):
     rng = random.Random(137)
     n = 12
@@ -503,7 +491,7 @@ def _assert_no_product_after_full_span(monkeypatch, field):
     }
     algebra = Algebra.from_products(field, n, products)
     gens = (random_vector(rng, n, 101, nonzero=True),)
-    calls = _record_calls(monkeypatch, Algebra, "scaled_product")
+    calls = record_calls(monkeypatch, Algebra, "scaled_product")
     report = compute_length(algebra, gens)
     monkeypatch.undo()
     assert report.charseq == (0, 1, 2, 3, 3, 4, 4, 4, 4, 4, 5, 5)
@@ -541,8 +529,8 @@ def test_no_generator_is_inserted_once_the_span_is_full(monkeypatch, field, n):
     basis = tuple(algebra.basis_vector(i) for i in range(1, n))
     extras = (random_vector(rng, n, 101, nonzero=True), algebra.unit())
     compute_length(algebra, basis)
-    inserted = _record_calls(monkeypatch, EchelonSubspace, "insert")
-    formed = _record_calls(monkeypatch, Algebra, "scaled_product")
+    inserted = record_calls(monkeypatch, EchelonSubspace, "insert")
+    formed = record_calls(monkeypatch, Algebra, "scaled_product")
     report = compute_length(algebra, basis + extras)
     monkeypatch.undo()
     assert [v for (v,), _ in inserted] == list(basis)
@@ -555,7 +543,7 @@ def test_dim_one_inserts_nothing(monkeypatch):
     # The unit's shared span is already the whole algebra.
     algebra = Algebra.from_products(QQ, 1, {})
     compute_length(algebra, [(Fraction(3),)])
-    inserted = _record_calls(monkeypatch, EchelonSubspace, "insert")
+    inserted = record_calls(monkeypatch, EchelonSubspace, "insert")
     report = compute_length(algebra, [(Fraction(3),), (0,)])
     monkeypatch.undo()
     assert [v for (v,), _ in inserted] == []
@@ -605,7 +593,7 @@ def test_each_left_operand_is_the_support_of_a_fresh_row(monkeypatch):
         products = random_products(rng, n, field.modulus, density=0.6)
         algebra = Algebra.from_products(field, n, products)
         gens = (random_vector(rng, n, 101, nonzero=True),)
-        calls = _record_calls(monkeypatch, Algebra, "scaled_product")
+        calls = record_calls(monkeypatch, Algebra, "scaled_product")
         report = compute_length(algebra, gens)
         monkeypatch.undo()
         rows = [row for a, group in report.fresh_rows if a for row in group]
@@ -617,18 +605,54 @@ def test_each_left_operand_is_the_support_of_a_fresh_row(monkeypatch):
         assert max(len(terms) for (terms, _), _ in calls) > 1
     # stall-chain's fresh rows are basis vectors: one term each.
     algebra, gens = make_example("stall-chain", 60, QQ)
-    calls = _record_calls(monkeypatch, Algebra, "scaled_product")
+    calls = record_calls(monkeypatch, Algebra, "scaled_product")
     compute_length(algebra, gens)
     assert len(calls) == 3600
     assert all(len(terms) == 1 for (terms, _), _ in calls)
+
+
+def _dense_case(field, n, seed):
+    rng = random.Random(seed)
+    products = random_products(rng, n, field.modulus, density=0.7)
+    return Algebra.from_products(field, n, products), (random_vector(rng, n, 101, nonzero=True),)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda: make_example("power2", 14),
+        lambda: make_example("stall-chain", 48),
+        lambda: make_example("fib-lc", 19),  # flagged: strict pairs only
+        lambda: make_example("lc-gap-family", 40),
+        lambda: _dense_case(QQ, 9, 311),
+        lambda: _dense_case(GF(101), 12, 313),  # packed
+    ],
+    ids=["power2", "stall-chain", "fib-lc", "lc-gap-family", "dense-Q", "dense-GF101"],
+)
+def test_each_pair_is_formed_once_in_ascending_length_sum(monkeypatch, case):
+    # The engine visits each pending sum of fresh lengths once, the least
+    # first.  So the length sums of the products it forms never decrease,
+    # and no pair of fresh rows is formed twice.  Each left operand is read
+    # back to its row by its support, each right operand is its row.
+    algebra, gens = case()
+    calls = record_calls(monkeypatch, Algebra, "scaled_product")
+    report = compute_length(algebra, gens)
+    monkeypatch.undo()
+    length = {row: a for a, group in report.fresh_rows for row in group}
+    by_support = {tuple((i, c) for i, c in enumerate(row) if c): row for row in length}
+    pairs = [(by_support[tuple(terms)], right) for (terms, right), _ in calls]
+    sums = [length[f] + length[h] for f, h in pairs]
+    assert len(set(sums)) > 2
+    assert sums == sorted(sums)
+    assert len(set(pairs)) == len(pairs)
 
 
 def test_only_nonzero_packed_products_reach_a_row_op(monkeypatch):
     # stall-chain forms every pair of fresh rows, almost all of them zero; a
     # packed zero is spanned without a call to reduce.
     algebra, gens = make_example("stall-chain", 60, GF(10007))
-    formed = _record_calls(monkeypatch, Algebra, "scaled_product")
-    reduced = _record_calls(monkeypatch, EchelonSubspace, "reduce")
+    formed = record_calls(monkeypatch, Algebra, "scaled_product")
+    reduced = record_calls(monkeypatch, EchelonSubspace, "reduce")
     report = compute_length(algebra, gens)
     monkeypatch.undo()
     assert report.charseq == (0, 1) + tuple(range(2, 61)) + (120,)
@@ -651,7 +675,7 @@ def test_lc_shortcut_forms_only_the_strict_products(monkeypatch, family, size, p
     for field, lc, count in ((QQ, False, strict), (QQ, True, strict), (GF(10007), False, plain)):
         algebra, gens = make_example(family, size, field)
         assert algebra.lc_flag == (field is QQ)
-        calls = _record_calls(monkeypatch, Algebra, "scaled_product")
+        calls = record_calls(monkeypatch, Algebra, "scaled_product")
         report = compute_length(algebra, gens, lc_shortcut=lc)
         monkeypatch.undo()
         reports.append(report)

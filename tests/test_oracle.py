@@ -8,6 +8,7 @@ from alglength import (
     Algebra,
     BruteForceResult,
     BudgetExceeded,
+    EchelonSubspace,
     GF,
     PrimeFieldRequired,
     QQ,
@@ -21,11 +22,18 @@ from alglength import (
     make_example,
     subspace_count,
 )
+import alglength.length
 import alglength.oracle
 from alglength.length import MAX_KMAX
 from alglength.oracle import PRODUCT_BUDGET, SUBSPACE_BUDGET, iter_rref_bases
 
-from helpers import random_genset, random_products, random_unital_algebra, random_vector
+from helpers import (
+    random_genset,
+    random_products,
+    random_unital_algebra,
+    random_vector,
+    record_calls,
+)
 
 
 def test_negative_indices_are_range_errors():
@@ -53,6 +61,31 @@ def test_words_spans_fib_lc():
     assert enumerate_words_spans(algebra, gens, 3) == [1, 3, 4, 5]
     terms = compute_length(algebra, gens).charseq
     assert dims_from_charseq(terms, 3) == [1, 3, 4, 5]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(101)], ids=["Q", "GF2", "GF101"])
+def test_words_spans_start_from_the_shared_unit_span(monkeypatch, field):
+    # L_0 is the unit's span that engine runs share: the oracle inserts only
+    # word values, never the unit, and the shared span keeps dim 1.  Every
+    # product and generator is 0 at the unit coordinate, so no word value
+    # lies on the unit's line.  n = 9 packs the GF(101) rows.
+    n, p = 9, field.modulus or 5
+    rng = random.Random(41 + p)
+    products = {
+        (i, j): [0] + [rng.randrange(p) for _ in range(n - 1)]
+        for i in range(1, n)
+        for j in range(1, n)
+        if rng.random() < 0.4
+    }
+    algebra = Algebra.from_products(field, n, products)
+    gens = ((0,) + random_vector(rng, n - 1, p, nonzero=True),)
+    shared = alglength.length._unit_span(field, n)
+    inserted = record_calls(monkeypatch, EchelonSubspace, "insert")
+    dims = enumerate_words_spans(algebra, gens, 6)
+    monkeypatch.undo()
+    assert inserted and all(any(v[1:]) for (v,), _ in inserted)
+    assert alglength.length._unit_span(field, n) is shared and shared.dim == 1
+    assert dims == dims_from_charseq(compute_length(algebra, gens).charseq, 6)
 
 
 def test_words_spans_over_millions_of_candidate_words():
