@@ -22,10 +22,11 @@ slot of w bits at bit w * k, where w is 64 * m bits with m the fewest limbs
 for which (n-1)^2 (p-1)^3 + n (p-1)^2 < 2^w.  A product of residue vectors
 sums at most (n-1)^2 terms u_i v_j c, each at most (p-1)^3, into every slot,
 and one big-int multiply-add per stored cell replaces a loop over its
-coordinates.  :meth:`Algebra.scaled_product` returns that sum still packed,
-and :class:`~alglength.echelon.EchelonSubspace` reduces it in the same
-layout: each of its at most n row ops adds at most (p-1)^2 to a slot, so no
-slot carries into the next.  Other tables keep each cell's ``(k, c)`` pairs:
+coordinates, or, for a row that :meth:`Algebra.left_operator` turned into
+packed columns, one per column.  :meth:`Algebra.scaled_product` returns that
+sum still packed, and :class:`~alglength.echelon.EchelonSubspace` reduces it
+in the same layout: each of its at most n row ops adds at most (p-1)^2 to a
+slot, so no slot carries into the next.  Other tables keep each cell's ``(k, c)`` pairs:
 over Q the operands are unbounded integers, so no slot width fits them, and
 in a smaller GF(p) table a product has too few coordinates to repay the
 unpack.
@@ -142,12 +143,15 @@ class Algebra:
     ``_rows[i]`` maps j >= 1 to the nonzero cell e_i * e_j; ``_rows[0]`` is
     empty.  A packed cell (``_limbs`` > 0) is ``(shift, packed)`` with
     ``packed = sum_k c[i][j][k] 2^(w (k - k0))`` and ``shift = w k0``, k0 the
-    cell's lowest nonzero coordinate and w = 64 * ``_limbs`` bits.  Otherwise
-    a cell is its nonzero ``(k, c)`` pairs, k ascending, with ``c`` the int
+    cell's lowest nonzero coordinate and w = 64 * ``_limbs`` bits, and
+    ``_row_bits[i]`` sums the bits of row i's packed cells.  Otherwise a cell
+    is its nonzero ``(k, c)`` pairs, k ascending, with ``c`` the int
     D * c[i][j][k].
     """
 
-    __slots__ = ("n", "field", "basis_names", "lc_flag", "denominator", "_rows", "_limbs")
+    __slots__ = (
+        "n", "field", "basis_names", "lc_flag", "denominator", "_rows", "_limbs", "_row_bits"
+    )
 
     @classmethod
     def from_products(
@@ -182,6 +186,7 @@ class Algebra:
         mod = field.modulus
         limbs = pack_limbs(field, n)
         bits = 0
+        row_bits = [0] * n
         rows = [{} for _ in range(n)]
         indices = set(range(n))
         coerce = field.coerce
@@ -208,7 +213,9 @@ class Algebra:
             if coords:
                 rows[i][j] = _pack_cell(coords, limbs) if limbs else tuple(coords.items())
             if limbs and coords:
-                bits += rows[i][j][1].bit_length()
+                cell_bits = rows[i][j][1].bit_length()
+                row_bits[i] += cell_bits
+                bits += cell_bits
                 if bits > MAX_TABLE_BITS:
                     raise BudgetExceeded(
                         f"packed GF({mod}) cells of {64 * limbs}-bit slots exceed "
@@ -245,6 +252,7 @@ class Algebra:
         algebra.denominator = denominator
         algebra._rows = tuple(rows)
         algebra._limbs = limbs
+        algebra._row_bits = tuple(row_bits)
         algebra.lc_flag = mod is None and check_lc_basis(algebra)
         return algebra
 
@@ -280,39 +288,71 @@ class Algebra:
 
     # ----- multiplication ------------------------------------------------
 
-    def scaled_product(self, terms: Iterable, v: Sequence[Scalar]) -> list | int:
+    def left_operator(self, row: Sequence[int]) -> list | dict:
+        """u = ``row``, an int vector, as :meth:`scaled_product` takes the left
+        factor of many products.
+
+        Over packed cells that is u's left-multiplication operator, one packed
+        column ``sum_i u_i packed_ij << shift_ij`` per j, u read mod p, each
+        slot at most (n-1) (p-1)^2, so that a product is one multiply-add per
+        column.  Its at most n - 1 columns of n slots are built only where the
+        cells that they sum take as many bits; otherwise, and over other
+        tables, it is u's nonzero ``(i, u_i)``.
+        """
+        if not self._limbs:
+            return [(i, c) for i, c in enumerate(row) if c]
+        mod = self.field.modulus
+        terms = [(i, r) for i, c in enumerate(row) if c and (r := c % mod)]
+        bound = (self.n - 1) * self.n * 64 * self._limbs  # one row of cells stays below it
+        if len(terms) < 2 or sum(self._row_bits[i] for i, _ in terms) < bound:
+            return terms
+        rows, cols = self._rows, {}
+        for i, c in terms:
+            for j, (shift, packed) in rows[i].items():
+                cols[j] = cols.get(j, 0) + c * (packed << shift)
+        return cols
+
+    def scaled_product(self, left: Iterable | dict, v: Sequence[Scalar]) -> list | int:
         """The stored products' share of D * (u*v): not divided by D, not
         reduced mod p, and without the unit law's share, which is zero when
         u_0 = v_0 = 0, as for the length engine's fresh rows.
 
-        ``terms`` yields the ``(i, u_i)`` of u, zeros skipped, so
-        ``enumerate(u)`` will do.  Over packed cells the operands are
-        residues in [0, p) and the result is one packed int whose slots are
-        congruent to its coordinates mod p; otherwise a list of n.  Either
-        is what :meth:`~alglength.echelon.EchelonSubspace.reduce` takes.
+        ``left`` is what :meth:`left_operator` returns for u, packed columns
+        to sum times v_j, or it yields the ``(i, u_i)`` of u, zeros skipped,
+        so ``enumerate(u)`` will do.  Over packed cells the operands
+        are residues in [0, p) and the result is one packed int whose slots,
+        each at most (n-1)^2 (p-1)^3, are congruent to its coordinates mod p;
+        otherwise a list of n.  Either is what
+        :meth:`~alglength.echelon.EchelonSubspace.reduce` takes.
         """
         rows = self._rows
-        if self._limbs:
-            acc = 0
-            for i, ui in terms:
+        if not self._limbs:
+            out = [0] * self.n
+            for i, ui in left:
                 if ui:
-                    part = 0
-                    for j, (shift, packed) in rows[i].items():
+                    for j, cell in rows[i].items():
                         vj = v[j]
                         if vj:
-                            part += (vj * packed) << shift
-                    acc += ui * part
+                            coef = ui * vj
+                            for k, c in cell:
+                                out[k] += coef * c
+            return out
+        acc = 0
+        if type(left) is dict:
+            for j, col in left.items():
+                vj = v[j]
+                if vj:
+                    acc += vj * col
             return acc
-        out = [0] * self.n
-        for i, ui in terms:
+        for i, ui in left:
             if ui:
-                for j, cell in rows[i].items():
+                part = 0
+                for j, (shift, packed) in rows[i].items():
                     vj = v[j]
                     if vj:
-                        coef = ui * vj
-                        for k, c in cell:
-                            out[k] += coef * c
-        return out
+                        part += (vj * packed) << shift
+                acc += ui * part
+        return acc
 
     def multiply(self, u: Sequence[Scalar], v: Sequence[Scalar]) -> Vector:
         """Bilinear product u*v, exact, as field scalars.

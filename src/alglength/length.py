@@ -142,6 +142,13 @@ def _unit_span(field: Field, n: int) -> EchelonSubspace:
     return EchelonSubspace(field, n).insert((field.one,) + (field.zero,) * (n - 1))[0]
 
 
+def _built(algebra: Algebra, rows: Sequence[tuple], left: list) -> list:
+    """``left``, empty until its group's first use as f, filled with each
+    row's :meth:`Algebra.left_operator`."""
+    left.extend(map(algebra.left_operator, rows))
+    return left
+
+
 def compute_length(
     algebra: Algebra,
     gens: Sequence[Sequence],
@@ -161,8 +168,10 @@ def compute_length(
     no sum is pending.  The engine runs on the integer rows of
     :class:`EchelonSubspace` and :meth:`Algebra.scaled_product`, which scale
     each vector by a nonzero constant and so leave every span and every
-    residue up to a scalar as it is.  Each left operand is its nonzero
-    ``(i, c)``, read once when its row joins.  Fresh rows of positive length
+    residue up to a scalar as it is.  Each left operand is its row's
+    :meth:`Algebra.left_operator`, built for the whole group at the group's
+    first use as f, so a group that fills the span, or that the span fills
+    before any step reaches it as f, builds none.  Fresh rows of positive length
     are 0 at the unit coordinate, so the unit law, which ``scaled_product``
     leaves out, adds nothing to their products.  Over a basis that passes
     :func:`check_lc_basis` (``lc_flag``) only the f*h with f inserted before
@@ -175,7 +184,7 @@ def compute_length(
     n = algebra.n
     acc = _unit_span(algebra.field, n)
     fresh: dict[int, tuple[tuple[int, ...], ...]] = {0: acc.rows}
-    lefts: dict[int, list[list[tuple[int, int]]]] = {}  # each row's nonzero (i, c)
+    lefts: dict[int, list] = {}  # each group's left operators, once it is f
     pending = {1}  # unvisited steps: 1 (S), then sums of fresh lengths
     strict = algebra.lc_flag  # form only the f*h with f inserted before h
     while acc.dim < n and pending:
@@ -186,7 +195,7 @@ def compute_length(
             algebra.scaled_product(f, h)
             for a, left in lefts.items()
             if a <= top and k - a in fresh
-            for t, f in enumerate(left, 1)
+            for t, f in enumerate(left or _built(algebra, fresh[a], left), 1)
             for h in fresh[k - a][t if 2 * a == k and strict else 0 :]
         )
         group = []
@@ -198,7 +207,7 @@ def compute_length(
                     break
         if group:
             fresh[k] = tuple(group)
-            lefts[k] = [[(i, c) for i, c in enumerate(row) if c] for row in group]
+            lefts[k] = []
             pending.update(k + b for b in lefts)
 
     last = max(fresh)  # the step of the last growth, 0 if S adds nothing

@@ -35,6 +35,14 @@ def record_calls(monkeypatch, cls, name):
     return calls
 
 
+def left_rows(built, formed):
+    """``(f, h)`` for each recorded ``Algebra.scaled_product`` call in
+    ``formed``: the left operand read back to the row f that the recorded
+    ``Algebra.left_operator`` call in ``built`` made it from, and h."""
+    row_of = {id(left): row for (row,), left in built}
+    return [(row_of[id(left)], right) for (left, right), _ in formed]
+
+
 def random_unital_algebra(rng: random.Random, n: int, p: int) -> Algebra:
     """Random GF(p) structure table with the unit law forced."""
     products = {

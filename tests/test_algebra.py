@@ -21,7 +21,7 @@ from alglength import (
     parse_algebra,
     serialize_algebra,
 )
-from alglength.algebra import MAX_TABLE_BITS, PACK_MIN_N, slot_limbs
+from alglength.algebra import MAX_TABLE_BITS, PACK_MIN_N, slot_limbs, unpack_slots
 
 from helpers import (
     assert_unit_law,
@@ -313,6 +313,39 @@ def test_packed_multiply_matches_dense_reference():
                 u[0], v[0] = unit_coordinate(), unit_coordinate()
             assert algebra.multiply(u, v) == _dense_product(table, u, v, p), (trial, u, v)
     assert {1, 2, 3, 6} <= denominators
+    # The engine's product over packed cells, n = 8-30: scaled_product of a
+    # left_operator, on random tables and on tables in which the products of
+    # e_1..e_(m-1), which hold the operands, lie in span(e_0..e_(m-1)).  The
+    # left operand may hold non-residues, which left_operator reads mod p.
+    # Both operands are 0 at the unit, as fresh rows are, so the unit law
+    # adds nothing.  A row of one term is kept as its (i, c), as is a row of
+    # a few terms over sparse cells; most others are packed columns.
+    kinds = set()
+    for trial in range(30):
+        p = (101, 10007, MERSENNE31)[trial % 3]
+        n = rng.randint(PACK_MIN_N, 30)
+        m = rng.randint(3, n - 1) if trial % 2 else n
+        density = rng.choice((0.1, 0.5, 1.0))
+        products = {
+            (i, j): {k: rng.randrange(p) for k in range(m if max(i, j) < m else n)}
+            for i in range(1, n)
+            for j in range(1, n)
+            if rng.random() < density
+        }
+        algebra = Algebra.from_products(GF(p), n, products)
+        table = dense_table(n, products)
+        for t in range(4):
+            support = rng.sample(range(1, m), rng.randint(1, m - 1))
+            u, v = [0] * n, [0] * n
+            for i in support:
+                u[i] = rng.choice((rng.randrange(p), -rng.randrange(3 * p), p + rng.randrange(p)))
+            for i in rng.sample(range(1, m), rng.randint(1, m - 1)):
+                v[i] = rng.randrange(p)
+            left = algebra.left_operator(u)
+            kinds.add((type(left), len(support) > 1))
+            got = unpack_slots(algebra.scaled_product(left, v), n, slot_limbs(n, p))
+            assert [x % p for x in got] == list(_dense_product(table, u, v, p)), (trial, u, v)
+    assert kinds == {(dict, True), (list, True), (list, False)}
 
 
 def test_packed_budget_admits_dense_tables_and_sparse_families():

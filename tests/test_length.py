@@ -24,7 +24,7 @@ from alglength import (
     enumerate_words_spans,
     make_example,
 )
-from alglength.algebra import PACK_MIN_N
+from alglength.algebra import PACK_MIN_N, slot_limbs
 from alglength.length import MAX_KMAX
 
 from helpers import (
@@ -33,6 +33,7 @@ from helpers import (
     find_non_generating_set,
     initial_state,
     layer_step,
+    left_rows,
     mixed_equal_span_set,
     nested_generating_pair,
     random_genset,
@@ -585,24 +586,31 @@ def test_runs_from_the_shared_unit_span_match_runs_from_a_fresh_one(monkeypatch,
 
 
 def test_each_left_operand_is_the_support_of_a_fresh_row(monkeypatch):
-    # On every field the engine passes scaled_product a fresh row's nonzero
-    # (i, c), read when the row joined; no row of positive length is nonzero
-    # at the unit coordinate, so i >= 1.
+    # On every field the engine passes scaled_product a fresh row's
+    # Algebra.left_operator: the row's nonzero (i, c), or over packed cells
+    # possibly its operator, whose terms are read back from the row.  No row
+    # of positive length is nonzero at the unit coordinate, so i >= 1.
     rng = random.Random(181)
     for field, n in ((QQ, 7), (GF(101), PACK_MIN_N - 1), (GF(101), 12)):
         products = random_products(rng, n, field.modulus, density=0.6)
         algebra = Algebra.from_products(field, n, products)
         gens = (random_vector(rng, n, 101, nonzero=True),)
+        built = record_calls(monkeypatch, Algebra, "left_operator")
         calls = record_calls(monkeypatch, Algebra, "scaled_product")
         report = compute_length(algebra, gens)
         monkeypatch.undo()
         rows = [row for a, group in report.fresh_rows if a for row in group]
         supports = [[(i, c) for i, c in enumerate(row) if c] for row in rows]
+        operands = [
+            ([(i, c) for i, c in enumerate(f) if c], h) for f, h in left_rows(built, calls)
+        ]
         assert calls, field
-        for (terms, right), _ in calls:
+        for ((left, _), _), (terms, right) in zip(calls, operands):
             assert all(c and i >= 1 for i, c in terms)
             assert terms in supports and right in rows
-        assert max(len(terms) for (terms, _), _ in calls) > 1
+            if field is QQ or n < PACK_MIN_N:  # the list paths keep the terms
+                assert left == terms
+        assert max(len(terms) for terms, _ in operands) > 1
     # stall-chain's fresh rows are basis vectors: one term each.
     algebra, gens = make_example("stall-chain", 60, QQ)
     calls = record_calls(monkeypatch, Algebra, "scaled_product")
@@ -633,18 +641,85 @@ def test_each_pair_is_formed_once_in_ascending_length_sum(monkeypatch, case):
     # The engine visits each pending sum of fresh lengths once, the least
     # first.  So the length sums of the products it forms never decrease,
     # and no pair of fresh rows is formed twice.  Each left operand is read
-    # back to its row by its support, each right operand is its row.
+    # back to the row it was built from, each right operand is its row.
     algebra, gens = case()
+    built = record_calls(monkeypatch, Algebra, "left_operator")
     calls = record_calls(monkeypatch, Algebra, "scaled_product")
     report = compute_length(algebra, gens)
     monkeypatch.undo()
     length = {row: a for a, group in report.fresh_rows for row in group}
-    by_support = {tuple((i, c) for i, c in enumerate(row) if c): row for row in length}
-    pairs = [(by_support[tuple(terms)], right) for (terms, right), _ in calls]
+    pairs = left_rows(built, calls)
     sums = [length[f] + length[h] for f, h in pairs]
     assert len(set(sums)) > 2
     assert sums == sorted(sums)
     assert len(set(pairs)) == len(pairs)
+
+
+def test_no_operator_is_built_for_a_group_that_is_never_a_left_operand(monkeypatch):
+    # A dense GF(101) table at n = 12 packs its cells.  The span fills at
+    # step 5, from g1 * g4 before g4 is ever the left factor, so neither g4,
+    # the largest group, nor g5, which fills the span, builds an operator.
+    # Each group that is a left factor builds its operators once, in order,
+    # and the generator's many terms make a packed operator.
+    rng = random.Random(313)
+    n = 12
+    products = {
+        (i, j): [rng.randrange(101) for _ in range(n)] for i in range(1, n) for j in range(1, n)
+    }
+    algebra = Algebra.from_products(GF(101), n, products)
+    gens = (random_vector(rng, n, 101, nonzero=True),)
+    built = record_calls(monkeypatch, Algebra, "left_operator")
+    formed = record_calls(monkeypatch, Algebra, "scaled_product")
+    report = compute_length(algebra, gens)
+    monkeypatch.undo()
+    assert report.charseq == (0, 1, 2, 3, 3, 4, 4, 4, 4, 4, 5, 5)
+    groups = dict(report.fresh_rows)
+    assert [row for (row,), _ in built] == [*groups[1], *groups[2], *groups[3]]
+    assert {f for f, _ in left_rows(built, formed)} == {*groups[1], *groups[2], *groups[3]}
+    assert type(built[0][1]) is dict
+    assert run_fields(report) == run_fields(reference_run(algebra, gens))
+
+
+def test_operators_over_a_sparse_table_stay_within_the_memory_rule(monkeypatch):
+    # A dim-100 GF(10007) table of 6n cells, each one coordinate, and one
+    # dense generator.  Each operator built holds at most the bits of the
+    # cells that it sums; a row whose packed columns would hold more, as the
+    # generator's would, stays its (i, c) terms.  The report is the
+    # reference stepper's.
+    rng = random.Random(641)
+    n, p = 100, 10007
+    products = {}
+    while len(products) < 6 * n:
+        products[rng.randrange(1, n), rng.randrange(1, n)] = {rng.randrange(n): rng.randrange(1, p)}
+    algebra = Algebra.from_products(GF(p), n, products)
+    gens = ((0,) + random_vector(rng, n - 1, p, nonzero=True),)
+    width = 64 * slot_limbs(n, p)
+
+    def summed_bits(row):  # of the packed cells e_i e_j with row[i] != 0
+        cells = [algebra.terms(i, j) for i, c in enumerate(row) if c for j in range(1, n)]
+        return sum(width * (t[-1][0] - t[0][0]) + t[-1][1].bit_length() for t in cells if t)
+
+    def column_bits(row):  # of the columns sum_i row_i e_i e_j, packed
+        cols = {}
+        for i, c in enumerate(row):
+            for j in range(1, n):
+                for k, x in algebra.terms(i, j):
+                    cols[j] = cols.get(j, 0) + (c * x << width * k)
+        return sum(col.bit_length() for col in cols.values())
+
+    built = record_calls(monkeypatch, Algebra, "left_operator")
+    report = compute_length(algebra, gens)
+    monkeypatch.undo()
+    assert report.is_generating and len(built) > 10
+    for (row,), left in built:
+        if type(left) is dict:
+            assert sum(col.bit_length() for col in left.values()) <= summed_bits(row)
+        else:
+            assert left == [(i, c) for i, c in enumerate(row) if c]
+    generator = built[0][0][0]
+    assert column_bits(generator) > summed_bits(generator)
+    assert type(built[0][1]) is list
+    assert run_fields(report) == run_fields(reference_run(algebra, gens))
 
 
 def test_only_nonzero_packed_products_reach_a_row_op(monkeypatch):
@@ -675,13 +750,13 @@ def test_lc_shortcut_forms_only_the_strict_products(monkeypatch, family, size, p
     for field, lc, count in ((QQ, False, strict), (QQ, True, strict), (GF(10007), False, plain)):
         algebra, gens = make_example(family, size, field)
         assert algebra.lc_flag == (field is QQ)
+        built = record_calls(monkeypatch, Algebra, "left_operator")
         calls = record_calls(monkeypatch, Algebra, "scaled_product")
         report = compute_length(algebra, gens, lc_shortcut=lc)
         monkeypatch.undo()
         reports.append(report)
         order = [row for _, group in report.fresh_rows for row in group]
-        supports = [[(i, c) for i, c in enumerate(row) if c] for row in order]
-        pairs = [(supports.index(terms), order.index(right)) for (terms, right), _ in calls]
+        pairs = [(order.index(f), order.index(h)) for f, h in left_rows(built, calls)]
         if algebra.lc_flag:
             assert all(t < s for t, s in pairs)
         else:

@@ -258,7 +258,7 @@ def test_the_word_oracle_matches_the_engine_on_closed_subalgebras(field, n, size
     assert enumerate_words_spans(algebra, gens, kmax) == dims_from_charseq(report.charseq, kmax)
 
 
-def test_the_products_budget_refuses_a_large_field_at_once():
+def test_the_products_budget_refuses_a_large_field_at_once(monkeypatch):
     # One generator inside a closed dim-29 block of a dim-30 GF(10007)
     # table: nearly every word line is distinct, so the products grow about
     # 3x per length and kmax 13 would take minutes.  A product costs
@@ -267,10 +267,10 @@ def test_the_products_budget_refuses_a_large_field_at_once():
     rng = random.Random(30)
     algebra = _closed_algebra(rng, GF(10007), 30)
     gens = [(0,) + random_vector(rng, 28, 10007, nonzero=True) + (0,)]
-    start = time.perf_counter()
+    formed = _count_products(monkeypatch)
     with pytest.raises(BudgetExceeded) as info:
         enumerate_words_spans(algebra, gens, 13)
-    assert time.perf_counter() - start < 5.0
+    assert len(formed) <= PRODUCT_BUDGET // 871
     assert PRODUCT_BUDGET // (29**2 + 30) == 6888
     assert str(info.value) == (
         "the words of lengths 1..10 (kmax=13, n=30) exceed the 6000000 products budget "

@@ -9,13 +9,17 @@ Both trees run the same argument lists: the README examples, the bench
 whose runs chain many packed row ops, and over Q, whose run from e1 forms
 14,400 products, each with a one-term left operand, two sparse files shaped
 like the bench's ``CLI_SPARSE`` ones (each with non-generating sets too),
-eleven seeded dense tables (over Q, GF(101) and GF(2^31 - 1) with integer
+twelve seeded dense tables (over Q, GF(101) and GF(2^31 - 1) with integer
 entries, the two prime fields at dims 6 and 9, on both sides of
-``algebra.PACK_MIN_N``; over GF(10007) and GF(2^31 - 1) at dims 20 and 30,
-one of them with a closed subalgebra that holds the generators, so that they
-do not generate; and over Q with fractional entries such as 1/2 and -2/3;
-every other non-unit product nonzero, run with two random coordinate rows,
-so that no fresh row is a basis vector) and the dim-1 algebra, where
+``algebra.PACK_MIN_N``; over GF(10007) and GF(2^31 - 1) at dims 20 and 30;
+over GF(10007) and GF(101) at dim 30 with a closed subalgebra, of dim 12
+and 15, that holds the generators, so that they do not generate; and over Q
+with fractional entries such as 1/2 and -2/3; every other non-unit product
+nonzero, run with two random coordinate rows, so that no fresh row is a
+basis vector, and the packed runs form their products from left operators),
+a sparse dim-100 GF(10007) table of 600 one-coordinate cells run from one
+dense generator row, whose many-term rows the packed engine keeps as terms
+by the left operator's memory rule, and the dim-1 algebra, where
 ``fib-k`` has no k, with and without ``--lc-shortcut``, through ``length``,
 ``charseq``, ``dims``, ``verify`` and ``oracle-check``, the last also with
 ``--require-generating``.  ``verify`` also runs with reordered and repeated
@@ -94,7 +98,11 @@ DENSE_FILES = ((5, "rational", 11, INTEGERS, 0), (6, "prime 101", 12, INTEGERS, 
                (9, "prime 101", 15, INTEGERS, 0), (9, "prime 2147483647", 16, INTEGERS, 0),
                (20, "prime 10007", 17, INTEGERS, 0), (20, "prime 2147483647", 18, INTEGERS, 0),
                (30, "prime 10007", 19, INTEGERS, 0), (30, "prime 2147483647", 20, INTEGERS, 0),
-               (30, "prime 10007", 21, INTEGERS, 12))
+               (30, "prime 10007", 21, INTEGERS, 12), (30, "prime 101", 22, INTEGERS, 15))
+# (dim, field line, seed): a sparse table of 6 * dim cells, each one
+# coordinate, run with one dense generator row, so that the many-term rows
+# of the packed engine stay (i, c) terms.
+SPARSE_CELL_FILES = ((100, "prime 10007", 23),)
 UNIT_ONLY = "alglength-algebra v1\nfield rational\ndim 1\nbasis 1\n"
 
 
@@ -146,6 +154,22 @@ def _dense_text(dim: int, field: str, seed: int, entries, closed: int) -> tuple[
     return "\n".join(lines) + "\n", [gens]
 
 
+def _sparse_cells_text(dim: int, field: str, seed: int) -> tuple[str, list[str]]:
+    """A seeded table of 6 * dim cells, each one coordinate with a nonzero
+    coefficient, and one --gens value: a coordinate row nonzero but at the unit."""
+    rng = random.Random(seed)
+    p = int(field.split()[1])
+    names = ["1"] + [f"e{i}" for i in range(1, dim)]
+    cells = {}
+    while len(cells) < 6 * dim:
+        key = rng.randrange(1, dim), rng.randrange(1, dim)
+        cells[key] = rng.randrange(dim), rng.randrange(1, p)
+    lines = ["alglength-algebra v1", f"field {field}", f"dim {dim}", "basis " + " ".join(names)]
+    lines += [f"prod e{i} e{j} = {c}*{names[k]}" for (i, j), (k, c) in sorted(cells.items())]
+    row = [0] + [rng.randrange(1, p) for _ in range(dim - 1)]
+    return "\n".join(lines) + "\n", ["[" + ", ".join(map(str, row)) + "]"]
+
+
 def _cases(workdir: Path) -> tuple[list[list[str]], list[list[str]]]:
     """The gen-example argument lists, and the runs that read their files."""
     gen = [["gen-example", "--family", family, "--n", str(LARGE_N), "--field", field,
@@ -164,6 +188,11 @@ def _cases(workdir: Path) -> tuple[list[list[str]], list[list[str]]]:
     for dim, field, seed, entries, closed in DENSE_FILES:
         text, gen_sets = _dense_text(dim, field, seed, entries, closed)
         name = f"dense_{dim}_{seed}.alg"
+        (workdir / name).write_text(text, encoding="utf-8")
+        files.append((name, None, None, None, gen_sets))
+    for dim, field, seed in SPARSE_CELL_FILES:
+        text, gen_sets = _sparse_cells_text(dim, field, seed)
+        name = f"sparse_cells_{dim}.alg"
         (workdir / name).write_text(text, encoding="utf-8")
         files.append((name, None, None, None, gen_sets))
     (workdir / "unit_only.alg").write_text(UNIT_ONLY, encoding="utf-8")

@@ -131,6 +131,18 @@ MUTANTS = (
         "x += (mod - c) * row", "x += c * row",
         ("test_echelon.py",),
     ),
+    # A packed left operator that keeps only the last row term of each column.
+    Mutant(
+        "operator-drops-the-sum-over-i", ALGEBRA,
+        "cols[j] = cols.get(j, 0) + c * (packed << shift)", "cols[j] = c * (packed << shift)",
+        ("test_algebra.py",),
+    ),
+    # The operator's memory rule keeps only one-term rows as their terms.
+    Mutant(
+        "operator-always-built", ALGEBRA,
+        "len(terms) < 2 or sum(self._row_bits[i] for i, _ in terms) < bound", "len(terms) < 2",
+        ("test_length.py",),
+    ),
     # A comment edit: no behaviour changes, so it must survive.
     Mutant(
         "comment-edit", LENGTH,
