@@ -24,7 +24,6 @@ from .bounds import (
     is_wellformed_sequence,
     verify_sequence,
 )
-from .echelon import EchelonSubspace
 from .errors import (
     AlgLengthError,
     BadScalar,
@@ -77,7 +76,6 @@ __all__ = [
     "ChainCheck",
     "DivisionByZero",
     "DuplicateProduct",
-    "EchelonSubspace",
     "EmptyGeneratingSet",
     "FAMILY_NAMES",
     "Field",

@@ -128,6 +128,12 @@ def unpack_slots(x: int, count: int, limbs: int) -> list:
     return [int.from_bytes(raw[s : s + size], "little") for s in range(0, len(raw), size)]
 
 
+def _require_pair(i, j, n: int) -> None:
+    """RangeError unless i and j are ints with 1 <= i, j < n, a non-unit cell."""
+    if not (type(i) is type(j) is int and 0 < i < n and 0 < j < n):
+        raise RangeError(f"product indices ({i!r},{j!r}) must be non-unit basis indices")
+
+
 class Algebra:
     """Sparse integral structure constants with bilinear multiplication.
 
@@ -194,10 +200,7 @@ class Algebra:
             if not (isinstance(key, tuple) and len(key) == 2):
                 raise ShapeError(f"product key {key!r} is not an index pair (i, j)")
             i, j = key
-            if not (type(i) is type(j) is int and 0 < i < n and 0 < j < n):
-                raise RangeError(
-                    f"product indices ({i!r},{j!r}) must be non-unit basis indices"
-                )
+            _require_pair(i, j, n)
             if not isinstance(value, Mapping):
                 if not (_is_coordinates(value) and len(value) == n):
                     raise ShapeError(
@@ -257,7 +260,12 @@ class Algebra:
         return algebra
 
     def terms(self, i: int, j: int) -> list[tuple[int, Scalar]]:
-        """The nonzero ``(k, c[i][j][k])`` of a non-unit e_i * e_j, k ascending."""
+        """The nonzero ``(k, c[i][j][k])`` of a non-unit e_i * e_j, k ascending.
+
+        i and j must be ints with ``1 <= i, j < n``, as :meth:`from_products`
+        keys are, or the call raises RangeError.
+        """
+        _require_pair(i, j, self.n)
         cell = self._rows[i].get(j, ())
         if not (self._limbs and cell):
             if self.field.modulus is not None:
@@ -429,11 +437,19 @@ def check_lc_basis(algebra: Algebra) -> bool:
 
 
 def coerce_genset(algebra: Algebra, vectors: Sequence[Sequence[Scalar]]) -> GenSet:
-    """Validate a generating set: nonempty, right shape, in-field coordinates."""
+    """Validate a generating set: nonempty, right shape, in-field coordinates.
+
+    Returns each vector as ints on its line, the one place where generators'
+    denominators are cleared: over Q times their lcm, over GF(p) its residues."""
     require_algebra(algebra)
     if not isinstance(vectors, Iterable):
         raise ShapeError(f"a generating set must be iterable, got a {type(vectors).__name__}")
     vecs = tuple(algebra.coerce_vector(v) for v in vectors)
     if not vecs:
         raise EmptyGeneratingSet("a generating set must contain at least one vector")
+    if algebra.field.modulus is None:
+        lcms = [lcm(*{x.denominator for x in v}) for v in vecs]
+        vecs = tuple(
+            tuple([x.numerator * (d // x.denominator) for x in v]) for v, d in zip(vecs, lcms)
+        )
     return vecs

@@ -1,11 +1,11 @@
 """Subspaces held as integer row-echelon bases, grown by fraction-free elimination.
 
-An :class:`EchelonSubspace` stores a basis as rows in insertion order.  Each
-row is 0 left of its pivot and 0 at the pivot of every older row, so
-reducing against the rows in that order clears every pivot; the rows are
-not back-substituted, so equal spans may have different rows.  Rows hold
-ints: over Q each row is primitive (the gcd of its entries is 1) with a
-positive pivot entry, over GF(p) each row is 1 at its pivot.
+An :class:`EchelonSubspace`, the engine's internal span, stores a basis as
+rows in insertion order.  Each row is 0 left of its pivot and 0 at the pivot
+of every older row, so reducing against the rows in that order clears every
+pivot; the rows are not back-substituted, so equal spans may have different
+rows.  Rows and vectors hold ints: over Q each row is primitive (gcd 1) with
+a positive pivot entry, over GF(p) each row is 1 at its pivot.
 
 A span does not change when a vector is scaled, so reduction never divides
 (Bareiss, Math. Comp. 1968): against a row with pivot entry r, a vector with
@@ -30,12 +30,12 @@ costs one test.
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
 from typing import Optional, Sequence
 
 from .algebra import pack_limbs, pack_slots, unpack_slots
 from .errors import ShapeError, require_int
-from .fields import Field, Scalar, require_field
+from .fields import Field, require_field
 
 
 def normal_row(field: Field, residue: Sequence[int]) -> tuple:
@@ -80,11 +80,10 @@ class EchelonSubspace:
     def dim(self) -> int:
         return len(self.rows)
 
-    def reduce(self, v: Sequence[Scalar] | int) -> list[int]:
+    def reduce(self, v: Sequence[int] | int) -> Sequence[int]:
         """A nonzero multiple of the residue of ``v``, as ints; 0 iff v is spanned.
 
-        ``v`` holds field scalars or ints, or is an int, a packed vector
-        where rows are packed.  Over Q its denominators are cleared first.
+        ``v`` holds ints, or is an int, a packed vector where rows are packed.
         Over GF(p) any ints congruent to it mod p give the same result, the
         residue in [0, p): each row is 1 at its pivot, so the row op is
         ``v - c*row`` with ``c = v[pivot] mod p``, taken on ints, and the
@@ -105,8 +104,8 @@ class EchelonSubspace:
                 if c:
                     x += (mod - c) * row
             return [c % mod for c in unpack_slots(x, self.ambient, limbs)]
+        out = v
         if mod is not None:
-            out = v
             for row, p in zip(self.rows, self.pivots):
                 c = out[p]
                 if c:  # most engine entries are 0: test before taking the residue
@@ -114,11 +113,6 @@ class EchelonSubspace:
                     if c:
                         out = [x - c * y for x, y in zip(out, row)]
             return [x % mod for x in out]
-        if set(map(type, v)) == {int}:  # the engine's vectors: nothing to clear
-            out = list(v)
-        else:
-            d = lcm(*{x.denominator for x in v})
-            out = [x.numerator * (d // x.denominator) for x in v]
         for row, p in zip(self.rows, self.pivots):
             c = out[p]
             if c:
@@ -128,7 +122,7 @@ class EchelonSubspace:
                 out = [r * x - c * y for x, y in zip(out, row)]
         return out
 
-    def insert(self, v: Sequence[Scalar] | int) -> tuple["EchelonSubspace", Optional[tuple]]:
+    def insert(self, v: Sequence[int] | int) -> tuple["EchelonSubspace", Optional[tuple]]:
         """Insert ``v``; returns (new space, added row) with row None when spanned.
 
         ``v`` is what :meth:`reduce` takes; a packed 0 is spanned at once.

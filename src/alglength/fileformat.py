@@ -25,12 +25,13 @@ from __future__ import annotations
 
 import re
 
-from .algebra import NAME_RE, Algebra, GenSet, check_lc_basis
+from .algebra import NAME_RE, Algebra, GenSet, check_lc_basis, require_algebra
 from .errors import (
     BadScalar,
     DuplicateProduct,
     NotLocallyComplex,
     ParseError,
+    ShapeError,
     UnknownBasisName,
 )
 from .fields import GF, QQ, Field, RangeError, Scalar
@@ -79,7 +80,9 @@ def _parse_term(term: str, names: dict[str, int], field: Field, lineno: int):
 
 
 def parse_algebra(text: str) -> Algebra:
-    """Parse the v1 format into a unital algebra."""
+    """Parse the v1 format into a unital algebra; a non-str ``text`` is ShapeError."""
+    if not isinstance(text, str):
+        raise ShapeError(f"algebra text must be a str, got a {type(text).__name__}")
     lines = _meaningful_lines(text)
 
     def next_line(what: str) -> tuple[int, str]:
@@ -179,6 +182,7 @@ def _format_term(k: int, coeff, names) -> str:
 
 def serialize_algebra(algebra: Algebra) -> str:
     """Canonical v1 text; ``parse_algebra(serialize_algebra(A))`` equals A."""
+    require_algebra(algebra)
     out = [MAGIC, f"field {algebra.field.descriptor()}", f"dim {algebra.n}"]
     out.append("basis " + " ".join(algebra.basis_names))
     names = algebra.basis_names
@@ -193,6 +197,9 @@ def serialize_algebra(algebra: Algebra) -> str:
 
 def parse_gens(text: str, algebra: Algebra) -> GenSet:
     """Parse a ``--gens`` argument into coordinate vectors of the algebra."""
+    require_algebra(algebra)
+    if not isinstance(text, str):
+        raise ShapeError(f"a generator spec must be a str, got a {type(text).__name__}")
     vectors = []
     for spec in text.split(";"):
         spec = spec.strip()

@@ -139,7 +139,7 @@ def _monic(row: tuple[int, ...]) -> Vector:
 @lru_cache(maxsize=64)
 def _unit_span(field: Field, n: int) -> EchelonSubspace:
     """L_0 = span(e_0) in F^n, where every run starts, one per (field, n)."""
-    return EchelonSubspace(field, n).insert((field.one,) + (field.zero,) * (n - 1))[0]
+    return EchelonSubspace(field, n).insert((1,) + (0,) * (n - 1))[0]
 
 
 def _built(algebra: Algebra, rows: Sequence[tuple], left: list) -> list:
@@ -165,7 +165,7 @@ def compute_length(
     f*h over fresh groups of lengths a and b with a + b = k and a, b >= 1, in
     ascending a, then in group order.  Each candidate's nonzero residue modulo
     the span so far joins fresh group k; the run stops at a full span or when
-    no sum is pending.  The engine runs on the integer rows of
+    no sum is pending.  The engine runs on the integer rows of :func:`coerce_genset`,
     :class:`EchelonSubspace` and :meth:`Algebra.scaled_product`, which scale
     each vector by a nonzero constant and so leave every span and every
     residue up to a scalar as it is.  Each left operand is its row's

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .algebra import Algebra, GenSet, coerce_genset, require_algebra
-from .echelon import EchelonSubspace, normal_row
+from .echelon import normal_row
 from .errors import BudgetExceeded, PrimeFieldRequired, require_int
 from .length import _unit_span, compute_length, require_kmax
 
@@ -59,9 +59,7 @@ def enumerate_words_spans(algebra: Algebra, gens, kmax: int) -> list[int]:
     gens = coerce_genset(algebra, gens)
     field, n = algebra.field, algebra.n
     space = _unit_span(field, n)
-    # V_1 as lines: reducing by the zero space clears the denominators.
-    zero = EchelonSubspace(field, n)
-    gens = {normal_row(field, r) for r in map(zero.reduce, gens) if any(r)}
+    gens = {normal_row(field, r) for r in gens if any(r)}  # V_1 as lines
     dims = [space.dim]
     cost = sum(map(len, algebra._rows)) + n
     spent = 0

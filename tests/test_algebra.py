@@ -15,10 +15,12 @@ from alglength import (
     RangeError,
     ShapeError,
     check_lc_basis,
+    coerce_genset,
     compute_length,
     enumerate_words_spans,
     make_example,
     parse_algebra,
+    parse_gens,
     serialize_algebra,
 )
 from alglength.algebra import MAX_TABLE_BITS, PACK_MIN_N, slot_limbs, unpack_slots
@@ -69,6 +71,9 @@ def test_multiply_shape_error():
         lambda A: enumerate_words_spans(A, None, 3),
         lambda A: A.multiply(None, None),
         lambda A: A.multiply({0: 1}, A.unit()),
+        lambda A: parse_algebra(serialize_algebra(A).encode()),
+        lambda A: parse_algebra(None),
+        lambda A: parse_gens(b"e1", A),
     ],
 )
 def test_a_genset_that_is_not_iterable_or_a_vector_that_is_not_a_sequence(call):
@@ -184,6 +189,47 @@ def test_coerce_vector_field_mismatch():
     algebra, _ = make_example("power2", 4, GF(2))
     with pytest.raises(FieldMismatch):
         algebra.coerce_vector((Fraction(1, 2), 0, 0, 0))
+
+
+def test_coerce_genset_returns_int_rows_on_the_generators_lines():
+    # The one place where a generator's denominators are cleared: over Q each
+    # vector comes back times the lcm of its denominators, over GF(p) as its
+    # residues, as ints either way.
+    algebra = Algebra.from_products(QQ, 4, {})
+    gens = [
+        (Fraction(1, 2), Fraction(-2, 3), 0, 5),
+        (0, 0, 0, 0),
+        [Fraction(3, 4), 1, 2, Fraction(-1, 6)],
+        (Fraction(4, 2), 6, 0, -2),
+    ]
+    rows = coerce_genset(algebra, gens)
+    assert rows == ((3, -4, 0, 30), (0, 0, 0, 0), (9, 12, 24, -2), (2, 6, 0, -2))
+    assert all(type(x) is int for row in rows for x in row)
+    prime = Algebra.from_products(GF(7), 4, {})
+    assert coerce_genset(prime, gens[:1]) == ((4, 4, 0, 5),)
+
+
+@pytest.mark.parametrize(
+    "field, n", [(QQ, 5), (GF(7), PACK_MIN_N - 1), (GF(7), PACK_MIN_N + 1)],
+    ids=["Q", "GF7", "GF7-packed"],
+)
+def test_terms_reads_a_non_unit_cell_or_refuses_the_indices(field, n):
+    # terms(i, j) is e_i * e_j as multiply gives it, for 1 <= i, j < n, the
+    # from_products keys; any other index is refused rather than read as
+    # some other cell (-1, 1.0) or as an unstored unit product (0).
+    rng = random.Random(n)
+    algebra = Algebra.from_products(field, n, random_products(rng, n, field.modulus))
+    assert bool(algebra._limbs) == (n > PACK_MIN_N)
+    cells = 0
+    for i in range(1, n):
+        for j in range(1, n):
+            product = algebra.multiply(algebra.basis_vector(i), algebra.basis_vector(j))
+            assert algebra.terms(i, j) == [(k, c) for k, c in enumerate(product) if c]
+            cells += any(product)
+    assert cells > n
+    for i, j in ((0, 1), (1, 0), (0, 0), (-1, 3), (3, -1), (1, 1.0), (True, 1), (n, 1), (1, n)):
+        with pytest.raises(RangeError, match="must be non-unit basis indices"):
+            algebra.terms(i, j)
 
 
 def test_table_coercion_and_equality():

@@ -9,7 +9,6 @@ import alglength.length
 from alglength import (
     Algebra,
     BudgetExceeded,
-    EchelonSubspace,
     GF,
     QQ,
     EmptyGeneratingSet,
@@ -23,8 +22,11 @@ from alglength import (
     dims_from_charseq,
     enumerate_words_spans,
     make_example,
+    parse_gens,
+    serialize_algebra,
 )
 from alglength.algebra import PACK_MIN_N, slot_limbs
+from alglength.echelon import EchelonSubspace
 from alglength.length import MAX_KMAX
 
 from helpers import (
@@ -246,8 +248,10 @@ def test_empty_genset_rejected():
         lambda a: compute_length(a, [(0, 1, 0, 0)]),
         lambda a: compute_length(a, [(0, 1, 0, 0)], lc_shortcut=True),
         check_lc_basis,
+        serialize_algebra,
+        lambda a: parse_gens("e1", a),
     ],
-    ids=["compute_length", "lc_shortcut", "check_lc_basis"],
+    ids=["compute_length", "lc_shortcut", "check_lc_basis", "serialize_algebra", "parse_gens"],
 )
 def test_what_is_not_an_algebra_is_refused(call, not_an_algebra):
     with pytest.raises(ShapeError, match="expected an Algebra, got a"):
@@ -482,6 +486,25 @@ def test_engine_matches_reference_stepper_over_q_with_fractions():
     assert {1, 3, 6} <= denominators
 
 
+def test_over_q_the_spans_hold_ints_only(monkeypatch):
+    # coerce_genset clears the generators' denominators, so on fractional
+    # tables and generators every vector that compute_length or the word
+    # oracle inserts holds ints, and the two agree.
+    rng = random.Random(137)
+    fractional = 0
+    inserted = record_calls(monkeypatch, EchelonSubspace, "insert")
+    for _ in range(24):
+        n = rng.randint(2, 6)
+        algebra = Algebra.from_products(QQ, n, random_products(rng, n, None))
+        gens = [[rng.choice(RATIONALS) for _ in range(n)] for _ in range(rng.randint(1, 2))]
+        fractional += any(type(x) is Fraction for v in gens for x in v)
+        terms = compute_length(algebra, gens).charseq
+        assert enumerate_words_spans(algebra, gens, 6) == dims_from_charseq(terms, 6)
+    monkeypatch.undo()
+    assert fractional > 12 and len(inserted) > 100
+    assert all(type(x) is int for (v,), _ in inserted for x in v)
+
+
 def _assert_no_product_after_full_span(monkeypatch, field):
     rng = random.Random(137)
     n = 12
@@ -500,7 +523,7 @@ def _assert_no_product_after_full_span(monkeypatch, field):
     # Replaying the products formed: the last one fills the span, so none
     # was formed after dim n.  Steps 2-5 would form 1 + 2 + 5 + 14 in full.
     space = EchelonSubspace(algebra.field, n)
-    for v in (algebra.unit(),) + gens:
+    for v in ((1,) + (0,) * (n - 1),) + gens:
         space, _ = space.insert(v)
     dims = []
     for _, w in calls:
@@ -574,7 +597,7 @@ def test_runs_from_the_shared_unit_span_match_runs_from_a_fresh_one(monkeypatch,
         patch.setattr(
             alglength.length,
             "_unit_span",
-            lambda field, n: EchelonSubspace(field, n).insert(cases[0][0].unit())[0],
+            lambda field, n: EchelonSubspace(field, n).insert((1,) + (0,) * (n - 1))[0],
         )
         fresh = [_report_fields(compute_length(a, gens)) for a, gens in cases]
     assert alglength.length._unit_span(field, n) is shared
@@ -699,9 +722,9 @@ def test_operators_over_a_sparse_table_stay_within_the_memory_rule(monkeypatch):
         cells = [algebra.terms(i, j) for i, c in enumerate(row) if c for j in range(1, n)]
         return sum(width * (t[-1][0] - t[0][0]) + t[-1][1].bit_length() for t in cells if t)
 
-    def column_bits(row):  # of the columns sum_i row_i e_i e_j, packed
+    def column_bits(row):  # of the columns sum_i row_i e_i e_j, i >= 1, packed
         cols = {}
-        for i, c in enumerate(row):
+        for i, c in enumerate(row[1:], 1):
             for j in range(1, n):
                 for k, x in algebra.terms(i, j):
                     cols[j] = cols.get(j, 0) + (c * x << width * k)

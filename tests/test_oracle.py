@@ -8,7 +8,6 @@ from alglength import (
     Algebra,
     BruteForceResult,
     BudgetExceeded,
-    EchelonSubspace,
     GF,
     PrimeFieldRequired,
     QQ,
@@ -24,6 +23,7 @@ from alglength import (
 )
 import alglength.length
 import alglength.oracle
+from alglength.echelon import EchelonSubspace
 from alglength.length import MAX_KMAX
 from alglength.oracle import PRODUCT_BUDGET, SUBSPACE_BUDGET, iter_rref_bases
 
@@ -160,10 +160,16 @@ def test_oracle_agrees_with_engine_on_families():
         algebra, gens = make_example(family, n)
         if len(gens) > 2 and kmax > 5:
             kmax = 5
-        terms = compute_length(algebra, gens).charseq
-        assert enumerate_words_spans(algebra, gens, kmax) == dims_from_charseq(
-            terms, kmax
-        ), family
+        # Fractional generators too: v/2 + w/3 for each generator v and the next, w.
+        mixed = tuple(
+            tuple(Fraction(x, 2) + Fraction(y, 3) for x, y in zip(v, w))
+            for v, w in zip(gens, gens[1:] + gens[:1])
+        )
+        for s in (gens, mixed):
+            terms = compute_length(algebra, s).charseq
+            assert enumerate_words_spans(algebra, s, kmax) == dims_from_charseq(
+                terms, kmax
+            ), (family, s)
 
 
 def test_oracle_agrees_with_engine_on_random_tables():
@@ -308,7 +314,7 @@ def test_the_word_oracle_agrees_with_the_engine_on_whole_sequences(family, n):
 
 
 def test_the_word_oracle_agrees_on_fractional_tables_and_generators():
-    # Over Q the oracle's lines are integer rows: reduce clears the
+    # Over Q the oracle's lines are integer rows: coerce_genset clears the
     # generators' denominators, and every product is D times u*v.
     rng = random.Random(4099)
     denominators = set()

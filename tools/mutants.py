@@ -143,6 +143,18 @@ MUTANTS = (
         "len(terms) < 2 or sum(self._row_bits[i] for i, _ in terms) < bound", "len(terms) < 2",
         ("test_length.py",),
     ),
+    # Over Q a generator's numerators kept without the lcm of its denominators.
+    Mutant(
+        "genset-numerators-only", ALGEBRA,
+        "x.numerator * (d // x.denominator)", "x.numerator",
+        ("test_length.py",),
+    ),
+    # The non-unit cell check lets the unit index through, so terms(0, j) reads [].
+    Mutant(
+        "terms-accepts-the-unit-index", ALGEBRA,
+        "0 < i < n and 0 < j < n", "0 <= i < n and 0 < j < n",
+        ("test_algebra.py",),
+    ),
     # A comment edit: no behaviour changes, so it must survive.
     Mutant(
         "comment-edit", LENGTH,
