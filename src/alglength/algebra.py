@@ -23,10 +23,14 @@ for which (n-1)^2 (p-1)^3 + n (p-1)^2 < 2^w.  A product of residue vectors
 sums at most (n-1)^2 terms u_i v_j c, each at most (p-1)^3, into every slot,
 and one big-int multiply-add per stored cell replaces a loop over its
 coordinates, or, for a row that :meth:`Algebra.left_operator` turned into
-packed columns, one per column.  :meth:`Algebra.scaled_product` returns that
-sum still packed, and :class:`~alglength.echelon.EchelonSubspace` reduces it
-in the same layout: each of its at most n row ops adds at most (p-1)^2 to a
-slot, so no slot carries into the next.  Other tables keep each cell's ``(k, c)`` pairs:
+packed columns, one per column.  Those columns are the blocks of one sum of
+wide rows, each table row's cells end to end in one integer, built at its
+first use and kept where it takes at most twice its cells' bits, so that an
+operator costs one multiply-add per term of its row u.
+:meth:`Algebra.scaled_product` returns that sum still packed, and
+:class:`~alglength.echelon.EchelonSubspace` reduces it in the same layout:
+each of its at most n row ops adds at most (p-1)^2 to a slot, so no slot
+carries into the next.  Other tables keep each cell's ``(k, c)`` pairs:
 over Q the operands are unbounded integers, so no slot width fits them, and
 in a smaller GF(p) table a product has too few coordinates to repay the
 unpack.
@@ -152,11 +156,14 @@ class Algebra:
     cell's lowest nonzero coordinate and w = 64 * ``_limbs`` bits, and
     ``_row_bits[i]`` sums the bits of row i's packed cells.  Otherwise a cell
     is its nonzero ``(k, c)`` pairs, k ascending, with ``c`` the int
-    D * c[i][j][k].
+    D * c[i][j][k].  ``_wide`` maps each packed row that a left operator has
+    read to its :meth:`_wide_row`; it is derived from ``_rows``, so
+    ``__eq__`` ignores it.
     """
 
     __slots__ = (
-        "n", "field", "basis_names", "lc_flag", "denominator", "_rows", "_limbs", "_row_bits"
+        "n", "field", "basis_names", "lc_flag", "denominator",
+        "_rows", "_limbs", "_row_bits", "_wide",
     )
 
     @classmethod
@@ -256,6 +263,7 @@ class Algebra:
         algebra._rows = tuple(rows)
         algebra._limbs = limbs
         algebra._row_bits = tuple(row_bits)
+        algebra._wide = {}
         algebra.lc_flag = mod is None and check_lc_basis(algebra)
         return algebra
 
@@ -305,7 +313,11 @@ class Algebra:
         slot at most (n-1) (p-1)^2, so that a product is one multiply-add per
         column.  Its at most n - 1 columns of n slots are built only where the
         cells that they sum take as many bits; otherwise, and over other
-        tables, it is u's nonzero ``(i, u_i)``.
+        tables, it is u's nonzero ``(i, u_i)``.  Over the rows kept wide
+        (:meth:`_wide_row`) the columns are the blocks of ``sum_i u_i W_i``,
+        one multiply-add per term: a column slot stays below 2^w, so no block
+        of n slots carries into the next.  Each other row adds its cells one
+        by one.
         """
         if not self._limbs:
             return [(i, c) for i, c in enumerate(row) if c]
@@ -314,11 +326,44 @@ class Algebra:
         bound = (self.n - 1) * self.n * 64 * self._limbs  # one row of cells stays below it
         if len(terms) < 2 or sum(self._row_bits[i] for i, _ in terms) < bound:
             return terms
-        rows, cols = self._rows, {}
+        rows, wide, acc, rest = self._rows, self._wide, 0, []
         for i, c in terms:
+            w = wide.get(i)
+            if w is None:
+                w = wide[i] = self._wide_row(i)
+            if w:
+                acc += c * w
+            else:
+                rest.append((i, c))
+        size = 8 * self._limbs * self.n  # bytes of a column block
+        raw = memoryview(acc.to_bytes(size * self.n, "little"))
+        cols = {
+            j: col
+            for j in range(1, self.n)
+            if (col := int.from_bytes(raw[j * size : (j + 1) * size], "little"))
+        }
+        for i, c in rest:
             for j, (shift, packed) in rows[i].items():
                 cols[j] = cols.get(j, 0) + c * (packed << shift)
         return cols
+
+    def _wide_row(self, i: int) -> int:
+        """W_i, packed row i's cells end to end: ``sum_j packed_ij << (shift_ij
+        + j n w)``, column j in block j of n slots.  0 for an empty row, and
+        for one whose W_i would take more than twice its cells' bits
+        (``_row_bits[i]``), so the wide rows stay within twice the table's."""
+        row = self._rows[i]
+        if not row:
+            return 0
+        size = 8 * self._limbs * self.n  # bytes of a column block
+        top = max(row)
+        shift, packed = row[top]
+        if 8 * size * top + shift + packed.bit_length() > 2 * self._row_bits[i]:
+            return 0
+        blocks = [bytes(size)] * (top + 1)
+        for j, (shift, packed) in row.items():
+            blocks[j] = (packed << shift).to_bytes(size, "little")
+        return int.from_bytes(b"".join(blocks), "little")
 
     def scaled_product(self, left: Iterable | dict, v: Sequence[Scalar]) -> list | int:
         """The stored products' share of D * (u*v): not divided by D, not

@@ -225,6 +225,8 @@ def _cmd_dims(args, algebra, gens):
 
 
 def _cmd_verify(args, algebra, gens):
+    if not args.checks:
+        raise ParseError(f"--checks names no check; choose from {', '.join(CHECK_TOKENS)}")
     for t in args.checks:
         if t not in CHECK_TOKENS:
             raise ParseError(

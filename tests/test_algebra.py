@@ -394,6 +394,96 @@ def test_packed_multiply_matches_dense_reference():
     assert kinds == {(dict, True), (list, True), (list, False)}
 
 
+def _cell_operator(algebra, u, p):
+    """Per-cell reference of a packed left operator: the nonzero columns
+    sum_i (u_i mod p) e_i e_j, packed, one per j."""
+    width = 64 * slot_limbs(algebra.n, p)
+    cols = {}
+    for i in range(1, algebra.n):
+        for j in range(1, algebra.n):
+            for k, c in algebra.terms(i, j):
+                cols[j] = cols.get(j, 0) + ((u[i] % p) * c << width * k)
+    return {j: col for j, col in cols.items() if col}
+
+
+@pytest.mark.parametrize("p", [2, 101, 10007, MERSENNE31])
+def test_wide_row_operators_are_exact(p):
+    # Each packed left operator is the per-cell sum over its rows, whether a
+    # row adds its wide row W_i or its cells one by one, and its products are
+    # the dense reference's.  Tables of n = 8-40: dense, closed-block (the
+    # products of e_1..e_(m-1), which hold u, lie in span(e_0..e_(m-1))),
+    # sparse (one-coordinate cells), and last a mixed one: dense rows (i = 0
+    # mod 3), the only ones kept wide, sparse rows (i = 1 mod 3) whose cells
+    # share two columns with each other and with the dense rows, and empty
+    # rows (i = 2 mod 3), all in one dense u.  u holds negative ints and ints
+    # >= p, which left_operator reads mod p.
+    rng = random.Random(p)
+
+    def entry():  # nonzero mod p
+        x = 0
+        while not x % p:
+            x = rng.choice((rng.randrange(p), -rng.randrange(3 * p), p + rng.randrange(p)))
+        return x
+
+    added = set()  # whether a row was added as its W_i, per row of a dict operator
+    for kind in ("dense", "closed", "sparse", "dense", "closed", "sparse", "mixed"):
+        n = rng.randint(20, 40) if kind == "mixed" else rng.randint(PACK_MIN_N, 40)
+        m = rng.randint(3, n - 1) if kind == "closed" else n
+        products = {}
+        for i in range(1, n):
+            for j in range(1, n):
+                top = m if max(i, j) < m else n
+                if kind == "sparse" and rng.random() < 0.3:
+                    products[i, j] = {rng.randrange(n): rng.randrange(1, p)}
+                elif kind in ("dense", "closed") or (kind == "mixed" and i % 3 == 0):
+                    products[i, j] = {k: rng.randrange(p) for k in range(top)}
+            if kind == "mixed" and i % 3 == 1:
+                products[i, n - 1] = {rng.randrange(n): rng.randrange(1, p)}
+                products[i, n - 2] = {rng.randrange(n): rng.randrange(1, p)}
+        algebra = Algebra.from_products(GF(p), n, products)
+        table = dense_table(n, products)
+        for t in range(3):
+            support = range(1, m) if t == 0 else rng.sample(range(1, m), rng.randint(1, m - 1))
+            u, v = [0] * n, [0] * n
+            for i in support:
+                u[i] = entry()
+            for i in rng.sample(range(1, m), rng.randint(1, m - 1)):
+                v[i] = rng.randrange(p)
+            left = algebra.left_operator(u)
+            if type(left) is dict:
+                assert left == _cell_operator(algebra, u, p), (kind, n, u)
+                added.update(bool(algebra._wide[i]) for i in support)
+            else:
+                assert left == [(i, x % p) for i, x in enumerate(u) if x % p]
+            got = unpack_slots(algebra.scaled_product(left, v), n, slot_limbs(n, p))
+            assert [x % p for x in got] == list(_dense_product(table, u, v, p)), (kind, n, u)
+            if kind == "mixed" and t == 0:
+                wide = {i for i in support if algebra._wide[i]}
+                assert type(left) is dict and wide == set(range(3, n, 3))
+    assert added == {True, False}
+
+
+def test_the_wide_row_cache_stays_within_twice_the_cells_bits():
+    # Engine runs fill the cache; each row kept wide takes at most twice its
+    # cells' bits, and the algebra still equals a fresh copy of itself.
+    rng = random.Random(405)
+    for p, n, m in ((101, 12, 12), (10007, 24, 24), (10007, 30, 12), (MERSENNE31, 16, 16)):
+        products = {
+            (i, j): {k: rng.randrange(p) for k in range(m if max(i, j) < m else n)}
+            for i in range(1, n)
+            for j in range(1, n)
+        }
+        algebra = Algebra.from_products(GF(p), n, products)
+        gens = tuple(tuple([0] + [rng.randrange(p) for _ in range(1, m)] + [0] * (n - m))
+                     for _ in range(2))
+        compute_length(algebra, gens)
+        assert any(algebra._wide.values())
+        for i, wide in algebra._wide.items():
+            assert wide.bit_length() <= 2 * algebra._row_bits[i], (p, n, i)
+        assert algebra == Algebra.from_products(GF(p), n, products)
+        assert algebra == parse_algebra(serialize_algebra(algebra))
+
+
 def test_packed_budget_admits_dense_tables_and_sparse_families():
     rng = random.Random(404)
     n, p = 64, 10007

@@ -443,12 +443,15 @@ def test_flag_a_subcommand_does_not_take_is_a_usage_error(pow2_file, tmp_path, c
         ["dims", "--gens", "e1", "--kmax", "-1"],
         ["oracle-check", "--gens", "e1", "--kmax", "-1"],
         ["verify", "--gens", "e1", "--checks", "chain,bogus"],
+        ["verify", "--gens", "e1", "--checks", ""],
+        ["verify", "--gens", "e1", "--checks", ",,"],
         ["gen-example", "--family", "power2", "--n", "4", "--field", "real"],
         ["gen-example", "--family", "power2", "--n", "4", "--field", "prime:4"],
         ["gen-example", "--family", "power2", "--n", "4", "--field", "prime:1"],
         ["gen-example", "--family", "power2", "--n", "4", "--field", "prime:0"],
     ],
-    ids=["dims-kmax", "oracle-check-kmax", "verify-checks", "gen-example-field",
+    ids=["dims-kmax", "oracle-check-kmax", "verify-checks", "verify-checks-empty",
+         "verify-checks-commas", "gen-example-field",
          "gen-example-prime-4", "gen-example-prime-1", "gen-example-prime-0"],
 )
 def test_bad_option_values_are_one_error_line(pow2_file, tmp_path, capsys, argv):

@@ -707,8 +707,9 @@ def test_operators_over_a_sparse_table_stay_within_the_memory_rule(monkeypatch):
     # A dim-100 GF(10007) table of 6n cells, each one coordinate, and one
     # dense generator.  Each operator built holds at most the bits of the
     # cells that it sums; a row whose packed columns would hold more, as the
-    # generator's would, stays its (i, c) terms.  The report is the
-    # reference stepper's.
+    # generator's would, stays its (i, c) terms.  No table row is kept wide,
+    # as each W_i would take more than twice its cells' bits.  The report is
+    # the reference stepper's.
     rng = random.Random(641)
     n, p = 100, 10007
     products = {}
@@ -742,6 +743,7 @@ def test_operators_over_a_sparse_table_stay_within_the_memory_rule(monkeypatch):
     generator = built[0][0][0]
     assert column_bits(generator) > summed_bits(generator)
     assert type(built[0][1]) is list
+    assert not any(map(algebra._wide_row, range(n)))
     assert run_fields(report) == run_fields(reference_run(algebra, gens))
 
 

@@ -19,7 +19,10 @@ nonzero, run with two random coordinate rows, so that no fresh row is a
 basis vector, and the packed runs form their products from left operators),
 a sparse dim-100 GF(10007) table of 600 one-coordinate cells run from one
 dense generator row, whose many-term rows the packed engine keeps as terms
-by the left operator's memory rule, and the dim-1 algebra, where
+by the left operator's memory rule, a packed GF(2^31 - 1) dim-24 table of
+dense rows, two-cell rows and empty rows run from two dense generator rows,
+whose left operators sum rows kept wide, rows added cell by cell and rows
+with no cells, and the dim-1 algebra, where
 ``fib-k`` has no k, with and without ``--lc-shortcut``, through ``length``,
 ``charseq``, ``dims``, ``verify`` and ``oracle-check``, the last also with
 ``--require-generating``.  ``verify`` also runs with reordered and repeated
@@ -103,6 +106,11 @@ DENSE_FILES = ((5, "rational", 11, INTEGERS, 0), (6, "prime 101", 12, INTEGERS, 
 # coordinate, run with one dense generator row, so that the many-term rows
 # of the packed engine stay (i, c) terms.
 SPARSE_CELL_FILES = ((100, "prime 10007", 23),)
+# (dim, field line, seed): a packed table whose rows e_i * (.) are dense for
+# i = 0 mod 3, two one-coordinate cells for i = 1 mod 3 and zero for i = 2
+# mod 3, run with two dense generator rows, so that a left operator sums
+# rows kept wide, rows added cell by cell and empty rows.
+MIXED_FILES = ((24, "prime 2147483647", 24),)
 UNIT_ONLY = "alglength-algebra v1\nfield rational\ndim 1\nbasis 1\n"
 
 
@@ -170,6 +178,26 @@ def _sparse_cells_text(dim: int, field: str, seed: int) -> tuple[str, list[str]]
     return "\n".join(lines) + "\n", ["[" + ", ".join(map(str, row)) + "]"]
 
 
+def _mixed_text(dim: int, field: str, seed: int) -> tuple[str, list[str]]:
+    """A seeded table of dense, two-cell and empty rows, by i mod 3, with
+    random nonzero residues, and one --gens value: two random coordinate rows."""
+    rng = random.Random(seed)
+    p = int(field.split()[1])
+    names = ["1"] + [f"e{i}" for i in range(1, dim)]
+    lines = ["alglength-algebra v1", f"field {field}", f"dim {dim}", "basis " + " ".join(names)]
+    for i in range(1, dim):
+        if i % 3 == 0:
+            lines += [f"prod e{i} e{j} = "
+                      + " + ".join(f"{rng.randrange(1, p)}*{name}" for name in names)
+                      for j in range(1, dim)]
+        elif i % 3 == 1:
+            lines += [f"prod e{i} e{j} = {rng.randrange(1, p)}*{rng.choice(names)}"
+                      for j in (dim - 2, dim - 1)]
+    rows = [[rng.randrange(p) for _ in range(dim)] for _ in range(2)]
+    gens = ";".join("[" + ", ".join(map(str, row)) + "]" for row in rows)
+    return "\n".join(lines) + "\n", [gens]
+
+
 def _cases(workdir: Path) -> tuple[list[list[str]], list[list[str]]]:
     """The gen-example argument lists, and the runs that read their files."""
     gen = [["gen-example", "--family", family, "--n", str(LARGE_N), "--field", field,
@@ -193,6 +221,11 @@ def _cases(workdir: Path) -> tuple[list[list[str]], list[list[str]]]:
     for dim, field, seed in SPARSE_CELL_FILES:
         text, gen_sets = _sparse_cells_text(dim, field, seed)
         name = f"sparse_cells_{dim}.alg"
+        (workdir / name).write_text(text, encoding="utf-8")
+        files.append((name, None, None, None, gen_sets))
+    for dim, field, seed in MIXED_FILES:
+        text, gen_sets = _mixed_text(dim, field, seed)
+        name = f"mixed_{dim}.alg"
         (workdir / name).write_text(text, encoding="utf-8")
         files.append((name, None, None, None, gen_sets))
     (workdir / "unit_only.alg").write_text(UNIT_ONLY, encoding="utf-8")

@@ -143,6 +143,18 @@ MUTANTS = (
         "len(terms) < 2 or sum(self._row_bits[i] for i, _ in terms) < bound", "len(terms) < 2",
         ("test_length.py",),
     ),
+    # The operator's column split reads the block one column over.
+    Mutant(
+        "wide-split-one-column-over", ALGEBRA,
+        "raw[j * size : (j + 1) * size]", "raw[(j + 1) * size : (j + 2) * size]",
+        ("test_algebra.py",),
+    ),
+    # Every nonempty row kept wide, whatever its density.
+    Mutant(
+        "every-row-kept-wide", ALGEBRA,
+        "> 2 * self._row_bits[i]:", "< 0:",
+        ("test_length.py",),
+    ),
     # Over Q a generator's numerators kept without the lcm of its denominators.
     Mutant(
         "genset-numerators-only", ALGEBRA,
