@@ -39,7 +39,10 @@ The "locally complex" basis predicate checks the multiplication-table face of
 that class of real algebras: every non-unit basis element squares to -1 and
 distinct non-unit basis elements anticommute.  It is only defined over the
 rationals (standing in for the reals; the tables involved have integer
-entries, and ranks over Q and R agree for rational data).
+entries, and ranks over Q and R agree for rational data).  Two wider facts
+are read off the table over every field: it is commutative when
+e_i e_j = e_j e_i for all i, j, and quadratic when x^2 lies in span(1, x)
+for every x, which the locally-complex bases satisfy.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ import sys
 from array import array
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 
 from .errors import (
@@ -147,6 +151,11 @@ class Algebra:
         basis_names: n labels, "1" and then distinct :data:`NAME_RE` names.
         lc_flag: whether the basis passes :func:`check_lc_basis`, read off
             the table at construction; False over GF(p).
+        commutative: whether every e_i * e_j equals e_j * e_i.
+        quadratic: whether some vector t gives e_i^2 in span(1) + t_i e_i
+            and e_i e_j + e_j e_i in span(1) + t_j e_i + t_i e_j for i != j,
+            so that x^2 lies in span(1, x) for every x; True where
+            ``lc_flag`` is (t = 0).
         denominator: D, the least common denominator of the structure
             constants over Q; 1 over GF(p).
 
@@ -157,13 +166,15 @@ class Algebra:
     ``_row_bits[i]`` sums the bits of row i's packed cells.  Otherwise a cell
     is its nonzero ``(k, c)`` pairs, k ascending, with ``c`` the int
     D * c[i][j][k].  ``_wide`` maps each packed row that a left operator has
-    read to its :meth:`_wide_row`; it is derived from ``_rows``, so
-    ``__eq__`` ignores it.
+    read to its :meth:`_wide_row`.  ``_wide``, ``lc_flag``, ``commutative``
+    and ``quadratic`` are derived from ``_rows``, so ``__eq__`` ignores
+    them; the three flags are public, read-only by convention, and
+    ``commutative`` and ``quadratic`` choose the length engine's pairs.
     """
 
     __slots__ = (
-        "n", "field", "basis_names", "lc_flag", "denominator",
-        "_rows", "_limbs", "_row_bits", "_wide",
+        "n", "field", "basis_names", "lc_flag", "commutative", "quadratic",
+        "denominator", "_rows", "_limbs", "_row_bits", "_wide",
     )
 
     @classmethod
@@ -185,6 +196,9 @@ class Algebra:
         more than :data:`MAX_TABLE_BITS` of them raises BudgetExceeded.
         ``lc_flag`` is :func:`check_lc_basis` over Q, which stops at the
         first cell that fails, e_1^2 on most tables, and False over GF(p).
+        ``commutative`` and ``quadratic`` (:func:`_is_quadratic`, skipped
+        where ``lc_flag`` holds) are each one pass over the stored cells
+        that stops at the first that fails.
         Other ``basis_names`` than that attribute allows raise ShapeError,
         since no file could hold them, as does a ``products`` that is not a
         mapping; a ``field`` that is not a :class:`Field` raises
@@ -265,6 +279,10 @@ class Algebra:
         algebra._row_bits = tuple(row_bits)
         algebra._wide = {}
         algebra.lc_flag = mod is None and check_lc_basis(algebra)
+        algebra.commutative = all(
+            rows[j].get(i) == cell for i, row in enumerate(rows) for j, cell in row.items()
+        )
+        algebra.quadratic = algebra.lc_flag or _is_quadratic(algebra)
         return algebra
 
     def terms(self, i: int, j: int) -> list[tuple[int, Scalar]]:
@@ -274,11 +292,15 @@ class Algebra:
         keys are, or the call raises RangeError.
         """
         _require_pair(i, j, self.n)
-        cell = self._rows[i].get(j, ())
+        cell = self._cell_terms(self._rows[i].get(j, ()))
+        if self.field.modulus is not None:
+            return list(cell)
+        return [(k, Fraction(c, self.denominator)) for k, c in cell]
+
+    def _cell_terms(self, cell: tuple) -> Sequence[tuple[int, int]]:
+        """The nonzero ``(k, c)`` of a stored cell, k ascending, c its int."""
         if not (self._limbs and cell):
-            if self.field.modulus is not None:
-                return list(cell)
-            return [(k, Fraction(c, self.denominator)) for k, c in cell]
+            return cell
         shift, packed = cell
         width = 64 * self._limbs
         slots = unpack_slots(packed, -(-packed.bit_length() // width), self._limbs)
@@ -479,6 +501,41 @@ def check_lc_basis(algebra: Algebra) -> bool:
             if j != i and rows[j].get(i) != tuple((k, -c) for k, c in cell):
                 return False
     return True
+
+
+def _is_quadratic(algebra: Algebra) -> bool:
+    """Whether the stored cells give :attr:`Algebra.quadratic`.
+
+    t_i is e_i^2's coordinate at e_i, and every other non-unit coordinate of
+    e_i^2 must be 0.  Each pair i != j with a stored cell is then read once,
+    so the cost is the stored cells plus n for each i with t_i != 0: a pair
+    with no cell has e_i e_j + e_j e_i = 0, which needs t_i = t_j = 0.
+    """
+    rows, n, mod = algebra._rows, algebra.n, algebra.field.modulus
+    terms = algebra._cell_terms
+    t = [0] * n
+    for i in range(1, n):
+        for k, c in terms(rows[i].get(i, ())):
+            if k == i:
+                t[i] = c
+            elif k:
+                return False
+    for i in range(1, n):
+        for j, cell in rows[i].items():
+            back = rows[j].get(i)
+            if j == i or (j < i and back):  # e_i^2, or a pair read at (j, i)
+                continue
+            s = {i: -t[j], j: -t[i]}
+            for k, c in chain(terms(cell), terms(back or ())):
+                s[k] = s.get(k, 0) + c
+            s[0] = 0
+            if any(x % mod for x in s.values()) if mod else any(s.values()):
+                return False
+    return all(
+        j == i or j in rows[i] or i in rows[j]
+        for i in range(1, n) if t[i]
+        for j in range(1, n)
+    )
 
 
 def coerce_genset(algebra: Algebra, vectors: Sequence[Sequence[Scalar]]) -> GenSet:

@@ -130,9 +130,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _parse_field_option(text: str):
     if text == "rational":
         return QQ
-    if text.startswith("prime:") and text[6:].isdigit():
+    if text.startswith("prime:"):
         try:
-            return GF(parse_digits(text[6:]))
+            return GF(parse_digits(text[6:], "--field prime:<p>"))
         except RangeError as exc:  # as for 'field prime <p>' in a file
             raise ParseError(str(exc)) from None
     raise ParseError(f"bad --field value {text!r}; use 'rational' or 'prime:<p>'")

@@ -23,7 +23,8 @@ results that this package verifies:
 
 The three ``lc-*``/``fib-lc`` families pass the locally-complex basis check,
 so ``lc_flag`` is set, when built over the rationals (the default).  Over a
-prime field the tables are still valid (signs reduce mod p), and unflagged.
+prime field the tables are still valid (signs reduce mod p) and unflagged,
+but still quadratic (:attr:`~alglength.algebra.Algebra.quadratic`).
 Each family is its characteristic sequence, an addition chain, written as a
 table by :func:`_realize`; the generators are the terms equal to 1.
 """

@@ -46,8 +46,15 @@ def _meaningful_lines(text: str):
             yield lineno, line
 
 
-def parse_digits(text: str, lineno: int | None = None) -> int:
-    """int() of a digit string; more digits than int() converts is a ParseError."""
+def parse_digits(text: str, what: str, lineno: int | None = None) -> int:
+    """int() of ``what``, a token of ASCII digits 0-9: the one check of such a token.
+
+    Any other token is a ParseError that names it: ``str.isdigit`` also
+    accepts superscripts and other scripts' digits, which int() refuses or
+    reads.  More digits than int() converts is a ParseError too.
+    """
+    if not (text.isascii() and text.isdigit()):
+        raise ParseError(f"{what} must be ASCII digits 0-9, got {text!r}", lineno)
     try:
         return int(text)
     except ValueError:
@@ -99,9 +106,9 @@ def parse_algebra(text: str) -> Algebra:
     parts = line.split()
     if parts == ["field", "rational"]:
         field: Field = QQ
-    elif len(parts) == 3 and parts[:2] == ["field", "prime"] and parts[2].isdigit():
+    elif len(parts) == 3 and parts[:2] == ["field", "prime"]:
         try:
-            field = GF(parse_digits(parts[2], lineno))
+            field = GF(parse_digits(parts[2], "field prime <p>", lineno))
         except RangeError as exc:
             raise ParseError(str(exc), lineno) from None
     else:
@@ -109,9 +116,9 @@ def parse_algebra(text: str) -> Algebra:
 
     lineno, line = next_line("a dim line")
     parts = line.split()
-    if len(parts) != 2 or parts[0] != "dim" or not parts[1].isdigit():
+    if len(parts) != 2 or parts[0] != "dim":
         raise ParseError("expected 'dim <n>'", lineno)
-    n = parse_digits(parts[1], lineno)
+    n = parse_digits(parts[1], "dim <n>", lineno)
     if n < 1:
         raise ParseError("dimension must be >= 1", lineno)
 

@@ -23,12 +23,19 @@ filtration is stable for ever.  This is the general stabilization window (if
 the last growth happened at step g and nothing grew through step 2g, nothing
 ever grows), and it needs no rule of its own: every pending sum is at most 2g.
 
+Pairs.  The table's symmetry, read off it on every field, lets the engine
+form each unordered pair of fresh rows once.  Take fresh f, h of lengths
+a, b >= 1.  On a commutative table (``Algebra.commutative``) h*f = f*h.  On
+a quadratic one (``Algebra.quadratic``: x^2 in span(1, x) for every x, as
+over a locally-complex basis) polarising gives h*f = -f*h and f*f = 0
+modulo span(1, f, h), which lies in L_{a+b-1}.  So on either table the
+engine forms only the f*h whose left row joined no later than h's, and on
+a quadratic one not f*f either; any other product is spanned when its turn
+comes, so every report is the one all pairs would give.
+
 The locally-complex window (after a growth by exactly 1 at g, stability is
-certain from 2g-1 on) needs no rule either.  Fresh f, h of positive length
-have no unit part, so over a locally-complex basis (``lc_flag``) f*f and
-f*h + h*f lie in span(1), and the engine forms only the f*h whose left row
-joined first; any other is spanned when its turn comes.  A last growth of
-one row at g leaves step 2g no pair, so no sum is left pending.
+certain from 2g-1 on) needs no rule either: on a quadratic table a last
+growth of one row at g leaves step 2g no pair, so no sum is left pending.
 The gap families in :mod:`alglength.families` witness that neither window
 can be shortened further.
 
@@ -173,10 +180,12 @@ def compute_length(
     first use as f, so a group that fills the span, or that the span fills
     before any step reaches it as f, builds none.  Fresh rows of positive length
     are 0 at the unit coordinate, so the unit law, which ``scaled_product``
-    leaves out, adds nothing to their products.  Over a basis that passes
-    :func:`check_lc_basis` (``lc_flag``) only the f*h with f inserted before
-    h are formed: a < b, or a = b, f first.  ``lc_shortcut`` refuses other
-    bases and labels a stop after a one-row last growth STOP_LC_WINDOW.
+    leaves out, adds nothing to their products.  The pairs follow from the
+    table's symmetry on every field: on a commutative or quadratic table
+    only the f*h with f inserted no later than h are formed, a < b, or
+    a = b and f no later, and on a quadratic table not f*f.  ``lc_shortcut``
+    refuses a basis that fails :func:`check_lc_basis` and labels a stop
+    after a one-row last growth STOP_LC_WINDOW.
     """
     gens = coerce_genset(algebra, gens)
     if lc_shortcut and not (algebra.lc_flag or check_lc_basis(algebra)):
@@ -186,17 +195,18 @@ def compute_length(
     fresh: dict[int, tuple[tuple[int, ...], ...]] = {0: acc.rows}
     lefts: dict[int, list] = {}  # each group's left operators, once it is f
     pending = {1}  # unvisited steps: 1 (S), then sums of fresh lengths
-    strict = algebra.lc_flag  # form only the f*h with f inserted before h
+    pairs = algebra.commutative or algebra.quadratic  # each {f, h} once, f first
+    after = int(algebra.quadratic)  # a group's h from after f: f*f is in span(1, f)
     while acc.dim < n and pending:
         k = min(pending)
         pending.remove(k)
-        top = k // 2 if strict else k - 1  # the largest left length
+        top = k // 2 if pairs else k - 1  # the largest left length
         candidates = gens if k == 1 else (
             algebra.scaled_product(f, h)
             for a, left in lefts.items()
             if a <= top and k - a in fresh
-            for t, f in enumerate(left or _built(algebra, fresh[a], left), 1)
-            for h in fresh[k - a][t if 2 * a == k and strict else 0 :]
+            for t, f in enumerate(left or _built(algebra, fresh[a], left), after)
+            for h in fresh[k - a][t if 2 * a == k and pairs else 0 :]
         )
         group = []
         for v in candidates:

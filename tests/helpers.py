@@ -1,7 +1,8 @@
 """Shared builders for randomized suites (seeded, deterministic), the dense
 reference stepper that the event-driven engine is checked against, the
 reduced (Gauss-Jordan) span it runs on, on field scalars, and the
-dense-table reference for the sparse locally-complex check."""
+dense-table references for the sparse locally-complex, commutative and
+quadratic checks."""
 
 from __future__ import annotations
 
@@ -101,6 +102,84 @@ def random_lc_products(rng: random.Random, n: int, density: float = 0.4):
                 products[(i, j)] = vec
                 products[(j, i)] = [-c for c in vec]
     return products
+
+
+def _few_terms(rng: random.Random, n: int, scalar) -> list:
+    """A coordinate list with one or two nonzero-drawn entries."""
+    vec = [0] * n
+    for k in rng.sample(range(n), rng.randint(1, min(2, n))):
+        vec[k] = scalar()
+    return vec
+
+
+def _scalar_maker(rng: random.Random, p: Optional[int]):
+    if p is None:
+        return lambda: Fraction(rng.choice((-1, 1)) * rng.randint(1, 3), rng.randint(1, 2))
+    return lambda: rng.randrange(1, p)
+
+
+def random_quadratic_products(
+    rng: random.Random, n: int, p: Optional[int], density: float = 0.4, twisted: bool = True
+):
+    """Seeded products over GF(p), or Q when ``p`` is None, with x^2 in
+    span(1, x) for every x: e_i^2 = a_i + t_i e_i and, for the pairs i < j
+    drawn with probability ``density``, e_i e_j = v with one or two terms and
+    e_j e_i = c + t_j e_i + t_i e_j - v.  With ``twisted`` about half the t_i
+    are nonzero, and then every pair (i, j) with t_i != 0 is drawn, since its
+    cells cannot both be zero; otherwise t = 0."""
+    scalar = _scalar_maker(rng, p)
+    t = [0] + [scalar() if twisted and rng.random() < 0.5 else 0 for _ in range(1, n)]
+    products = {(i, i): {0: scalar(), i: t[i]} for i in range(1, n)}
+    for i in range(1, n):
+        for j in range(i + 1, n):
+            if t[i] or t[j] or rng.random() < density:
+                v = _few_terms(rng, n, scalar)
+                w = [-c for c in v]
+                w[0] += scalar()
+                w[i] += t[j]
+                w[j] += t[i]
+                products[i, j], products[j, i] = v, w
+    return products
+
+
+def random_commutative_products(rng: random.Random, n: int, p: Optional[int],
+                                density: float = 0.4):
+    """Seeded products with e_i e_j = e_j e_i, each pair i <= j drawn with
+    probability ``density`` and given one or two terms."""
+    scalar = _scalar_maker(rng, p)
+    products = {}
+    for i in range(1, n):
+        for j in range(i, n):
+            if rng.random() < density:
+                products[i, j] = products[j, i] = _few_terms(rng, n, scalar)
+    return products
+
+
+def dense_is_commutative(field, table) -> bool:
+    """Reference for ``Algebra.commutative``: every e_i e_j against e_j e_i."""
+    n = len(table)
+    coerce = field.coerce
+    return all(
+        list(map(coerce, table[i][j])) == list(map(coerce, table[j][i]))
+        for i in range(n) for j in range(n)
+    )
+
+
+def dense_is_quadratic(field, table) -> bool:
+    """Reference for ``Algebra.quadratic`` on field scalars: t_i from e_i^2,
+    then every pair i < j, empty cells included."""
+    n = len(table)
+    coerce = field.coerce
+    t = [coerce(table[i][i][i]) for i in range(n)]
+    for i in range(1, n):
+        if any(coerce(c) for k, c in enumerate(table[i][i]) if k not in (0, i)):
+            return False
+        for j in range(i + 1, n):
+            s = [coerce(x + y) for x, y in zip(table[i][j], table[j][i])]
+            want = [s[0]] + [t[j] if k == i else t[i] if k == j else 0 for k in range(1, n)]
+            if s != want:
+                return False
+    return True
 
 
 def dense_table(n: int, products) -> list:

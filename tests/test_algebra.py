@@ -2,6 +2,7 @@ import random
 import re
 import tracemalloc
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -28,11 +29,16 @@ from alglength.algebra import MAX_TABLE_BITS, PACK_MIN_N, slot_limbs, unpack_slo
 from helpers import (
     assert_unit_law,
     dense_check_lc_basis,
+    dense_is_commutative,
+    dense_is_quadratic,
     dense_table,
+    random_commutative_products,
     random_lc_products,
     random_products,
+    random_quadratic_products,
     random_unital_algebra,
     random_vector,
+    reduced_span,
 )
 
 
@@ -183,6 +189,82 @@ def test_lc_quadraticity_on_pure_imaginaries():
         square = algebra.multiply(x, x)
         # must be scalar: the non-unit coordinates of x*x vanish
         assert all(c == 0 for c in square[1:])
+
+
+def _broken(rng, products, n, forward):
+    """A copy of ``products`` with one pair i != j made one-sided: a
+    one-coordinate e_i e_j and no e_j e_i, where i < j if ``forward``."""
+    i, j = sorted(rng.sample(range(1, n), 2), reverse=not forward)
+    cell = [0] * n
+    cell[rng.randrange(n)] = 1
+    broken = {**products, (i, j): cell}
+    broken.pop((j, i), None)
+    return broken
+
+
+def test_symmetry_flags_agree_with_dense_reference():
+    # Each flag is read off the stored cells, packed from n = 8 on over
+    # GF(p), and agrees with a dense reference on field scalars: on built
+    # commutative and quadratic tables (t = 0, or some t_i != 0), on each
+    # with one pair made one-sided, either way round, and on random tables.
+    rng = random.Random(403)
+    fields = (QQ, GF(2), GF(3), GF(101), GF(10007))
+    broken = {"commutative": 0, "quadratic": 0}
+    for trial in range(150):
+        field, n = fields[trial % 5], rng.randint(3, 11)
+        p = field.modulus
+        cases = [
+            ("commutative", random_commutative_products(rng, n, p)),
+            ("quadratic", random_quadratic_products(rng, n, p, twisted=trial % 2 == 0)),
+            (None, random_products(rng, n, p)),
+        ]
+        for kind, products in cases[:2]:
+            cases += [(None, _broken(rng, products, n, forward)) for forward in (True, False)]
+        for kind, products in cases:
+            algebra = Algebra.from_products(field, n, products)
+            table = dense_table(n, products)
+            commutative, quadratic = dense_is_commutative(field, table), dense_is_quadratic(field, table)
+            assert (algebra.commutative, algebra.quadratic) == (commutative, quadratic), trial
+            if kind is not None:
+                assert getattr(algebra, kind), (trial, kind)
+            else:
+                broken["commutative"] += not commutative
+                broken["quadratic"] += not quadratic
+    assert min(broken.values()) > 300
+
+
+def test_symmetry_flags_on_the_families_and_dense_tables():
+    for field in (QQ, GF(2), GF(10007)):
+        power2, _ = make_example("power2", 12, field)
+        assert (power2.commutative, power2.quadratic) == (True, False)
+        fib, _ = make_example("fib-lc", 12, field)
+        assert (fib.commutative, fib.quadratic) == (field == GF(2), True)
+        stall, _ = make_example("stall-chain", 12, field)
+        assert (stall.commutative, stall.quadratic) == (False, False)
+    rng = random.Random(404)
+    for field, n in ((QQ, 9), (GF(2), 6), (GF(101), 12), (GF(10007), 30)):
+        products = {
+            (i, j): [rng.randrange(1, 101) for _ in range(n)]
+            for i in range(1, n) for j in range(1, n)
+        }
+        dense = Algebra.from_products(field, n, products)
+        assert not dense.commutative and not dense.quadratic
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_a_quadratic_table_squares_every_x_into_span_of_one_and_x(p):
+    # Over GF(2) and GF(3) at n <= 5 every x is checked, unit part included.
+    rng = random.Random(405 + p)
+    field = GF(p)
+    for trial in range(6):
+        n = 3 + trial % 3
+        products = random_quadratic_products(rng, n, p, twisted=trial % 2 == 0)
+        algebra = Algebra.from_products(field, n, products)
+        assert algebra.quadratic
+        for x in product(range(p), repeat=n):
+            line = reduced_span(field, n, [algebra.unit(), x])
+            square = reduced_span(field, n, [algebra.unit(), x, algebra.multiply(x, x)])
+            assert square.dim == line.dim, (trial, x)
 
 
 def test_coerce_vector_field_mismatch():

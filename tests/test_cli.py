@@ -398,6 +398,31 @@ def test_huge_numbers_are_one_error_line(tmp_path, capsys, text, argv, error):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("token", ["\u00b2", "\u0663", "\uff13"],
+                         ids=["superscript", "arabic-indic", "fullwidth"])
+@pytest.mark.parametrize("site", ["field-option", "field-line", "dim-line"])
+def test_non_ascii_digits_are_one_error_line(pow2_file, tmp_path, capsys, site, token):
+    out = tmp_path / "out.alg"
+    if site == "field-option":
+        argv = _GEN + [f"prime:{token}", "--out", str(out)]
+    else:
+        old = "field rational" if site == "field-line" else "dim 4"
+        new = f"field prime {token}" if site == "field-line" else f"dim {token}"
+        path = tmp_path / "a.alg"
+        path.write_text(pow2_file.read_text(encoding="utf-8").replace(old, new),
+                        encoding="utf-8")
+        argv = ["length", "--algebra", str(path), "--gens", "e1"]
+    capsys.readouterr()
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error[ParseError]: ")
+    assert captured.err.endswith(f"must be ASCII digits 0-9, got {token!r}\n")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("case", ["json-path", "out-path", "not-utf8"])
 def test_bad_paths_are_one_error_line(pow2_file, tmp_path, capsys, case):
     unwritable = str(tmp_path / "no-such-dir" / "x")

@@ -126,6 +126,19 @@ def test_malformed_files(mutation, fragment):
     assert fragment in str(info.value)
 
 
+@pytest.mark.parametrize("token", ["\u00b2", "\u0663", "\uff13", "3\u00b2", "-3", "x"],
+                         ids=["superscript", "arabic-indic", "fullwidth", "mixed", "sign", "name"])
+@pytest.mark.parametrize("line", ["field prime {}", "dim {}"], ids=["field", "dim"])
+def test_field_and_dim_take_ascii_digits_only(line, token):
+    # str.isdigit accepts all of the first four; int() refuses the
+    # superscript and reads the other scripts' digits as 3.
+    old = "field rational" if line.startswith("field") else "dim 4"
+    with pytest.raises(ParseError) as info:
+        parse_algebra(POWER2_4.replace(old, line.format(token)))
+    lineno, what = (2, "field prime <p>") if line.startswith("field") else (3, "dim <n>")
+    assert str(info.value) == f"line {lineno}: {what} must be ASCII digits 0-9, got {token!r}"
+
+
 def test_false_lc_claim_rejected():
     with pytest.raises(NotLocallyComplex):
         parse_algebra(POWER2_4 + "lc true\n")

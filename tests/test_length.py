@@ -17,6 +17,7 @@ from alglength import (
     STOP_LC_WINDOW,
     STOP_WINDOW,
     ShapeError,
+    brute_force_algebra_length,
     check_lc_basis,
     compute_length,
     dims_from_charseq,
@@ -24,6 +25,7 @@ from alglength import (
     make_example,
     parse_gens,
     serialize_algebra,
+    verify_sequence,
 )
 from alglength.algebra import PACK_MIN_N, slot_limbs
 from alglength.echelon import EchelonSubspace
@@ -38,9 +40,11 @@ from helpers import (
     left_rows,
     mixed_equal_span_set,
     nested_generating_pair,
+    random_commutative_products,
     random_genset,
     random_lc_products,
     random_products,
+    random_quadratic_products,
     random_unital_algebra,
     random_vector,
     record_calls,
@@ -703,33 +707,17 @@ def test_no_operator_is_built_for_a_group_that_is_never_a_left_operand(monkeypat
     assert run_fields(report) == run_fields(reference_run(algebra, gens))
 
 
-def test_operators_over_a_sparse_table_stay_within_the_memory_rule(monkeypatch):
-    # A dim-100 GF(10007) table of 6n cells, each one coordinate, and one
-    # dense generator.  Each operator built holds at most the bits of the
-    # cells that it sums; a row whose packed columns would hold more, as the
-    # generator's would, stays its (i, c) terms.  No table row is kept wide,
-    # as each W_i would take more than twice its cells' bits.  The report is
-    # the reference stepper's.
-    rng = random.Random(641)
-    n, p = 100, 10007
-    products = {}
-    while len(products) < 6 * n:
-        products[rng.randrange(1, n), rng.randrange(1, n)] = {rng.randrange(n): rng.randrange(1, p)}
-    algebra = Algebra.from_products(GF(p), n, products)
-    gens = ((0,) + random_vector(rng, n - 1, p, nonzero=True),)
-    width = 64 * slot_limbs(n, p)
+def _operators_within_the_memory_rule(monkeypatch, algebra, gens):
+    """Run the engine; check that each dict operator holds at most the bits
+    of the packed cells that it sums, each other left operand is its row's
+    (i, c) terms, and the report is the reference stepper's.  Returns the
+    recorded ``((row,), operator)`` calls and the bits a row's cells sum."""
+    n = algebra.n
+    width = 64 * slot_limbs(n, algebra.field.modulus)
 
     def summed_bits(row):  # of the packed cells e_i e_j with row[i] != 0
         cells = [algebra.terms(i, j) for i, c in enumerate(row) if c for j in range(1, n)]
         return sum(width * (t[-1][0] - t[0][0]) + t[-1][1].bit_length() for t in cells if t)
-
-    def column_bits(row):  # of the columns sum_i row_i e_i e_j, i >= 1, packed
-        cols = {}
-        for i, c in enumerate(row[1:], 1):
-            for j in range(1, n):
-                for k, x in algebra.terms(i, j):
-                    cols[j] = cols.get(j, 0) + (c * x << width * k)
-        return sum(col.bit_length() for col in cols.values())
 
     built = record_calls(monkeypatch, Algebra, "left_operator")
     report = compute_length(algebra, gens)
@@ -740,11 +728,56 @@ def test_operators_over_a_sparse_table_stay_within_the_memory_rule(monkeypatch):
             assert sum(col.bit_length() for col in left.values()) <= summed_bits(row)
         else:
             assert left == [(i, c) for i, c in enumerate(row) if c]
+    assert run_fields(report) == run_fields(reference_run(algebra, gens))
+    return built, summed_bits
+
+
+def _sparse_packed_case(seed, terms):
+    """A dim-100 GF(10007) table of 6n cells, each of ``terms`` coordinates
+    drawn at random (two may coincide), and one dense generator row."""
+    rng = random.Random(seed)
+    n, p = 100, 10007
+    products = {}
+    while len(products) < 6 * n:
+        cell = {rng.randrange(n): rng.randrange(1, p) for _ in range(terms)}
+        products[rng.randrange(1, n), rng.randrange(1, n)] = cell
+    algebra = Algebra.from_products(GF(p), n, products)
+    return algebra, ((0,) + random_vector(rng, n - 1, p, nonzero=True),)
+
+
+def test_operators_over_a_sparse_table_stay_within_the_memory_rule(monkeypatch):
+    # Each cell is one coordinate.  Each operator built holds at most the
+    # bits of the cells that it sums; a row whose packed columns would hold
+    # more, as the generator's would, stays its (i, c) terms.  No table row
+    # is kept wide, as each W_i would take more than twice its cells' bits.
+    # The report is the reference stepper's.
+    algebra, gens = _sparse_packed_case(641, 1)
+    n = algebra.n
+    width = 64 * slot_limbs(n, algebra.field.modulus)
+
+    def column_bits(row):  # of the columns sum_i row_i e_i e_j, i >= 1, packed
+        cols = {}
+        for i, c in enumerate(row[1:], 1):
+            for j in range(1, n):
+                for k, x in algebra.terms(i, j):
+                    cols[j] = cols.get(j, 0) + (c * x << width * k)
+        return sum(col.bit_length() for col in cols.values())
+
+    built, summed_bits = _operators_within_the_memory_rule(monkeypatch, algebra, gens)
     generator = built[0][0][0]
     assert column_bits(generator) > summed_bits(generator)
     assert type(built[0][1]) is list
     assert not any(map(algebra._wide_row, range(n)))
-    assert run_fields(report) == run_fields(reference_run(algebra, gens))
+
+
+def test_operators_over_a_spread_table_stay_within_the_memory_rule(monkeypatch):
+    # Each cell has two coordinates, anywhere in 0..99, so a cell spans
+    # about a third of the slots on average and a many-term row's cells sum more bits
+    # than its operator's columns can hold: the operators are built as
+    # dicts, and the bound on their bits is met.
+    algebra, gens = _sparse_packed_case(643, 2)
+    built, _ = _operators_within_the_memory_rule(monkeypatch, algebra, gens)
+    assert type(built[0][1]) is dict
 
 
 def test_only_nonzero_packed_products_reach_a_row_op(monkeypatch):
@@ -766,15 +799,19 @@ def test_only_nonzero_packed_products_reach_a_row_op(monkeypatch):
     [("fib-lc", 19, 287, 136), ("lc-gap-family", 40, 1762, 861), ("lc-gap7", None, 23, 10)],
 )
 def test_lc_shortcut_forms_only_the_strict_products(monkeypatch, family, size, plain, strict):
-    # Over a locally-complex basis f*f and f*h + h*f lie in span(1) for
-    # fresh f, h of positive length, so the flagged table over Q forms only
-    # f*h with f's row inserted before h's, with lc_shortcut or without, and
-    # the flag leaves the report as it is.  The same table over GF(10007) is
-    # unflagged and forms every pair.
+    # A locally-complex table is quadratic: f*f and f*h + h*f lie in
+    # span(1) for fresh f, h of positive length.  So over Q, flagged, with
+    # lc_shortcut or without, and over GF(10007), unflagged but quadratic,
+    # the engine forms only f*h with f's row inserted before h's.  With its
+    # symmetry flags cleared the GF(10007) table forms every pair, ``plain``
+    # of them, and every report is the same.
     reports = []
-    for field, lc, count in ((QQ, False, strict), (QQ, True, strict), (GF(10007), False, plain)):
+    for field, lc, clear in ((QQ, False, False), (QQ, True, False),
+                             (GF(10007), False, False), (GF(10007), False, True)):
         algebra, gens = make_example(family, size, field)
-        assert algebra.lc_flag == (field is QQ)
+        assert algebra.lc_flag == (field is QQ) and algebra.quadratic
+        if clear:
+            algebra.commutative = algebra.quadratic = False
         built = record_calls(monkeypatch, Algebra, "left_operator")
         calls = record_calls(monkeypatch, Algebra, "scaled_product")
         report = compute_length(algebra, gens, lc_shortcut=lc)
@@ -782,10 +819,135 @@ def test_lc_shortcut_forms_only_the_strict_products(monkeypatch, family, size, p
         reports.append(report)
         order = [row for _, group in report.fresh_rows for row in group]
         pairs = [(order.index(f), order.index(h)) for f, h in left_rows(built, calls)]
-        if algebra.lc_flag:
-            assert all(t < s for t, s in pairs)
-        else:
+        if clear:
             assert any(t == s for t, s in pairs) and any(t > s for t, s in pairs)
-        assert len(calls) == count, (field, lc)
+        else:
+            assert all(t < s for t, s in pairs)
+        assert len(calls) == (plain if clear else strict), (field, lc, clear)
     assert _report_fields(reports[0]) == _report_fields(reports[1])
     assert reports[0].charseq == reports[2].charseq
+    assert _report_fields(reports[2]) == _report_fields(reports[3])
+
+
+def _count_calls(monkeypatch, cls, name):
+    """Patch ``cls.name`` to count its calls, in a one-item list."""
+    count = [0]
+    method = getattr(cls, name)
+
+    def counting(self, *args):
+        count[0] += 1
+        return method(self, *args)
+
+    monkeypatch.setattr(cls, name, counting)
+    return count
+
+
+@pytest.mark.parametrize(
+    "family, length, pairs, every",
+    [("fib-lc", 8, 16324, 36193), ("power2", 32, 22157, 32615)],
+)
+def test_brute_force_forms_each_unordered_pair_once_on_symmetric_tables(
+        monkeypatch, family, length, pairs, every):
+    # fib-lc over GF(2) is quadratic (and, in characteristic 2, commutative);
+    # power2 is commutative.  Brute-force l(A) over the 2,824 subspaces
+    # forms ``pairs`` products, and ``every`` with the flags cleared, for the
+    # same result.
+    results = []
+    for clear, expected in ((False, pairs), (True, every)):
+        algebra, _ = make_example(family, 7, GF(2))
+        assert algebra.commutative
+        if clear:
+            algebra.commutative = algebra.quadratic = False
+        count = _count_calls(monkeypatch, Algebra, "scaled_product")
+        results.append(brute_force_algebra_length(algebra))
+        monkeypatch.undo()
+        assert count[0] == expected
+    assert results[0] == results[1]
+    assert (results[0].length, results[0].subspaces_tested) == (length, 2824)
+
+
+@pytest.mark.parametrize(
+    "family, n, field, products",
+    [("fib-lc", 400, GF(10007), 79003), ("power2", 200, QQ, 19701)],
+    ids=["fib-lc-400-GF10007", "power2-200-Q"],
+)
+def test_one_run_forms_each_unordered_pair_once(monkeypatch, family, n, field, products):
+    # All pairs would be 158,402 and 39,204 products.
+    algebra, gens = make_example(family, n, field)
+    count = _count_calls(monkeypatch, Algebra, "scaled_product")
+    report = compute_length(algebra, gens)
+    monkeypatch.undo()
+    assert report.is_generating and len(report.charseq) == n
+    assert count[0] == products
+
+
+def _symmetric_products(rng, kind, n, p):
+    if kind == "commutative":
+        return random_commutative_products(rng, n, p)
+    return random_quadratic_products(rng, n, p, density=0.3, twisted=kind == "twisted")
+
+
+def _some_gens(rng, field, n, trial):
+    """One or two basis vectors on even trials, random rows on odd ones."""
+    if trial % 2 == 0:
+        return tuple(
+            tuple(int(k == i) for k in range(n))
+            for i in rng.sample(range(1, n), min(n - 1, rng.randint(1, 2)))
+        )
+    draw = (lambda: rng.randint(-2, 2)) if field.modulus is None else (
+        lambda: rng.randrange(field.modulus))
+    return tuple(tuple(draw() for _ in range(n)) for _ in range(rng.randint(1, 2)))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(101)], ids=["Q", "GF2", "GF3", "GF101"])
+@pytest.mark.parametrize("kind", ["commutative", "quadratic", "twisted"])
+def test_symmetric_tables_form_each_pair_once_and_match_the_reference(
+        monkeypatch, field, kind):
+    # On a commutative table the engine forms f*h only where f's row joined
+    # no later than h's, f*f included; on a quadratic one, with t = 0 or
+    # with some t_i != 0 ("twisted"), only where f's row joined first.  Each
+    # report is the reference stepper's and the one that every pair gives,
+    # with the flags cleared.  From n = 8 on the GF(p) tables are packed.
+    rng = random.Random(f"{kind} {field.modulus}")
+    squares = 0
+    for trial, n in enumerate((3, 5, 6, 7, 8, 9, 10, 10)):
+        algebra = Algebra.from_products(field, n, _symmetric_products(rng, kind, n, field.modulus))
+        assert algebra.commutative if kind == "commutative" else algebra.quadratic
+        gens = _some_gens(rng, field, n, trial)
+        built = record_calls(monkeypatch, Algebra, "left_operator")
+        calls = record_calls(monkeypatch, Algebra, "scaled_product")
+        report = compute_length(algebra, gens)
+        monkeypatch.undo()
+        order = [row for _, group in report.fresh_rows for row in group]
+        pairs = [(order.index(f), order.index(h)) for f, h in left_rows(built, calls)]
+        assert all(t < s if algebra.quadratic else t <= s for t, s in pairs)
+        squares += sum(t == s for t, s in pairs)
+        assert run_fields(report) == run_fields(reference_run(algebra, gens)), (trial, n)
+        algebra.commutative = algebra.quadratic = False
+        assert _report_fields(compute_length(algebra, gens)) == _report_fields(report)
+    assert squares > 0 if kind == "commutative" else squares == 0
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(101)], ids=["Q", "GF2", "GF3", "GF101"])
+def test_quadratic_tables_give_strict_chains_under_the_fibonacci_bound(field):
+    # The paper proves both for locally-complex bases from f*f and
+    # f*h + h*f in lower layers, which every quadratic table gives, over
+    # every field: each fresh row is a product of two distinct fresh rows.
+    # power2, commutative but not quadratic, needs e_1 e_1.
+    rng = random.Random(field.modulus or 7)
+    lengths = []
+    for trial in range(60):
+        n = rng.randint(3, 11)
+        products = random_quadratic_products(rng, n, field.modulus, density=0.3,
+                                             twisted=trial % 2 == 0)
+        algebra = Algebra.from_products(field, n, products)
+        report = compute_length(algebra, _some_gens(rng, field, n, 0))
+        if report.is_generating:
+            verdicts = verify_sequence(report.charseq, ["chain-strict", "fib"])
+            assert verdicts.wellformed, report.charseq
+            assert all(v.ok for v in verdicts.checks.values()), report.charseq
+            lengths.append(report.length)
+    assert len(lengths) >= 4 and max(lengths) >= 5
+    algebra, gens = make_example("power2", 6, field)
+    verdicts = verify_sequence(compute_length(algebra, gens).charseq, ["chain-strict", "fib"])
+    assert not any(v.ok for v in verdicts.checks.values())

@@ -22,10 +22,13 @@ dense generator row, whose many-term rows the packed engine keeps as terms
 by the left operator's memory rule, a packed GF(2^31 - 1) dim-24 table of
 dense rows, two-cell rows and empty rows run from two dense generator rows,
 whose left operators sum rows kept wide, rows added cell by cell and rows
-with no cells, and the dim-1 algebra, where
-``fib-k`` has no k, with and without ``--lc-shortcut``, through ``length``,
-``charseq``, ``dims``, ``verify`` and ``oracle-check``, the last also with
-``--require-generating``.  ``verify`` also runs with reordered and repeated
+with no cells, a seeded quadratic GF(101) dim-10 table with every t_i
+nonzero (e_i^2 in span(1) + t_i e_i) and a seeded commutative GF(7) dim-9
+table, on which the engine forms each unordered pair of fresh rows once,
+each run from basis generators and from a random row, and the dim-1
+algebra, where ``fib-k`` has no k, with and without ``--lc-shortcut``,
+through ``length``, ``charseq``, ``dims``, ``verify`` and ``oracle-check``,
+the last also with ``--require-generating``.  ``verify`` also runs with reordered and repeated
 check tokens, ``lc`` and an unknown token.  On ``pow2_4.alg``,
 ``oracle-check`` also runs at ``--kmax 13`` and 14, where one generator has
 290,512 and 1,033,412 bracketed words of lengths 1..kmax: from ``e1``
@@ -59,7 +62,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 # (family, n, field option, gens): the bench's CLI_FAMILIES files, then stall-chain
-# n=120 over both kinds of field.
+# n=120 over both kinds of field, then fib-lc (quadratic) and power2
+# (commutative) over prime fields, whose runs form each unordered pair once.
 FAMILY_FILES = (
     ("power2", 6, "rational", "e1"),
     ("power2", 9, "prime:2", "e1"),
@@ -77,6 +81,8 @@ FAMILY_FILES = (
     ("lc-gap-family", 12, "rational", "e1,e2"),
     ("lc-gap-family", 24, "rational", "e1,e2"),
     ("lc-gap7", None, "rational", "e1,e2,e3"),
+    ("fib-lc", 14, "prime:3", "e1,e2"),
+    ("power2", 10, "prime:2", "e1"),
 )
 # Sets that do not generate, so that the stabilization windows end the run.
 EXTRA_GENS = {"power2": ["e2"], "fib-lc": ["e1", "e3"], "stall-chain": ["e2"],
@@ -111,6 +117,10 @@ SPARSE_CELL_FILES = ((100, "prime 10007", 23),)
 # mod 3, run with two dense generator rows, so that a left operator sums
 # rows kept wide, rows added cell by cell and empty rows.
 MIXED_FILES = ((24, "prime 2147483647", 24),)
+# (dim, field line, seed): a quadratic table with every t_i nonzero, and a
+# commutative one.
+QUADRATIC_FILES = ((10, "prime 101", 25),)
+COMMUTATIVE_FILES = ((9, "prime 7", 26),)
 UNIT_ONLY = "alglength-algebra v1\nfield rational\ndim 1\nbasis 1\n"
 
 
@@ -198,6 +208,49 @@ def _mixed_text(dim: int, field: str, seed: int) -> tuple[str, list[str]]:
     return "\n".join(lines) + "\n", [gens]
 
 
+def _terms(names: list, p: int, vec: list) -> str:
+    """``vec`` as terms c*name, each c reduced mod p; "0*1" when all vanish."""
+    terms = [f"{c % p}*{names[k]}" for k, c in enumerate(vec) if c % p]
+    return " + ".join(terms) or "0*1"
+
+
+def _symmetric_text(dim: int, field: str, seed: int, quadratic: bool) -> tuple[str, list[str]]:
+    """A seeded table on which the engine forms each unordered pair once.
+
+    Quadratic: e_i^2 = a_i + t_i e_i with every t_i nonzero, and for each
+    i < j, e_i e_j = v with one or two terms and e_j e_i = c + t_j e_i +
+    t_i e_j - v.  Commutative: e_i e_j = e_j e_i = v for about half the
+    pairs i <= j.  Returns the v1 text and three --gens values: e1, e1 and
+    e2, and a random coordinate row nonzero but at the unit.
+    """
+    rng = random.Random(seed)
+    p = int(field.split()[1])
+    names = ["1"] + [f"e{i}" for i in range(1, dim)]
+    t = [0] + [rng.randrange(1, p) for _ in range(1, dim)]
+    cells = {}
+    for i in range(1, dim):
+        for j in range(i, dim):
+            if not quadratic and rng.random() < 0.5:
+                continue
+            v = [0] * dim
+            for k in rng.sample(range(dim), rng.randint(1, 2)):
+                v[k] = rng.randrange(1, p)
+            if not quadratic:
+                cells[i, j] = cells[j, i] = v
+            elif i == j:
+                cells[i, i] = [rng.randrange(1, p)] + [t[i] * (k == i) for k in range(1, dim)]
+            else:
+                w = [-c for c in v]
+                w[0] += rng.randrange(1, p)
+                w[i] += t[j]
+                w[j] += t[i]
+                cells[i, j], cells[j, i] = v, w
+    lines = ["alglength-algebra v1", f"field {field}", f"dim {dim}", "basis " + " ".join(names)]
+    lines += [f"prod e{i} e{j} = {_terms(names, p, v)}" for (i, j), v in sorted(cells.items())]
+    row = [0] + [rng.randrange(1, p) for _ in range(dim - 1)]
+    return "\n".join(lines) + "\n", ["e1", "e1,e2", "[" + ", ".join(map(str, row)) + "]"]
+
+
 def _cases(workdir: Path) -> tuple[list[list[str]], list[list[str]]]:
     """The gen-example argument lists, and the runs that read their files."""
     gen = [["gen-example", "--family", family, "--n", str(LARGE_N), "--field", field,
@@ -228,6 +281,12 @@ def _cases(workdir: Path) -> tuple[list[list[str]], list[list[str]]]:
         name = f"mixed_{dim}.alg"
         (workdir / name).write_text(text, encoding="utf-8")
         files.append((name, None, None, None, gen_sets))
+    for files_, quadratic in ((QUADRATIC_FILES, True), (COMMUTATIVE_FILES, False)):
+        for dim, field, seed in files_:
+            text, gen_sets = _symmetric_text(dim, field, seed, quadratic)
+            name = f"{'quadratic' if quadratic else 'commutative'}_{dim}.alg"
+            (workdir / name).write_text(text, encoding="utf-8")
+            files.append((name, None, None, None, gen_sets))
     (workdir / "unit_only.alg").write_text(UNIT_ONLY, encoding="utf-8")
     files.append(("unit_only.alg", None, None, None, ["1"]))
     for name, family, n, field, gen_sets in files:

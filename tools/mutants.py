@@ -64,22 +64,44 @@ MUTANTS = (
         "newrow = normal_row(self.field, residue)", "newrow = tuple(residue)",
         ("test_echelon.py",),
     ),
-    # The strict candidate rule without the within-group pairs.
+    # The pair rule without the within-group pairs.
     Mutant(
         "strict-top-drops-equal-lengths", LENGTH,
-        "top = k // 2 if strict", "top = (k - 1) // 2 if strict",
+        "top = k // 2 if pairs", "top = (k - 1) // 2 if pairs",
         ("test_length.py",),
     ),
-    # The candidate rule read off the option, or strict on every table.
+    # The pair rule read off the option, or on every table.
     Mutant(
         "strict-from-lc-shortcut", LENGTH,
-        "strict = algebra.lc_flag", "strict = lc_shortcut",
+        "pairs = algebra.commutative or algebra.quadratic", "pairs = lc_shortcut",
         ("test_length.py",),
     ),
     Mutant(
         "strict-always", LENGTH,
-        "strict = algebra.lc_flag", "strict = True",
+        "pairs = algebra.commutative or algebra.quadratic", "pairs = True",
         ("test_length.py",),
+    ),
+    # The commutative rule starts a group's right operands after f, so it
+    # drops f*f.
+    Mutant(
+        "commutative-rule-drops-squares", LENGTH,
+        "after = int(algebra.quadratic)", "after = 1",
+        ("test_length.py",),
+    ),
+    # The quadratic check skips a pair i > j with e_i e_j stored and no
+    # e_j e_i, so it accepts one broken anticommutator.
+    Mutant(
+        "quadratic-check-skips-a-one-sided-pair", ALGEBRA,
+        "if j == i or (j < i and back):", "if j == i or j < i:",
+        ("test_algebra.py",),
+    ),
+    # The commutative check reads only the cells with j <= i, so it skips a
+    # pair with e_i e_j stored for some i < j and no e_j e_i.
+    Mutant(
+        "commutative-check-skips-a-one-sided-pair", ALGEBRA,
+        "for i, row in enumerate(rows) for j, cell in row.items()",
+        "for i, row in enumerate(rows) for j, cell in row.items() if j <= i",
+        ("test_algebra.py",),
     ),
     # The locally-complex stop label also when S adds nothing.
     Mutant(
