@@ -19,7 +19,9 @@ verdict.
 
 Exit codes: 0 success, 1 domain errors (e.g. a non-generating set under
 ``--require-generating``), 2 usage or parse errors.  Every error path prints
-one line ``error[<Class>]: <message>`` to stderr.
+one line ``error[<Class>]: <message>`` to stderr.  ``--n`` and ``--kmax``
+take ASCII digits, as a file's ``dim`` line does: a signed, spaced or
+non-ASCII value is a ParseError while the options are read, before any file.
 """
 
 from __future__ import annotations
@@ -32,19 +34,12 @@ from pathlib import Path
 from . import __version__
 from .algebra import Algebra, GenSet, check_lc_basis
 from .bounds import CHECKS, verify_sequence
-from .errors import (
-    AlgLengthError,
-    BudgetExceeded,
-    ChecksFailed,
-    NotGenerating,
-    OracleMismatch,
-    ParseError,
-    RangeError,
-)
-from .fields import GF, QQ
-from .fileformat import parse_algebra, parse_digits, parse_gens, serialize_algebra
+from .errors import AlgLengthError, ChecksFailed, NotGenerating, OracleMismatch, ParseError
+from .fields import QQ
+from .fileformat import parse_algebra, parse_digits, parse_gens, parse_prime_field
+from .fileformat import serialize_algebra
 from .families import FAMILY_NAMES, make_example
-from .length import MAX_KMAX, LengthReport, compute_length, dims_from_charseq
+from .length import LengthReport, compute_length, dims_from_charseq, require_kmax
 from .oracle import brute_force_algebra_length, enumerate_words_spans
 from . import reporting
 
@@ -82,6 +77,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     engine = [algebra_arg, json_arg, engine_args]
 
+    def digits(flag):  # a number option takes ASCII digits, as a file's dim line does
+        return functools.partial(parse_digits, what=flag)
+
     parser = argparse.ArgumentParser(
         prog="alglength",
         description="Lengths and characteristic sequences of generating sets "
@@ -98,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     command("length", engine, _cmd_length, "compute l(S)")
     command("charseq", engine, _cmd_charseq, "characteristic sequence of S")
     p = command("dims", engine, _cmd_dims, "dims of L_0..L_K")
-    p.add_argument("--kmax", type=int, required=True, metavar="K")
+    p.add_argument("--kmax", type=digits("--kmax"), required=True, metavar="K")
     p = command("verify", engine, _cmd_verify, "run bound checks on S")
     p.add_argument(
         "--checks",
@@ -108,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p = command("gen-example", [json_arg], _cmd_gen_example, "write a family instance")
     p.add_argument("--family", required=True, choices=FAMILY_NAMES)
-    p.add_argument("--n", type=int, default=None, help="family size parameter")
+    p.add_argument("--n", type=digits("--n"), default=None, help="family size parameter")
     p.add_argument("--out", required=True, metavar="PATH")
     p.add_argument(
         "--field",
@@ -119,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "oracle-check", engine, _cmd_oracle_check,
         "compare engine dims with word enumeration",
     )
-    p.add_argument("--kmax", type=int, required=True, metavar="K")
+    p.add_argument("--kmax", type=digits("--kmax"), required=True, metavar="K")
     command(
         "brute-force", [algebra_arg, json_arg], _cmd_brute_force,
         "l(A) over GF(p) by subspace enumeration",
@@ -131,10 +129,7 @@ def _parse_field_option(text: str):
     if text == "rational":
         return QQ
     if text.startswith("prime:"):
-        try:
-            return GF(parse_digits(text[6:], "--field prime:<p>"))
-        except RangeError as exc:  # as for 'field prime <p>' in a file
-            raise ParseError(str(exc)) from None
+        return parse_prime_field(text[6:], "--field prime:<p>")
     raise ParseError(f"bad --field value {text!r}; use 'rational' or 'prime:<p>'")
 
 
@@ -182,10 +177,7 @@ def _engine_report(algebra, gens, args) -> LengthReport:
 
 
 def _engine_dims(algebra, gens, args) -> list[int]:
-    if args.kmax < 0:
-        raise ParseError("--kmax must be >= 0")
-    if args.kmax > MAX_KMAX:
-        raise BudgetExceeded(f"--kmax {args.kmax} exceeds the limit {MAX_KMAX}")
+    require_kmax(args.kmax)  # before the engine runs
     return dims_from_charseq(_engine_report(algebra, gens, args).charseq, args.kmax)
 
 
@@ -301,13 +293,10 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
+    try:  # a number option's ParseError is raised while the options are read
+        return _run(_build_parser().parse_args(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    try:
-        return _run(args)
     except AlgLengthError as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ParseError) else 1

@@ -49,9 +49,11 @@ def _meaningful_lines(text: str):
 def parse_digits(text: str, what: str, lineno: int | None = None) -> int:
     """int() of ``what``, a token of ASCII digits 0-9: the one check of such a token.
 
-    Any other token is a ParseError that names it: ``str.isdigit`` also
-    accepts superscripts and other scripts' digits, which int() refuses or
-    reads.  More digits than int() converts is a ParseError too.
+    It reads a file's ``dim`` and ``field prime`` lines and the CLI's ``--n``,
+    ``--kmax`` and ``--field prime:<p>``.  Any other token is a ParseError that
+    names it: ``str.isdigit`` also accepts superscripts and other scripts'
+    digits, which int() refuses or reads.  More digits than int() converts is
+    a ParseError too.
     """
     if not (text.isascii() and text.isdigit()):
         raise ParseError(f"{what} must be ASCII digits 0-9, got {text!r}", lineno)
@@ -59,6 +61,15 @@ def parse_digits(text: str, what: str, lineno: int | None = None) -> int:
         return int(text)
     except ValueError:
         raise ParseError(f"number of {len(text)} digits is out of range", lineno) from None
+
+
+def parse_prime_field(text: str, what: str, lineno: int | None = None) -> Field:
+    """GF(p) of ``what``, a token of ASCII digits: a p that is not a prime is
+    a ParseError, and one above the modulus limit stays BudgetExceeded."""
+    try:
+        return GF(parse_digits(text, what, lineno))
+    except RangeError as exc:
+        raise ParseError(str(exc), lineno) from None
 
 
 def _parse_term(term: str, names: dict[str, int], field: Field, lineno: int):
@@ -107,10 +118,7 @@ def parse_algebra(text: str) -> Algebra:
     if parts == ["field", "rational"]:
         field: Field = QQ
     elif len(parts) == 3 and parts[:2] == ["field", "prime"]:
-        try:
-            field = GF(parse_digits(parts[2], "field prime <p>", lineno))
-        except RangeError as exc:
-            raise ParseError(str(exc), lineno) from None
+        field = parse_prime_field(parts[2], "field prime <p>", lineno)
     else:
         raise ParseError("expected 'field rational' or 'field prime <p>'", lineno)
 

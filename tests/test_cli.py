@@ -400,11 +400,17 @@ def test_huge_numbers_are_one_error_line(tmp_path, capsys, text, argv, error):
 
 @pytest.mark.parametrize("token", ["\u00b2", "\u0663", "\uff13"],
                          ids=["superscript", "arabic-indic", "fullwidth"])
-@pytest.mark.parametrize("site", ["field-option", "field-line", "dim-line"])
+@pytest.mark.parametrize(
+    "site", ["field-option", "field-line", "dim-line", "n-option", "kmax-option"]
+)
 def test_non_ascii_digits_are_one_error_line(pow2_file, tmp_path, capsys, site, token):
     out = tmp_path / "out.alg"
     if site == "field-option":
         argv = _GEN + [f"prime:{token}", "--out", str(out)]
+    elif site == "n-option":
+        argv = ["gen-example", "--family", "power2", "--n", token, "--out", str(out)]
+    elif site == "kmax-option":
+        argv = ["dims", "--algebra", str(pow2_file), "--gens", "e1", "--kmax", token]
     else:
         old = "field rational" if site == "field-line" else "dim 4"
         new = f"field prime {token}" if site == "field-line" else f"dim {token}"
@@ -474,21 +480,28 @@ def test_flag_a_subcommand_does_not_take_is_a_usage_error(pow2_file, tmp_path, c
         ["gen-example", "--family", "power2", "--n", "4", "--field", "prime:4"],
         ["gen-example", "--family", "power2", "--n", "4", "--field", "prime:1"],
         ["gen-example", "--family", "power2", "--n", "4", "--field", "prime:0"],
+        ["dims", "--gens", "e1", "--kmax", "+2"],
+        ["oracle-check", "--gens", "e1", "--kmax", " 3"],
+        ["gen-example", "--family", "power2", "--n", "1_0"],
+        ["gen-example", "--family", "power2", "--n", "-1"],
     ],
     ids=["dims-kmax", "oracle-check-kmax", "verify-checks", "verify-checks-empty",
          "verify-checks-commas", "gen-example-field",
-         "gen-example-prime-4", "gen-example-prime-1", "gen-example-prime-0"],
+         "gen-example-prime-4", "gen-example-prime-1", "gen-example-prime-0",
+         "dims-kmax-plus", "oracle-check-kmax-space", "gen-example-n-underscore",
+         "gen-example-n-minus"],
 )
 def test_bad_option_values_are_one_error_line(pow2_file, tmp_path, capsys, argv):
-    out = tmp_path / "out.alg"
+    out, report = tmp_path / "out.alg", tmp_path / "r.json"
     where = ["--out", str(out)] if argv[0] == "gen-example" else ["--algebra", str(pow2_file)]
-    code = main(argv + where)
+    code = main(argv + where + ["--json", str(report)])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error[ParseError]:")
     assert captured.err.count("\n") == 1
     assert not out.exists()
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("require", [[], ["--require-generating"]], ids=["plain", "require"])
@@ -551,7 +564,7 @@ _ENGINE_OPTIONS = {"gens", "lc_shortcut", "require_generating"}
     [
         (["length", "--gens", "e1"], _ENGINE_OPTIONS),
         (["charseq", "--gens", "e1"], _ENGINE_OPTIONS),
-        (["dims", "--gens", "e1", "--kmax", "3"], _ENGINE_OPTIONS | {"kmax"}),
+        (["dims", "--gens", "e1", "--kmax", "03"], _ENGINE_OPTIONS | {"kmax"}),
         (["verify", "--gens", "e1"], _ENGINE_OPTIONS | {"checks"}),
         (["oracle-check", "--gens", "e1", "--kmax", "3"], _ENGINE_OPTIONS | {"kmax"}),
         (["brute-force"], set()),
@@ -573,3 +586,6 @@ def test_report_options_are_the_subcommands_own_arguments(tmp_path, capsys, argv
     assert set(payload["options"]) == options
     if argv[0] == "verify":
         assert payload["options"]["checks"] == ["chain", "power"]
+    for name in ("kmax", "n"):  # ints, whatever the token's leading zeros
+        if name in options:
+            assert type(payload["options"][name]) is int and payload["options"][name] == 3

@@ -34,7 +34,12 @@ check tokens, ``lc`` and an unknown token.  On ``pow2_4.alg``,
 290,512 and 1,033,412 bracketed words of lengths 1..kmax: from ``e1``
 (l = 4) the span fills at step 4 and no longer word is evaluated, and ``e2``
 does not generate, so its span never fills, but its words vanish from
-length 3 on and the oracle stops after length 4.  For every run the exit code,
+length 3 on and the oracle stops after length 4.  ``dims --kmax 06``,
+``oracle-check --kmax 05`` and ``gen-example --n 04`` run too: a number
+option's ASCII digits with a leading zero give an int in the ``--json``
+options.  Only such tokens are compared: earlier trees read ``--n`` and
+``--kmax`` with int(), which also takes a sign, spaces, ``_`` and other
+scripts' digits that the file format refuses.  For every run the exit code,
 stdout, stderr and the ``--json`` bytes must be equal.
 
 The family files come from ``gen-example`` runs, which are compared too:
@@ -317,6 +322,11 @@ def _cases(workdir: Path) -> tuple[list[list[str]], list[list[str]]]:
     pow2 = str(workdir / "pow2_4.alg")
     runs += [["oracle-check", "--kmax", kmax, "--algebra", pow2, "--gens", gens]
              for gens in ("e1", "e2") for kmax in ("13", "14")]
+    # Number tokens with a leading zero, which both trees read as ints.
+    runs += [["dims", "--kmax", "06", "--algebra", pow2, "--gens", "e1"],
+             ["oracle-check", "--kmax", "05", "--algebra", pow2, "--gens", "e1"]]
+    gen.append(["gen-example", "--family", "power2", "--n", "04",
+                "--out", str(workdir / "pow2_04.alg")])
     p3 = str(workdir / "p3.alg")
     gen.append(["gen-example", "--family", "power2", "--n", "3", "--out", p3,
                 "--field", "prime:2"])

@@ -44,7 +44,9 @@ class Mutant(NamedTuple):
     equivalent: bool = False
 
 
-LENGTH, ORACLE, ECHELON, ALGEBRA = "length.py", "oracle.py", "echelon.py", "algebra.py"
+LENGTH, ORACLE, ECHELON, ALGEBRA, CLI = (
+    "length.py", "oracle.py", "echelon.py", "algebra.py", "cli.py"
+)
 
 MUTANTS = (
     # The word oracle's full-span exit: none at all, and one a row early.
@@ -188,6 +190,19 @@ MUTANTS = (
         "terms-accepts-the-unit-index", ALGEBRA,
         "0 < i < n and 0 < j < n", "0 <= i < n and 0 < j < n",
         ("test_algebra.py",),
+    ),
+    # A number option read by int(), which also takes a sign, spaces, "_"
+    # and other scripts' digits.
+    Mutant(
+        "n-option-read-by-int", CLI,
+        'type=digits("--n")', "type=int",
+        ("test_cli.py",),
+    ),
+    Mutant(
+        "dims-kmax-read-by-int", CLI,
+        '"dims of L_0..L_K")\n    p.add_argument("--kmax", type=digits("--kmax")',
+        '"dims of L_0..L_K")\n    p.add_argument("--kmax", type=int',
+        ("test_cli.py",),
     ),
     # A comment edit: no behaviour changes, so it must survive.
     Mutant(
