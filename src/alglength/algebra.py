@@ -16,24 +16,30 @@ on :meth:`Algebra.scaled_product`, the stored products' share of D times
 the product with no field step, the word oracle on ``_product``, which adds
 the unit law's share and reduces mod p, and only ``multiply`` divides by D.
 
-Over GF(p), from dimension :data:`PACK_MIN_N` on, each cell e_i * e_j is
-packed into one big integer (Kronecker substitution): coordinate k sits in a
-slot of w bits at bit w * k, where w is 64 * m bits with m the fewest limbs
-for which (n-1)^2 (p-1)^3 + n (p-1)^2 < 2^w.  A product of residue vectors
-sums at most (n-1)^2 terms u_i v_j c, each at most (p-1)^3, into every slot,
-and one big-int multiply-add per stored cell replaces a loop over its
-coordinates, or, for a row that :meth:`Algebra.left_operator` turned into
-packed columns, one per column.  Those columns are the blocks of one sum of
-wide rows, each table row's cells end to end in one integer, built at its
-first use and kept where it takes at most twice its cells' bits, so that an
-operator costs one multiply-add per term of its row u.
-:meth:`Algebra.scaled_product` returns that sum still packed, and
-:class:`~alglength.echelon.EchelonSubspace` reduces it in the same layout:
-each of its at most n row ops adds at most (p-1)^2 to a slot, so no slot
-carries into the next.  Other tables keep each cell's ``(k, c)`` pairs:
-over Q the operands are unbounded integers, so no slot width fits them, and
-in a smaller GF(p) table a product has too few coordinates to repay the
-unpack.
+Over an odd prime field GF(p), from dimension :data:`PACK_MIN_N` on, each
+cell e_i * e_j is packed into one big integer (Kronecker substitution):
+coordinate k sits in a slot of w bits at bit w * k, where w is 64 * m bits
+with m the fewest limbs for which (n-1)^2 (p-1)^3 + n (p-1)^2 < 2^w.  A
+product of residue vectors sums at most (n-1)^2 terms u_i v_j c, each at
+most (p-1)^3, into every slot, and one big-int multiply-add per stored cell
+replaces a loop over its coordinates, or, for a row that
+:meth:`Algebra.left_operator` turned into packed columns, one per column.
+Those columns are the blocks of one sum of wide rows, each table row's cells
+end to end in one integer, built at its first use and kept where it takes at
+most twice its cells' bits, so that an operator costs one multiply-add per
+term of its row u.  :meth:`Algebra.scaled_product` returns that sum still
+packed, and :class:`~alglength.echelon.EchelonSubspace` reduces it in the
+same layout: each of its at most n row ops adds at most (p-1)^2 to a slot,
+so no slot carries into the next.  Other odd-prime tables and those over Q
+keep each cell's ``(k, c)`` pairs: over Q the operands are unbounded
+integers, so no slot width fits them, and in a smaller GF(p) table a product
+has too few coordinates to repay the unpack.
+
+Over GF(2), at every dimension, :meth:`Algebra.from_products` builds a
+:class:`GF2Algebra`, whose cells are bit masks: a product is the XOR of cell
+masks, one mask, which :class:`~alglength.echelon.GF2Subspace` reduces by
+XOR.  The layout is
+chosen once per algebra, so no method of the other layouts tests for it.
 
 The "locally complex" basis predicate checks the multiplication-table face of
 that class of real algebras: every non-unit basis element squares to -1 and
@@ -71,20 +77,25 @@ GenSet = tuple  # tuple[Vector, ...], nonempty
 # bits of their common denominator times their number (entries with many
 # distinct denominators would otherwise each carry all of them), over GF(p)
 # the bits of the packed cells (a cell spanning coordinates k0..k1 takes
-# k1 - k0 + 1 slots, however few of them are nonzero).
+# k1 - k0 + 1 slots, however few of them are nonzero), over GF(2) the bit
+# lengths of the cell masks (a cell whose top coordinate is k takes k + 1).
 MAX_TABLE_BITS = 1 << 27
-# Smallest dimension whose GF(p) tables are packed.  Below it the unpack and
-# the operand reduction of a product cost more than its loop over (k, c)
-# pairs.  Measured on dense random tables, packed against pairs: GF(2) and
-# GF(3) +28-30 % at n = 4, +3-22 % at n = 6, -1 to -22 % at n = 8 and
-# -26-31 % at n = 10.  Larger primes gain earlier (GF(101): -25 % at n = 4).
-# Echelon rows share the threshold; packing cells and rows from n = 4 on
-# instead made the bench's oracle-sweep (GF(2) and GF(3) at n = 4-7) slower
-# in 5 of 5 pairs of 12 s runs: median wall_s +12 %, op_p50_ms +22 %.
+# Smallest dimension whose odd-prime tables are packed; GF(2) tables hold
+# bit masks at every dimension.  Below it the unpack and the operand
+# reduction of a product cost more than its loop over (k, c) pairs.
+# Measured on dense random tables, packed against pairs: GF(3) within
+# +28-30 % at n = 4, +3-22 % at n = 6, -1 to -22 % at n = 8 and -26-31 % at
+# n = 10.  Larger primes gain earlier (GF(101): -25 % at n = 4).  Echelon
+# rows share the threshold; packing cells and rows from n = 4 on instead made
+# the bench's oracle-sweep (tables of n = 4-7) slower in 5 of 5 pairs of 12 s
+# runs: median wall_s +12 %, op_p50_ms +22 %.
 PACK_MIN_N = 8
 # Slots of one 64-bit limb are read as machine words where the byte order
 # allows it; wider slots, or a big-endian host, go through int.from_bytes.
 _WORDS = sys.byteorder == "little"
+# Bytes 0 and 1 to the digits "0" and "1", and back, for int(..., 2) and bin().
+_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 # A non-unit basis name: what the file format's basis line can hold.
 NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
@@ -102,11 +113,19 @@ def slot_limbs(n: int, p: int) -> int:
     return max(1, -(-((n - 1) ** 2 * (p - 1) ** 3 + n * (p - 1) ** 2).bit_length() // 64))
 
 
+def bit_masks(field: Field) -> bool:
+    """Whether vectors over ``field`` are bit masks: over GF(2), at every
+    dimension, in the algebra's cells and the echelon span's rows alike."""
+    return field.modulus == 2
+
+
 def pack_limbs(field: Field, n: int) -> int:
     """Limbs per slot of the packed vectors of dimension n over ``field``; 0
-    where vectors are not packed (over Q, or below :data:`PACK_MIN_N`)."""
+    where vectors are not packed in slots (over Q, in bit masks, or below
+    :data:`PACK_MIN_N`)."""
     mod = field.modulus
-    return slot_limbs(n, mod) if mod is not None and n >= PACK_MIN_N else 0
+    packed = mod is not None and not bit_masks(field) and n >= PACK_MIN_N
+    return slot_limbs(n, mod) if packed else 0
 
 
 def pack_slots(slots: Sequence[int], limbs: int) -> int:
@@ -114,6 +133,16 @@ def pack_slots(slots: Sequence[int], limbs: int) -> int:
     if limbs == 1 and _WORDS:
         return int.from_bytes(array("Q", slots), "little")
     return int.from_bytes(b"".join(c.to_bytes(8 * limbs, "little") for c in slots), "little")
+
+
+def pack_bits(v: Sequence[int]) -> int:
+    """Ints read mod 2 as one bit mask, bit k the parity of ``v[k]``."""
+    return int(bytes([c & 1 for c in reversed(v)]).translate(_BIT_CHARS) or b"0", 2)
+
+
+def unpack_bits(x: int, count: int) -> tuple:
+    """The first ``count`` bits of a nonnegative ``x`` below 2^count, as 0/1 ints."""
+    return tuple(bin(x)[:1:-1].ljust(count, "0").encode().translate(_BIT_VALUES))
 
 
 def _pack_cell(coords: dict, limbs: int) -> tuple:
@@ -125,6 +154,14 @@ def _pack_cell(coords: dict, limbs: int) -> tuple:
     for k, c in coords.items():
         slots[k - k0] = c
     return 64 * limbs * k0, pack_slots(slots, limbs)
+
+
+def _bit_cell(coords: dict) -> int:
+    """The bit mask of the nonzero coordinates ``coords``, a ``{k: 1}`` mapping."""
+    mask = 0
+    for k in coords:
+        mask |= 1 << k
+    return mask
 
 
 def unpack_slots(x: int, count: int, limbs: int) -> list:
@@ -163,8 +200,9 @@ class Algebra:
     empty.  A packed cell (``_limbs`` > 0) is ``(shift, packed)`` with
     ``packed = sum_k c[i][j][k] 2^(w (k - k0))`` and ``shift = w k0``, k0 the
     cell's lowest nonzero coordinate and w = 64 * ``_limbs`` bits, and
-    ``_row_bits[i]`` sums the bits of row i's packed cells.  Otherwise a cell
-    is its nonzero ``(k, c)`` pairs, k ascending, with ``c`` the int
+    ``_row_bits[i]`` sums the bits of row i's packed cells.  Over GF(2), in
+    a :class:`GF2Algebra`, a cell is a bit mask.  Otherwise a cell is its
+    nonzero ``(k, c)`` pairs, k ascending, with ``c`` the int
     D * c[i][j][k].  ``_wide`` maps each packed row that a left operator has
     read to its :meth:`_wide_row`.  ``_wide``, ``lc_flag``, ``commutative``
     and ``quadratic`` are derived from ``_rows``, so ``__eq__`` ignores
@@ -192,8 +230,10 @@ class Algebra:
         read as the mapping ``{k: value[k]}``.  Products involving the unit
         follow from the unit law; a key with a 0 index raises RangeError, as
         does an index or coordinate index that is not an int below n.  Costs
-        O(n) plus the size of ``products`` plus the packed slots, if any;
-        more than :data:`MAX_TABLE_BITS` of them raises BudgetExceeded.
+        O(n) plus the size of ``products`` plus the bits of the packed slots
+        or of the GF(2) masks, if any; more than :data:`MAX_TABLE_BITS` of
+        them raises BudgetExceeded.  Over GF(2) the result is a
+        :class:`GF2Algebra`.
         ``lc_flag`` is :func:`check_lc_basis` over Q, which stops at the
         first cell that fails, e_1^2 on most tables, and False over GF(p).
         ``commutative`` and ``quadratic`` (:func:`_is_quadratic`, skipped
@@ -211,6 +251,7 @@ class Algebra:
                 f"products must map index pairs (i, j) to cells, got a {type(products).__name__}"
             )
         mod = field.modulus
+        masks = bit_masks(field)
         limbs = pack_limbs(field, n)
         bits = 0
         row_bits = [0] * n
@@ -234,17 +275,24 @@ class Algebra:
                 bad = next(k for k in value if type(k) is not int or k not in indices)
                 raise RangeError(f"coordinate index {bad!r} out of range")
             coords = {k: c for k in sorted(value) if (c := coerce(value[k]))}
-            if coords:
-                rows[i][j] = _pack_cell(coords, limbs) if limbs else tuple(coords.items())
-            if limbs and coords:
-                cell_bits = rows[i][j][1].bit_length()
-                row_bits[i] += cell_bits
-                bits += cell_bits
-                if bits > MAX_TABLE_BITS:
-                    raise BudgetExceeded(
-                        f"packed GF({mod}) cells of {64 * limbs}-bit slots exceed "
-                        f"{MAX_TABLE_BITS} bits"
-                    )
+            if not coords:
+                continue
+            if masks:
+                cell = _bit_cell(coords)
+                cell_bits = cell.bit_length()
+            elif limbs:
+                cell = _pack_cell(coords, limbs)
+                cell_bits = cell[1].bit_length()
+            else:  # (k, c) pairs count no bits here
+                cell, cell_bits = tuple(coords.items()), 0
+            rows[i][j] = cell
+            row_bits[i] += cell_bits
+            bits += cell_bits
+            if bits > MAX_TABLE_BITS:
+                width = 1 if masks else 64 * limbs
+                raise BudgetExceeded(
+                    f"packed GF({mod}) cells of {width}-bit slots exceed {MAX_TABLE_BITS} bits"
+                )
         denominator = 1
         if mod is None:
             constants = [c for row in rows for cell in row.values() for _, c in cell]
@@ -269,6 +317,8 @@ class Algebra:
             valid = all(isinstance(s, str) and NAME_RE.fullmatch(s) for s in rest)
             if not (basis_names[0] == "1" and valid and len(set(rest)) == len(rest)):
                 raise ShapeError(f"basis names must be '1', then distinct {NAME_RE.pattern}")
+        if masks:
+            cls = GF2Algebra
         algebra = cls.__new__(cls)
         algebra.n = n
         algebra.field = field
@@ -468,6 +518,50 @@ class Algebra:
 
     def __repr__(self) -> str:
         return f"Algebra(dim={self.n}, field={self.field.descriptor()})"
+
+
+class GF2Algebra(Algebra):
+    """What :meth:`Algebra.from_products` builds over GF(2), at every
+    dimension: each cell e_i * e_j is a bit mask, bit k its coordinate k."""
+
+    __slots__ = ()
+
+    def _cell_terms(self, cell: int) -> Sequence[tuple[int, int]]:
+        """The ``(k, 1)`` of the set bits k of a stored cell, k ascending."""
+        if not cell:
+            return ()
+        bits, out = bin(cell)[:1:-1], []
+        k = bits.find("1")
+        while k >= 0:
+            out.append((k, 1))
+            k = bits.find("1", k + 1)
+        return out
+
+    def left_operator(self, row: Sequence[int]) -> list:
+        """u = ``row`` read mod 2, as its nonzero ``(i, 1)``."""
+        return [(i, 1) for i, c in enumerate(row) if c & 1]
+
+    def scaled_product(self, left: Iterable, v: Sequence[int]) -> int:
+        """The stored products' share of u*v as a bit mask, the XOR of the
+        cells e_i e_j with u_i = v_j = 1; ``left`` is u's ``(i, u_i)`` on
+        residues."""
+        acc, rows = 0, self._rows
+        for i, ui in left:
+            if ui:
+                for j, cell in rows[i].items():
+                    if v[j]:
+                        acc ^= cell
+        return acc
+
+    def _product(self, u: Sequence[int], v: Sequence[int]) -> list:
+        """The residues of u*v: :meth:`scaled_product` plus the unit law's
+        share ``u_0 v + v_0 u - u_0 v_0 e_0``, added as masks."""
+        x = self.scaled_product(enumerate(u), v)
+        if u[0]:
+            x ^= pack_bits(v)
+        if v[0]:
+            x ^= pack_bits(u) ^ u[0]
+        return list(unpack_bits(x, self.n))
 
 
 def require_algebra(algebra) -> None:

@@ -17,15 +17,23 @@ up to a scalar it depends only on the span and not on which echelon basis
 of it is stored.  Insertion appends the residue made primitive (over Q) or 1
 at its pivot (over GF(p)) by :func:`normal_row`; no older row changes.
 
-Over GF(p) from ambient dimension :data:`~alglength.algebra.PACK_MIN_N` on,
-each row is also kept packed, in the slot layout of the packed structure
-constants (:mod:`alglength.algebra`), and a vector is reduced packed: the
-row op is ``x += (p - c) * row`` on one integer, with c the vector's pivot
-slot mod p, which keeps every slot nonnegative and clears the pivot mod p.
-The vector is unpacked and reduced mod p once, at the end.  A packed vector,
-such as :meth:`Algebra.scaled_product <alglength.algebra.Algebra.scaled_product>`
+Over an odd prime field GF(p) from ambient dimension
+:data:`~alglength.algebra.PACK_MIN_N` on, each row is also kept packed, in
+the slot layout of the packed structure constants (:mod:`alglength.algebra`),
+and a vector is reduced packed: the row op is ``x += (p - c) * row`` on one
+integer, with c the vector's pivot slot mod p, which keeps every slot
+nonnegative and clears the pivot mod p.  The vector is unpacked and reduced
+mod p once, at the end.  A packed vector, such as
+:meth:`Algebra.scaled_product <alglength.algebra.Algebra.scaled_product>`
 returns over packed cells, is reduced as it is; a packed 0 is spanned and
 costs one test.
+
+Over GF(2), at every ambient dimension, the constructor builds a
+:class:`GF2Subspace`, which keeps each row also as a bit mask, bit k its
+coordinate k, and reduces a mask, such as a GF(2) product is, by
+``if x >> pivot & 1: x ^= row``, the pivot being the row's lowest set bit.
+The residue is 0 exactly when the int is, so a spanned vector is never
+unpacked; a residue that joins is 1 at its lead, its own :func:`normal_row`.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Optional, Sequence
 
-from .algebra import pack_limbs, pack_slots, unpack_slots
+from .algebra import bit_masks, pack_bits, pack_limbs, pack_slots, unpack_bits, unpack_slots
 from .errors import ShapeError, require_int
 from .fields import Field, require_field
 
@@ -62,10 +70,17 @@ class EchelonSubspace:
 
     Over GF(p), ``_packed`` holds the rows packed in slots of ``_limbs``
     limbs, with ``_limbs`` read off the field and ambient dimension by
-    :func:`~alglength.algebra.pack_limbs`; where it is 0, ``_packed`` is empty.
+    :func:`~alglength.algebra.pack_limbs`; where it is 0, ``_packed`` is
+    empty, except in a :class:`GF2Subspace`, where it holds the bit masks.
     """
 
     __slots__ = ("field", "ambient", "rows", "pivots", "_limbs", "_packed")
+
+    def __new__(cls, field: Field, ambient: int):
+        """A :class:`GF2Subspace` over GF(2), an EchelonSubspace otherwise."""
+        if cls is EchelonSubspace and isinstance(field, Field) and bit_masks(field):
+            cls = GF2Subspace
+        return object.__new__(cls)
 
     def __init__(self, field: Field, ambient: int):
         """The zero subspace; a non-Field raises FieldMismatch, a bad ambient ShapeError."""
@@ -145,3 +160,41 @@ class EchelonSubspace:
 
     def __repr__(self) -> str:
         return f"EchelonSubspace(dim={self.dim}, ambient={self.ambient})"
+
+
+class GF2Subspace(EchelonSubspace):
+    """An :class:`EchelonSubspace` of GF(2)^ambient, what the constructor
+    builds for that field: ``_packed`` holds each row as a bit mask, bit k
+    its coordinate k, so the row's pivot is its lowest set bit."""
+
+    __slots__ = ()
+
+    def reduce(self, v: Sequence[int] | int) -> list:
+        """The residue of ``v``, a bit mask or ints read mod 2, as 0/1 ints;
+        0 iff v is spanned.  It is the row that :meth:`insert` would add."""
+        _, row = self.insert(v)
+        return list(row) if row is not None else [0] * self.ambient
+
+    def insert(self, v: Sequence[int] | int) -> tuple["GF2Subspace", Optional[tuple]]:
+        """:meth:`EchelonSubspace.insert` of ``v``, a bit mask or ints read
+        mod 2.  The added row is the residue, 1 at its lead already, unpacked
+        to 0/1 ints only when it joins."""
+        if type(v) is int:
+            if not v:  # a zero product
+                return self, None
+            x = v
+        elif len(v) != self.ambient:
+            raise ShapeError(f"vector of length {len(v)} in a {self.ambient}-dimensional space")
+        else:
+            x = pack_bits(v)
+        for p, row in zip(self.pivots, self._packed):
+            if x >> p & 1:
+                x ^= row
+        if not x:
+            return self, None
+        grown = object.__new__(GF2Subspace)
+        grown.field, grown.ambient, grown._limbs = self.field, self.ambient, 0
+        grown.rows = self.rows + (unpack_bits(x, self.ambient),)
+        grown.pivots = self.pivots + ((x & -x).bit_length() - 1,)
+        grown._packed = self._packed + (x,)
+        return grown, grown.rows[-1]

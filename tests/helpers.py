@@ -23,17 +23,46 @@ from alglength import (
 from alglength.algebra import Vector
 
 
+def _patch_method(monkeypatch, cls, name, wrap):
+    """Patch ``cls.name``, and the method of each subclass that defines its
+    own (over GF(2) the algebra and the span are subclasses), with ``wrap``
+    of the method it replaces."""
+    todo = [cls]
+    while todo:
+        owner = todo.pop()
+        todo.extend(owner.__subclasses__())
+        if name in vars(owner):
+            monkeypatch.setattr(owner, name, wrap(vars(owner)[name]))
+
+
 def record_calls(monkeypatch, cls, name):
     """Patch ``cls.name`` to record each call's arguments and result."""
     calls = []
-    method = getattr(cls, name)
 
-    def recording(self, *args):
-        calls.append((args, method(self, *args)))
-        return calls[-1][1]
+    def recording(method):
+        def record(self, *args):
+            calls.append((args, method(self, *args)))
+            return calls[-1][1]
 
-    monkeypatch.setattr(cls, name, recording)
+        return record
+
+    _patch_method(monkeypatch, cls, name, recording)
     return calls
+
+
+def count_calls(monkeypatch, cls, name):
+    """Patch ``cls.name`` to count its calls, in a one-item list."""
+    count = [0]
+
+    def counting(method):
+        def counted(self, *args):
+            count[0] += 1
+            return method(self, *args)
+
+        return counted
+
+    _patch_method(monkeypatch, cls, name, counting)
+    return count
 
 
 def left_rows(built, formed):

@@ -2,7 +2,7 @@ import random
 import re
 import tracemalloc
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
@@ -24,7 +24,13 @@ from alglength import (
     parse_gens,
     serialize_algebra,
 )
-from alglength.algebra import MAX_TABLE_BITS, PACK_MIN_N, slot_limbs, unpack_slots
+from alglength.algebra import (
+    MAX_TABLE_BITS,
+    PACK_MIN_N,
+    slot_limbs,
+    unpack_bits,
+    unpack_slots,
+)
 
 from helpers import (
     assert_unit_law,
@@ -488,6 +494,18 @@ def _cell_operator(algebra, u, p):
     return {j: col for j, col in cols.items() if col}
 
 
+def _cell_xor(algebra, u, v):
+    """Per-cell reference of a GF(2) product: the XOR of the masks of the
+    cells e_i e_j with u_i and v_j odd."""
+    acc = 0
+    for i in range(1, algebra.n):
+        for j in range(1, algebra.n):
+            if u[i] % 2 and v[j] % 2:
+                for k, _ in algebra.terms(i, j):
+                    acc ^= 1 << k
+    return acc
+
+
 @pytest.mark.parametrize("p", [2, 101, 10007, MERSENNE31])
 def test_wide_row_operators_are_exact(p):
     # Each packed left operator is the per-cell sum over its rows, whether a
@@ -498,7 +516,8 @@ def test_wide_row_operators_are_exact(p):
     # mod 3), the only ones kept wide, sparse rows (i = 1 mod 3) whose cells
     # share two columns with each other and with the dense rows, and empty
     # rows (i = 2 mod 3), all in one dense u.  u holds negative ints and ints
-    # >= p, which left_operator reads mod p.
+    # >= p, which left_operator reads mod p.  Over GF(2) every operator is
+    # u's terms and a product the per-cell XOR of bit masks, with no wide rows.
     rng = random.Random(p)
 
     def entry():  # nonzero mod p
@@ -508,6 +527,7 @@ def test_wide_row_operators_are_exact(p):
         return x
 
     added = set()  # whether a row was added as its W_i, per row of a dict operator
+    kinds = set()
     for kind in ("dense", "closed", "sparse", "dense", "closed", "sparse", "mixed"):
         n = rng.randint(20, 40) if kind == "mixed" else rng.randint(PACK_MIN_N, 40)
         m = rng.randint(3, n - 1) if kind == "closed" else n
@@ -532,17 +552,24 @@ def test_wide_row_operators_are_exact(p):
             for i in rng.sample(range(1, m), rng.randint(1, m - 1)):
                 v[i] = rng.randrange(p)
             left = algebra.left_operator(u)
+            kinds.add(type(left))
             if type(left) is dict:
                 assert left == _cell_operator(algebra, u, p), (kind, n, u)
                 added.update(bool(algebra._wide[i]) for i in support)
             else:
                 assert left == [(i, x % p) for i, x in enumerate(u) if x % p]
-            got = unpack_slots(algebra.scaled_product(left, v), n, slot_limbs(n, p))
+            packed = algebra.scaled_product(left, v)
+            if p == 2:
+                assert packed == _cell_xor(algebra, u, v), (kind, n, u)
+                got = unpack_bits(packed, n)
+            else:
+                got = unpack_slots(packed, n, slot_limbs(n, p))
             assert [x % p for x in got] == list(_dense_product(table, u, v, p)), (kind, n, u)
-            if kind == "mixed" and t == 0:
+            if kind == "mixed" and t == 0 and p != 2:
                 wide = {i for i in support if algebra._wide[i]}
                 assert type(left) is dict and wide == set(range(3, n, 3))
-    assert added == {True, False}
+    assert kinds == ({list} if p == 2 else {dict, list})
+    assert added == (set() if p == 2 else {True, False})
 
 
 def test_the_wide_row_cache_stays_within_twice_the_cells_bits():
@@ -596,6 +623,21 @@ def test_packed_budget_counts_slots_not_terms():
     spread[(2, 1)] = cell
     with pytest.raises(BudgetExceeded):
         Algebra.from_products(GF(101), n, spread)
+
+
+def test_gf2_budget_counts_bits_not_terms():
+    # Over GF(2) a cell is a bit mask: one {e1, e4095} cell takes its 4096
+    # bits, so MAX_TABLE_BITS / 4096 such cells fit and one more does not.
+    n = 4096
+    cell = {1: 1, n - 1: 1}
+    keys = product(range(1, n), repeat=2)
+    spread = {key: cell for key in islice(keys, MAX_TABLE_BITS // n)}
+    algebra = Algebra.from_products(GF(2), n, spread)
+    assert algebra._rows[1][1] == 1 << 1 | 1 << (n - 1)
+    assert sum(algebra._row_bits) == MAX_TABLE_BITS
+    spread[next(keys)] = cell
+    with pytest.raises(BudgetExceeded, match="GF\\(2\\) cells of 1-bit slots"):
+        Algebra.from_products(GF(2), n, spread)
 
 
 def test_dense_and_sparse_constructors_agree():

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import alglength.cli
 import alglength.oracle
 from alglength.bounds import CHECKS
 from alglength.cli import _build_parser, main
@@ -211,7 +212,13 @@ def test_lc_shortcut_flag(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["dims", "oracle-check"])
-def test_kmax_budget_rejected_at_once(pow2_file, capsys, command):
+def test_kmax_budget_rejected_at_once(pow2_file, capsys, monkeypatch, command):
+    # The kmax limit is checked before the engine runs: on a large algebra
+    # a run first and a refusal after would waste it.
+    def engine(*args, **kwargs):
+        pytest.fail("the engine ran before the kmax limit was checked")
+
+    monkeypatch.setattr(alglength.cli, "compute_length", engine)
     code = main(
         [command, "--algebra", str(pow2_file), "--gens", "e1", "--kmax", str(2**40)]
     )

@@ -13,7 +13,7 @@ from alglength import (
 )
 
 from alglength.algebra import PACK_MIN_N, pack_slots, slot_limbs
-from alglength.echelon import EchelonSubspace
+from alglength.echelon import EchelonSubspace, GF2Subspace
 from alglength.fields import is_prime
 
 from helpers import random_vector, reduced_span
@@ -297,3 +297,35 @@ def test_packed_reduce_at_the_slot_bound():
     expected = reduced_span(GF(p), n, rows).reduce(slots)
     assert space.reduce(pack_slots(slots, 1)) == space.reduce(slots) == expected
     assert expected[:-1] == [0] * (n - 1) and expected[-1]
+
+
+def test_gf2_rows_are_bit_masks_reduced_by_xor():
+    # Over GF(2) the span keeps each row as a bit mask, bit k its coordinate
+    # k, with the pivot its lowest set bit.  A vector given as a mask, as
+    # its 0/1 ints or as any ints of the same parities gives the same
+    # residue, that of plain elimination, and the same added row; a zero
+    # mask is spanned at once.  n runs from 1 to past one 64-bit word.
+    rng = random.Random(71)
+    field = GF(2)
+    for n in (1, 2, 5, 7, 8, 13, 64, 65, 130):
+        space = EchelonSubspace(field, n)
+        assert type(space) is GF2Subspace and space.insert(0) == (space, None)
+        reference = reduced_span(field, n, [])
+        for t in range(n + 3):
+            v = random_vector(rng, n, 2)
+            mask = sum(c << k for k, c in enumerate(v))
+            shifted = tuple(c + 2 * rng.randint(-3, 3) for c in v)
+            residue = reference.reduce(v)
+            assert space.reduce(mask) == space.reduce(shifted) == residue
+            if t % 2:
+                space, row = space.insert(mask)
+            else:
+                space, row = space.insert(shifted)
+            reference = reduced_span(field, n, reference.rows + (v,))
+            assert row == (tuple(residue) if any(residue) else None)
+        assert space.dim == reference.dim
+        for row, pivot, packed in zip(space.rows, space.pivots, space._packed):
+            assert packed == sum(c << k for k, c in enumerate(row))
+            assert pivot == (packed & -packed).bit_length() - 1 == row.index(1)
+    with pytest.raises(ShapeError):
+        EchelonSubspace(field, 3).insert((1, 0))

@@ -47,6 +47,7 @@ from helpers import (
     random_quadratic_products,
     random_unital_algebra,
     random_vector,
+    count_calls,
     record_calls,
     reference_charseq,
     reference_run,
@@ -829,19 +830,6 @@ def test_lc_shortcut_forms_only_the_strict_products(monkeypatch, family, size, p
     assert _report_fields(reports[2]) == _report_fields(reports[3])
 
 
-def _count_calls(monkeypatch, cls, name):
-    """Patch ``cls.name`` to count its calls, in a one-item list."""
-    count = [0]
-    method = getattr(cls, name)
-
-    def counting(self, *args):
-        count[0] += 1
-        return method(self, *args)
-
-    monkeypatch.setattr(cls, name, counting)
-    return count
-
-
 @pytest.mark.parametrize(
     "family, length, pairs, every",
     [("fib-lc", 8, 16324, 36193), ("power2", 32, 22157, 32615)],
@@ -858,7 +846,7 @@ def test_brute_force_forms_each_unordered_pair_once_on_symmetric_tables(
         assert algebra.commutative
         if clear:
             algebra.commutative = algebra.quadratic = False
-        count = _count_calls(monkeypatch, Algebra, "scaled_product")
+        count = count_calls(monkeypatch, Algebra, "scaled_product")
         results.append(brute_force_algebra_length(algebra))
         monkeypatch.undo()
         assert count[0] == expected
@@ -874,7 +862,7 @@ def test_brute_force_forms_each_unordered_pair_once_on_symmetric_tables(
 def test_one_run_forms_each_unordered_pair_once(monkeypatch, family, n, field, products):
     # All pairs would be 158,402 and 39,204 products.
     algebra, gens = make_example(family, n, field)
-    count = _count_calls(monkeypatch, Algebra, "scaled_product")
+    count = count_calls(monkeypatch, Algebra, "scaled_product")
     report = compute_length(algebra, gens)
     monkeypatch.undo()
     assert report.is_generating and len(report.charseq) == n

@@ -32,6 +32,7 @@ from helpers import (
     random_products,
     random_unital_algebra,
     random_vector,
+    count_calls,
     record_calls,
 )
 
@@ -181,19 +182,6 @@ def test_oracle_agrees_with_engine_on_random_tables():
         assert enumerate_words_spans(algebra, gens, 7) == dims_from_charseq(terms, 7)
 
 
-def _count_products(monkeypatch):
-    """Patch ``Algebra._product``, the word oracle's product, to count calls."""
-    calls = []
-    product = Algebra._product
-
-    def counting(self, u, v):
-        calls.append(None)
-        return product(self, u, v)
-
-    monkeypatch.setattr(Algebra, "_product", counting)
-    return calls
-
-
 def test_the_word_oracle_stops_once_the_span_is_full(monkeypatch):
     # A dense GF(3) table on which one generator's span stays at dim
     # n - 1 = 4 through step 4 and fills at step 5: the words of length 5
@@ -203,22 +191,22 @@ def test_the_word_oracle_stops_once_the_span_is_full(monkeypatch):
     gens = (random_vector(rng, 5, 3, nonzero=True),)
     terms = compute_length(algebra, gens).charseq
     assert terms == (0, 1, 2, 3, 5)
-    formed = _count_products(monkeypatch)
+    formed = count_calls(monkeypatch, Algebra, "_product")  # the word oracle's product
     counts = []
     for kmax in range(14):
-        start = len(formed)
+        start = formed[0]
         assert enumerate_words_spans(algebra, gens, kmax) == dims_from_charseq(terms, kmax)
-        counts.append(len(formed) - start)
+        counts.append(formed[0] - start)
     assert counts[4] < counts[5]
     assert counts[5:] == [counts[5]] * 9
 
 
 def test_the_word_oracle_forms_no_product_on_the_dim_one_algebra(monkeypatch):
     algebra = Algebra.from_products(GF(3), 1, {})
-    formed = _count_products(monkeypatch)
+    formed = count_calls(monkeypatch, Algebra, "_product")  # the word oracle's product
     for kmax in range(14):
         assert enumerate_words_spans(algebra, [(2,)], kmax) == [1] * (kmax + 1)
-    assert not formed
+    assert not formed[0]
 
 
 def _closed_algebra(rng, field, n):
@@ -273,10 +261,10 @@ def test_the_products_budget_refuses_a_large_field_at_once(monkeypatch):
     rng = random.Random(30)
     algebra = _closed_algebra(rng, GF(10007), 30)
     gens = [(0,) + random_vector(rng, 28, 10007, nonzero=True) + (0,)]
-    formed = _count_products(monkeypatch)
+    formed = count_calls(monkeypatch, Algebra, "_product")  # the word oracle's product
     with pytest.raises(BudgetExceeded) as info:
         enumerate_words_spans(algebra, gens, 13)
-    assert len(formed) <= PRODUCT_BUDGET // 871
+    assert formed[0] <= PRODUCT_BUDGET // 871
     assert PRODUCT_BUDGET // (29**2 + 30) == 6888
     assert str(info.value) == (
         "the words of lengths 1..10 (kmax=13, n=30) exceed the 6000000 products budget "

@@ -17,9 +17,11 @@ and 15, that holds the generators, so that they do not generate; and over Q
 with fractional entries such as 1/2 and -2/3; every other non-unit product
 nonzero, run with two random coordinate rows, so that no fresh row is a
 basis vector, and the packed runs form their products from left operators),
-a sparse dim-100 GF(10007) table of 600 one-coordinate cells run from one
-dense generator row, whose many-term rows the packed engine keeps as terms
-by the left operator's memory rule, a packed GF(2^31 - 1) dim-24 table of
+three seeded dense GF(2) tables of 0/1 entries at dims 6, 9 and 30, on both
+sides of ``PACK_MIN_N``, a sparse dim-100 GF(10007) table of 600
+one-coordinate cells run from one dense generator row, whose many-term rows
+the packed engine keeps as terms by the left operator's memory rule, the
+same shape over GF(2), run from the row of ones off the unit, a packed GF(2^31 - 1) dim-24 table of
 dense rows, two-cell rows and empty rows run from two dense generator rows,
 whose left operators sum rows kept wide, rows added cell by cell and rows
 with no cells, a seeded quadratic GF(101) dim-10 table with every t_i
@@ -102,21 +104,25 @@ SPARSE_FILES = ((100, "rational", "-2/5"), (150, "prime 10007", "5000"))
 SPARSE_CHAIN = 5
 INTEGERS = tuple(Fraction(c) for c in range(-2, 3))
 FRACTIONS = tuple(Fraction(c) for c in ("-2/3", "-1", "0", "0", "1/2", "2", "5/3"))
+BITS = (Fraction(0), Fraction(1))
 # (dim, field line, seed, entries, closed): dense tables with every non-unit
 # product nonzero and generator rows, entries drawn from the given values;
 # with closed = m > 0, products of e_1..e_(m-1) and the generators lie in
-# span(e_0..e_(m-1)).  GF(p) tables of dim 6 keep (k, c) pairs; the larger
-# ones are packed, GF(2^31 - 1) in two-limb slots.
+# span(e_0..e_(m-1)).  Odd-prime tables of dim 6 keep (k, c) pairs; the
+# larger ones are packed, GF(2^31 - 1) in two-limb slots.  GF(2) tables
+# hold bit masks at every dim.
 DENSE_FILES = ((5, "rational", 11, INTEGERS, 0), (6, "prime 101", 12, INTEGERS, 0),
                (5, "rational", 13, FRACTIONS, 0), (6, "prime 2147483647", 14, INTEGERS, 0),
                (9, "prime 101", 15, INTEGERS, 0), (9, "prime 2147483647", 16, INTEGERS, 0),
                (20, "prime 10007", 17, INTEGERS, 0), (20, "prime 2147483647", 18, INTEGERS, 0),
                (30, "prime 10007", 19, INTEGERS, 0), (30, "prime 2147483647", 20, INTEGERS, 0),
-               (30, "prime 10007", 21, INTEGERS, 12), (30, "prime 101", 22, INTEGERS, 15))
+               (30, "prime 10007", 21, INTEGERS, 12), (30, "prime 101", 22, INTEGERS, 15),
+               (6, "prime 2", 27, BITS, 0), (9, "prime 2", 28, BITS, 0),
+               (30, "prime 2", 29, BITS, 0))
 # (dim, field line, seed): a sparse table of 6 * dim cells, each one
 # coordinate, run with one dense generator row, so that the many-term rows
 # of the packed engine stay (i, c) terms.
-SPARSE_CELL_FILES = ((100, "prime 10007", 23),)
+SPARSE_CELL_FILES = ((100, "prime 10007", 23), (100, "prime 2", 30))
 # (dim, field line, seed): a packed table whose rows e_i * (.) are dense for
 # i = 0 mod 3, two one-coordinate cells for i = 1 mod 3 and zero for i = 2
 # mod 3, run with two dense generator rows, so that a left operator sums
@@ -278,7 +284,7 @@ def _cases(workdir: Path) -> tuple[list[list[str]], list[list[str]]]:
         files.append((name, None, None, None, gen_sets))
     for dim, field, seed in SPARSE_CELL_FILES:
         text, gen_sets = _sparse_cells_text(dim, field, seed)
-        name = f"sparse_cells_{dim}.alg"
+        name = f"sparse_cells_{dim}_{seed}.alg"
         (workdir / name).write_text(text, encoding="utf-8")
         files.append((name, None, None, None, gen_sets))
     for dim, field, seed in MIXED_FILES:

@@ -179,6 +179,18 @@ MUTANTS = (
         "> 2 * self._row_bits[i]:", "< 0:",
         ("test_length.py",),
     ),
+    # A GF(2) product that ORs the cell masks instead of adding them mod 2.
+    Mutant(
+        "gf2-product-or-for-xor", ALGEBRA,
+        "acc ^= cell", "acc |= cell",
+        ("test_algebra.py",),
+    ),
+    # A GF(2) reduction that never applies the newest row.
+    Mutant(
+        "gf2-row-op-skips-the-last-row", ECHELON,
+        "zip(self.pivots, self._packed)", "zip(self.pivots[:-1], self._packed)",
+        ("test_echelon.py",),
+    ),
     # Over Q a generator's numerators kept without the lcm of its denominators.
     Mutant(
         "genset-numerators-only", ALGEBRA,
@@ -202,6 +214,12 @@ MUTANTS = (
         "dims-kmax-read-by-int", CLI,
         '"dims of L_0..L_K")\n    p.add_argument("--kmax", type=digits("--kmax")',
         '"dims of L_0..L_K")\n    p.add_argument("--kmax", type=int',
+        ("test_cli.py",),
+    ),
+    # The kmax limit checked only after the engine has run.
+    Mutant(
+        "engine-dims-kmax-after-engine", CLI,
+        "    require_kmax(args.kmax)  # before the engine runs\n", "",
         ("test_cli.py",),
     ),
     # A comment edit: no behaviour changes, so it must survive.
